@@ -16,11 +16,12 @@
 //!   walk count `K = ⌈c2·√n·ln n⌉` stays below `2²²` for every
 //!   `u32`-representable `n` at the default `c2`; both bounds are
 //!   asserted with descriptive panics at construction.
-//! * Id-set payloads (`I1`/`I2`/`I3` fragments) inline a single id in
-//!   `word`. In CONGEST mode `frag == 1`, so *every* election message
-//!   is heap-free. Longer fragments (Large mode) intern the run in an
-//!   `Arc`, shared by all hops of a forward wave instead of re-cloned
-//!   per edge.
+//! * `I1` fragments inline a single id in `word`. In CONGEST mode
+//!   `frag == 1`, so *every* election message is heap-free. Longer
+//!   fragments (Large mode) intern the run in an `Arc`, shared by all
+//!   hops of a relay instead of re-cloned per hop. Rounds 2 and 3 carry
+//!   only a maximum id (the decision reads `I4` through its maximum),
+//!   always inline.
 //!
 //! The packing is an in-memory concern only: [`Payload::bit_size`]
 //! still charges the analytical wire cost of the unpacked fields, so
@@ -45,9 +46,9 @@ const AUX_MASK: u64 = 0xFFFF_FFFF << AUX_SHIFT;
 const TAG_WALK: u64 = 1;
 const TAG_REV_PROXY: u64 = 2;
 const TAG_REV_KNOWN: u64 = 3;
-const TAG_REV_R3: u64 = 4;
+const TAG_REV_I3_MAX: u64 = 4;
 const TAG_REV_WINNER: u64 = 5;
-const TAG_FWD_I2: u64 = 6;
+const TAG_FWD_I2_MAX: u64 = 6;
 const TAG_FWD_STOP: u64 = 7;
 const TAG_FWD_WINNER: u64 = 8;
 
@@ -77,11 +78,12 @@ fn pack(tag: u64, epoch: u32, aux: u32, cnt: u64) -> u64 {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ElectionMsg {
     origin: u64,
-    /// Variant payload: proxy/winner id, or a single inlined set id.
+    /// Variant payload: proxy/winner id, a maximum id, or a single
+    /// inlined set id.
     word: u64,
     /// Packed header: `tag(4) | epoch(6) | aux(32) | cnt(22)`.
     meta: u64,
-    /// Interned id run for set fragments longer than one id.
+    /// Interned id run for `I1` fragments longer than one id.
     run: Option<Arc<Vec<u64>>>,
 }
 
@@ -120,7 +122,7 @@ pub enum MsgView<'a> {
         /// Step index at the receiving node.
         step: u32,
         /// Payload.
-        item: FwdItem<'a>,
+        item: FwdItem,
     },
     /// The reserved default message filling recycled arena slots.
     Void,
@@ -143,10 +145,10 @@ pub enum RevItem<'a> {
         /// Fragment of `I1` (one id in CONGEST mode).
         ids: &'a [u64],
     },
-    /// Round-3 set fragment: ids from the proxy's `I3`.
-    R3Contenders {
-        /// Fragment of `I3`.
-        ids: &'a [u64],
+    /// Round-3 unit: the largest id in the proxy's `I3`.
+    I3Max {
+        /// `max(I3)`.
+        id: u64,
     },
     /// A winner notification relayed towards a contender.
     Winner {
@@ -157,11 +159,11 @@ pub enum RevItem<'a> {
 
 /// Payloads travelling from a contender towards its proxies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FwdItem<'a> {
-    /// Round-2 set fragment: ids from the contender's `I2`.
-    I2Ids {
-        /// Fragment of `I2`.
-        ids: &'a [u64],
+pub enum FwdItem {
+    /// Round-2 unit: the largest id in the contender's `I2 ∪ {u}`.
+    I2Max {
+        /// `max(I2 ∪ {u})`.
+        id: u64,
     },
     /// The contender committed to this epoch as its final guess
     /// (Fidelity note 5: proxies and trail nodes finalize their records).
@@ -197,33 +199,28 @@ impl ElectionMsg {
             RevItem::KnownContenders { ids } => {
                 Self::with_ids(TAG_REV_KNOWN, origin, epoch, step, ids)
             }
-            RevItem::R3Contenders { ids } => Self::with_ids(TAG_REV_R3, origin, epoch, step, ids),
-            RevItem::Winner { id } => ElectionMsg {
-                origin,
-                word: id,
-                meta: pack(TAG_REV_WINNER, epoch, step, 0),
-                run: None,
-            },
+            RevItem::I3Max { id } => Self::with_word(TAG_REV_I3_MAX, origin, epoch, step, id),
+            RevItem::Winner { id } => Self::with_word(TAG_REV_WINNER, origin, epoch, step, id),
         }
     }
 
     /// A forward-routed unit (the protocol always originates these with
     /// `step == 0`; the parameter exists for size-accounting tests).
-    pub fn fwd(origin: u64, epoch: u32, step: u32, item: FwdItem<'_>) -> Self {
+    pub fn fwd(origin: u64, epoch: u32, step: u32, item: FwdItem) -> Self {
         match item {
-            FwdItem::I2Ids { ids } => Self::with_ids(TAG_FWD_I2, origin, epoch, step, ids),
-            FwdItem::StopMark => ElectionMsg {
-                origin,
-                word: 0,
-                meta: pack(TAG_FWD_STOP, epoch, step, 0),
-                run: None,
-            },
-            FwdItem::Winner { id } => ElectionMsg {
-                origin,
-                word: id,
-                meta: pack(TAG_FWD_WINNER, epoch, step, 0),
-                run: None,
-            },
+            FwdItem::I2Max { id } => Self::with_word(TAG_FWD_I2_MAX, origin, epoch, step, id),
+            FwdItem::StopMark => Self::with_word(TAG_FWD_STOP, origin, epoch, step, 0),
+            FwdItem::Winner { id } => Self::with_word(TAG_FWD_WINNER, origin, epoch, step, id),
+        }
+    }
+
+    /// A unit whose whole payload is the single `word`.
+    fn with_word(tag: u64, origin: u64, epoch: u32, aux: u32, word: u64) -> Self {
+        ElectionMsg {
+            origin,
+            word,
+            meta: pack(tag, epoch, aux, 0),
+            run: None,
         }
     }
 
@@ -289,7 +286,7 @@ impl ElectionMsg {
         self.meta & CNT_MAX
     }
 
-    /// The id-set payload (valid for the three set-fragment tags).
+    /// The id-set payload (valid for the `I1` fragment tag).
     fn ids(&self) -> &[u64] {
         match &self.run {
             Some(run) => run.as_slice(),
@@ -325,11 +322,11 @@ impl ElectionMsg {
                 step: aux,
                 item: RevItem::KnownContenders { ids: self.ids() },
             },
-            TAG_REV_R3 => MsgView::Rev {
+            TAG_REV_I3_MAX => MsgView::Rev {
                 origin,
                 epoch,
                 step: aux,
-                item: RevItem::R3Contenders { ids: self.ids() },
+                item: RevItem::I3Max { id: self.word },
             },
             TAG_REV_WINNER => MsgView::Rev {
                 origin,
@@ -337,11 +334,11 @@ impl ElectionMsg {
                 step: aux,
                 item: RevItem::Winner { id: self.word },
             },
-            TAG_FWD_I2 => MsgView::Fwd {
+            TAG_FWD_I2_MAX => MsgView::Fwd {
                 origin,
                 epoch,
                 step: aux,
-                item: FwdItem::I2Ids { ids: self.ids() },
+                item: FwdItem::I2Max { id: self.word },
             },
             TAG_FWD_STOP => MsgView::Fwd {
                 origin,
@@ -361,18 +358,16 @@ impl ElectionMsg {
 
     /// A collision-resistant-enough key identifying a forward item for
     /// the per-node "filtering and forwarding" dedup of Lemma 12.
-    pub fn fwd_dedup_key(origin: u64, item: &FwdItem<'_>) -> u64 {
+    pub fn fwd_dedup_key(origin: u64, item: &FwdItem) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ origin;
         let mut mix = |v: u64| {
             h ^= v;
             h = h.wrapping_mul(0x0000_0100_0000_01B3);
         };
         match item {
-            FwdItem::I2Ids { ids } => {
+            FwdItem::I2Max { id } => {
                 mix(1);
-                for &id in *ids {
-                    mix(id);
-                }
+                mix(*id);
             }
             FwdItem::StopMark => mix(2),
             FwdItem::Winner { id } => {
@@ -390,20 +385,17 @@ impl RevItem<'_> {
             RevItem::ProxyInfo { proxy_id, count } => {
                 bits_for(*proxy_id) + bits_for(u64::from(*count))
             }
-            RevItem::KnownContenders { ids } | RevItem::R3Contenders { ids } => {
-                ids.iter().map(|&id| bits_for(id)).sum()
-            }
-            RevItem::Winner { id } => bits_for(*id),
+            RevItem::KnownContenders { ids } => ids.iter().map(|&id| bits_for(id)).sum(),
+            RevItem::I3Max { id } | RevItem::Winner { id } => bits_for(*id),
         }
     }
 }
 
-impl FwdItem<'_> {
+impl FwdItem {
     fn payload_bits(&self) -> usize {
         match self {
-            FwdItem::I2Ids { ids } => ids.iter().map(|&id| bits_for(id)).sum(),
             FwdItem::StopMark => 1,
-            FwdItem::Winner { id } => bits_for(*id),
+            FwdItem::I2Max { id } | FwdItem::Winner { id } => bits_for(*id),
         }
     }
 }
@@ -463,12 +455,12 @@ mod tests {
 
     #[test]
     fn large_sets_scale_with_content() {
-        let small = ElectionMsg::fwd(7, 0, 0, FwdItem::I2Ids { ids: &[1] });
-        let big = ElectionMsg::fwd(
+        let small = ElectionMsg::rev(7, 0, 0, RevItem::KnownContenders { ids: &[1] });
+        let big = ElectionMsg::rev(
             7,
             0,
             0,
-            FwdItem::I2Ids {
+            RevItem::KnownContenders {
                 ids: &[u64::MAX; 20],
             },
         );
@@ -476,12 +468,31 @@ mod tests {
     }
 
     #[test]
+    fn maxima_are_one_inline_id() {
+        let id = (1u64 << 40) - 1;
+        let fwd = ElectionMsg::fwd(7, 0, 3, FwdItem::I2Max { id });
+        let rev = ElectionMsg::rev(7, 0, 3, RevItem::I3Max { id });
+        let one = ElectionMsg::rev(7, 0, 3, RevItem::KnownContenders { ids: &[id] });
+        assert!(fwd.run.is_none() && rev.run.is_none());
+        assert_eq!(fwd.bit_size(), one.bit_size());
+        assert_eq!(rev.bit_size(), one.bit_size());
+        let MsgView::Fwd { item: fwd_item, .. } = fwd.view() else {
+            panic!("decoded as non-Fwd")
+        };
+        let MsgView::Rev { item: rev_item, .. } = rev.view() else {
+            panic!("decoded as non-Rev")
+        };
+        assert_eq!(fwd_item, FwdItem::I2Max { id });
+        assert_eq!(rev_item, RevItem::I3Max { id });
+    }
+
+    #[test]
     fn dedup_keys_separate_items() {
         let a = ElectionMsg::fwd_dedup_key(1, &FwdItem::StopMark);
         let b = ElectionMsg::fwd_dedup_key(2, &FwdItem::StopMark);
         let c = ElectionMsg::fwd_dedup_key(1, &FwdItem::Winner { id: 9 });
-        let d = ElectionMsg::fwd_dedup_key(1, &FwdItem::I2Ids { ids: &[9] });
-        let e = ElectionMsg::fwd_dedup_key(1, &FwdItem::I2Ids { ids: &[10] });
+        let d = ElectionMsg::fwd_dedup_key(1, &FwdItem::I2Max { id: 9 });
+        let e = ElectionMsg::fwd_dedup_key(1, &FwdItem::I2Max { id: 10 });
         let all = [a, b, c, d, e];
         for i in 0..all.len() {
             for j in (i + 1)..all.len() {
@@ -525,7 +536,7 @@ mod tests {
 
     #[test]
     fn single_ids_inline_and_runs_intern() {
-        let one = ElectionMsg::rev(1, 0, 7, RevItem::R3Contenders { ids: &[99] });
+        let one = ElectionMsg::rev(1, 0, 7, RevItem::KnownContenders { ids: &[99] });
         assert!(one.run.is_none(), "single id must not allocate");
         assert_eq!(
             one.view(),
@@ -533,16 +544,16 @@ mod tests {
                 origin: 1,
                 epoch: 0,
                 step: 7,
-                item: RevItem::R3Contenders { ids: &[99] }
+                item: RevItem::KnownContenders { ids: &[99] }
             }
         );
-        let many = ElectionMsg::fwd(1, 0, 0, FwdItem::I2Ids { ids: &[5, 6, 7] });
-        let MsgView::Fwd {
-            item: FwdItem::I2Ids { ids },
+        let many = ElectionMsg::rev(1, 0, 0, RevItem::KnownContenders { ids: &[5, 6, 7] });
+        let MsgView::Rev {
+            item: RevItem::KnownContenders { ids },
             ..
         } = many.view()
         else {
-            panic!("decoded as non-Fwd");
+            panic!("decoded as non-Rev");
         };
         assert_eq!(ids, &[5, 6, 7]);
         // Re-addressing shares the interned run instead of cloning it.

@@ -9,10 +9,13 @@
 //! 2. **R1** — proxies send each current-epoch origin its id, walk count
 //!    (the distinctness bit `d`), the set `I1` of other contenders they
 //!    serve, and any known winner — reverse-routed along the trails.
-//! 3. **R2** — contenders broadcast `I2` (union of received `I1`s) forward
-//!    to their proxies.
-//! 4. **R3** — proxies reverse-route `I3` (union of received `I2`s) to
-//!    their current-epoch contenders.
+//! 3. **R2** — contenders send `max(I2 ∪ {u})` (`I2` is the union of the
+//!    received `I1`s) forward to their proxies: one unit per contender.
+//! 4. **R3** — proxies reverse-route `max(I3)` (`I3` is the union of the
+//!    received `I2`s) to their current-epoch contenders: one unit per
+//!    (proxy, contender). The decision below reads `I4` only through its
+//!    maximum, so the maxima decide exactly as the paper's full sets do,
+//!    with one id per message and one message per trail hop.
 //! 5. **Decide + wait (2T)** — contenders check the Intersection and
 //!    Distinctness properties; on success they stop, commit their trails
 //!    with a `StopMark` wave, and — if they hold the largest id in `I4`
@@ -47,8 +50,9 @@ pub struct ElectionNode {
     /// Lazy-step holdovers: `(origin, epoch, remaining, count)` to process
     /// next round.
     pending_stays: Vec<(u64, u32, u32, u32)>,
-    /// Union of `I2` fragments received this epoch while acting as proxy.
-    i3_acc: std::collections::BTreeSet<u64>,
+    /// `max(I3)`: the largest id received this epoch while acting as
+    /// proxy.
+    i3_max: Option<u64>,
     /// Per-epoch forward dedup ("filtering and forwarding"). Ordered
     /// container: seeded-path state must never depend on hash order
     /// (enforced by `welle-lint`'s `no-hash-iter`).
@@ -80,7 +84,7 @@ impl ElectionNode {
             trails: TrailStore::new(),
             proxies: BTreeMap::new(),
             pending_stays: Vec::new(),
-            i3_acc: std::collections::BTreeSet::new(),
+            i3_max: None,
             fwd_seen: BTreeSet::new(),
             winner_heard: None,
             winner_relayed_as_proxy: false,
@@ -186,7 +190,7 @@ impl ElectionNode {
         self.trails.gc(epoch);
         self.proxies
             .retain(|_, r| r.finalized || r.epoch >= epoch);
-        self.i3_acc.clear();
+        self.i3_max = None;
         self.fwd_seen.clear();
 
         let launch = match &mut self.contender {
@@ -246,48 +250,30 @@ impl ElectionNode {
     }
 
     fn emit_r2(&mut self, ctx: &mut Context<'_, ElectionMsg>, epoch: u32) {
-        let ids: Vec<u64> = match &self.contender {
-            Some(c) if c.active => {
-                // I2 plus our own id: strictly more information than the
-                // paper's I2 (our id reaches I3/I4 anyway through shared
-                // proxies whenever it matters); can only reduce the
-                // multi-leader risk, never the at-least-one guarantee.
-                let mut v: Vec<u64> = c.i2.iter().copied().collect();
-                v.push(self.id);
-                v
-            }
+        let id = match &self.contender {
+            // I2 plus our own id: strictly more information than the
+            // paper's I2 (our id reaches I3/I4 anyway through shared
+            // proxies whenever it matters); can only reduce the
+            // multi-leader risk, never the at-least-one guarantee.
+            Some(c) if c.active => c.i2.last().map_or(self.id, |&m| m.max(self.id)),
             _ => return,
         };
-        for chunk in ids.chunks(self.params.frag) {
-            let m = ElectionMsg::fwd(self.id, epoch, 0, FwdItem::I2Ids { ids: chunk });
-            self.process_forward(ctx, m);
-        }
+        let m = ElectionMsg::fwd(self.id, epoch, 0, FwdItem::I2Max { id });
+        self.process_forward(ctx, m);
     }
 
     fn emit_r3(&mut self, ctx: &mut Context<'_, ElectionMsg>, epoch: u32) {
-        if self.i3_acc.is_empty() {
+        let Some(id) = self.i3_max else {
             return;
-        }
+        };
         let emissions: Vec<(u64, u32)> = self
             .proxies
             .iter()
             .filter(|(_, r)| r.epoch == epoch && !r.finalized)
             .map(|(&o, r)| (o, r.walk_len))
             .collect();
-        if emissions.is_empty() {
-            return;
-        }
-        let i3: Vec<u64> = self.i3_acc.iter().copied().collect();
         for (origin, walk_len) in emissions {
-            for chunk in i3.chunks(self.params.frag) {
-                self.send_reverse(
-                    ctx,
-                    origin,
-                    epoch,
-                    walk_len,
-                    RevItem::R3Contenders { ids: chunk },
-                );
-            }
+            self.send_reverse(ctx, origin, epoch, walk_len, RevItem::I3Max { id });
         }
     }
 
@@ -322,13 +308,9 @@ impl ElectionNode {
             // Winning condition: largest id in I4 (∪ I2 ∪ {self}) and no
             // winner heard.
             let max_known = c
-                .i4_extra
-                .iter()
-                .chain(c.i2.iter())
-                .copied()
-                .chain(std::iter::once(self.id))
-                .max()
-                .unwrap_or(self.id);
+                .i4_max
+                .max(c.i2.last().copied())
+                .map_or(self.id, |m| m.max(self.id));
             let wins =
                 !c.gave_up && self.winner_heard.is_none() && max_known == self.id;
             self.decided = Some(if wins {
@@ -484,10 +466,10 @@ impl ElectionNode {
                     }
                 }
             }
-            RevItem::R3Contenders { ids } => {
+            RevItem::I3Max { id } => {
                 if let Some(c) = &mut self.contender {
                     if c.active && epoch == self.cur_epoch {
-                        c.i4_extra.extend(ids.iter().copied());
+                        c.i4_max = c.i4_max.max(Some(id));
                     }
                 }
             }
@@ -552,10 +534,10 @@ impl ElectionNode {
                 }
             }
             MsgView::Fwd {
-                item: FwdItem::I2Ids { ids },
+                item: FwdItem::I2Max { id },
                 ..
             } if is_proxy => {
-                self.i3_acc.extend(ids.iter().copied());
+                self.i3_max = self.i3_max.max(Some(id));
             }
             MsgView::Fwd {
                 item: FwdItem::Winner { id },

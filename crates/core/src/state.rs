@@ -66,8 +66,9 @@ pub struct ContenderState {
     pub proxy_counts: BTreeMap<u64, u32>,
     /// `I2`: union of received `I1` fragments (other contenders' ids).
     pub i2: BTreeSet<u64>,
-    /// Round-3 data: union of received `I3` fragments.
-    pub i4_extra: BTreeSet<u64>,
+    /// Round-3 data: the largest id received, i.e. `max(I4)`. The
+    /// decision reads `I4` only through its maximum.
+    pub i4_max: Option<u64>,
     /// The epoch at which this contender stopped, once it has.
     pub stopped_epoch: Option<u32>,
     /// Hit the walk-length cap without satisfying the properties.
@@ -89,7 +90,7 @@ impl ContenderState {
     pub fn begin_epoch(&mut self) {
         self.proxy_counts.clear();
         self.i2.clear();
-        self.i4_extra.clear();
+        self.i4_max = None;
     }
 
     /// Number of distinct proxies reported this epoch.

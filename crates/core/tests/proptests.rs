@@ -95,7 +95,8 @@ proptest! {
             ElectionMsg::rev(id, epoch, step, RevItem::ProxyInfo { proxy_id: id, count: 1_000 }),
             ElectionMsg::rev(id, epoch, step, RevItem::KnownContenders { ids: &[p.id_max] }),
             ElectionMsg::rev(id, epoch, step, RevItem::Winner { id: p.id_max }),
-            ElectionMsg::fwd(id, epoch, step, FwdItem::I2Ids { ids: &[p.id_max] }),
+            ElectionMsg::fwd(id, epoch, step, FwdItem::I2Max { id: p.id_max }),
+            ElectionMsg::rev(id, epoch, step, RevItem::I3Max { id: p.id_max }),
             ElectionMsg::fwd(id, epoch, step, FwdItem::StopMark),
         ];
         for m in msgs {

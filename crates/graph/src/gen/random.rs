@@ -150,8 +150,8 @@ pub fn random_regular<R: Rng + ?Sized>(
             }
         }
         stubs.shuffle(rng);
-        if let Some(edges) = pair_with_repair(&stubs, rng) {
-            // The repair loop's own seen-set guarantees a loop- and
+        if let Some(edges) = pair_with_repair(n, d, &stubs, rng) {
+            // The repair loop's own neighbour table guarantees a loop- and
             // duplicate-free edge list, so it freezes into CSR directly
             // — no second validation pass over n·d/2 edges.
             let mut g = from_structured_edges(n, edges)?;
@@ -173,19 +173,72 @@ fn edge_key(u: u32, v: u32) -> u64 {
     ((a as u64) << 32) | b as u64
 }
 
+/// Accepted edges as a flat `n × d` neighbour table: row `u` holds
+/// `u`'s first `len[u]` neighbours, so a membership test scans at most
+/// `d` ids.
+struct NeighbourTable {
+    d: usize,
+    nbrs: Vec<u32>,
+    len: Vec<usize>,
+}
+
+impl NeighbourTable {
+    fn new(n: usize, d: usize) -> Self {
+        NeighbourTable {
+            d,
+            nbrs: vec![0; n * d],
+            len: vec![0; n],
+        }
+    }
+
+    fn row(&self, u: u32) -> &[u32] {
+        let base = u as usize * self.d;
+        &self.nbrs[base..base + self.len[u as usize]]
+    }
+
+    fn contains(&self, u: u32, v: u32) -> bool {
+        self.row(u).contains(&v)
+    }
+
+    fn insert(&mut self, u: u32, v: u32) {
+        for (a, b) in [(u, v), (v, u)] {
+            let len = &mut self.len[a as usize];
+            self.nbrs[a as usize * self.d + *len] = b;
+            *len += 1;
+        }
+    }
+
+    fn remove(&mut self, u: u32, v: u32) {
+        for (a, b) in [(u, v), (v, u)] {
+            if let Some(i) = self.row(a).iter().position(|&w| w == b) {
+                let base = a as usize * self.d;
+                let len = &mut self.len[a as usize];
+                *len -= 1;
+                self.nbrs[base + i] = self.nbrs[base + *len];
+            }
+        }
+    }
+}
+
 /// Pairs consecutive stubs; loops and duplicate edges are repaired by
 /// swapping with a uniformly random accepted edge. Returns `None` if
 /// repair stalls (then the caller reshuffles from scratch).
-fn pair_with_repair<R: Rng + ?Sized>(stubs: &[u32], rng: &mut R) -> Option<Vec<(u32, u32)>> {
+fn pair_with_repair<R: Rng + ?Sized>(
+    n: usize,
+    d: usize,
+    stubs: &[u32],
+    rng: &mut R,
+) -> Option<Vec<(u32, u32)>> {
     let mut edges: Vec<(u32, u32)> = Vec::with_capacity(stubs.len() / 2);
-    let mut seen: std::collections::HashSet<u64> =
-        std::collections::HashSet::with_capacity(stubs.len());
+    // Rows never overflow: a node's row holds at most its d stubs.
+    let mut seen = NeighbourTable::new(n, d);
     let mut bad: Vec<(u32, u32)> = Vec::new();
     for pair in stubs.chunks_exact(2) {
         let (u, v) = (pair[0], pair[1]);
-        if u == v || !seen.insert(edge_key(u, v)) {
+        if u == v || seen.contains(u, v) {
             bad.push((u, v));
         } else {
+            seen.insert(u, v);
             edges.push((u, v));
         }
     }
@@ -208,14 +261,12 @@ fn pair_with_repair<R: Rng + ?Sized>(stubs: &[u32], rng: &mut R) -> Option<Vec<(
             if u == x || v == y {
                 continue;
             }
-            let k1 = edge_key(u, x);
-            let k2 = edge_key(v, y);
-            if k1 == k2 || seen.contains(&k1) || seen.contains(&k2) {
+            if edge_key(u, x) == edge_key(v, y) || seen.contains(u, x) || seen.contains(v, y) {
                 continue;
             }
-            seen.remove(&edge_key(x, y));
-            seen.insert(k1);
-            seen.insert(k2);
+            seen.remove(x, y);
+            seen.insert(u, x);
+            seen.insert(v, y);
             edges[idx] = (u, x);
             edges.push((v, y));
             break;

@@ -360,55 +360,25 @@ impl Graph {
     /// indistinguishable from intra-clique ones; generators call this after
     /// structured construction so port numbers carry no information.
     pub fn shuffle_ports<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        let n = self.n();
-        // Build the permuted adjacency, then recompute reverse ports.
-        let mut perms: Vec<Vec<usize>> = Vec::with_capacity(n);
-        for u in 0..n {
-            let deg = self.off(u + 1) - self.off(u);
-            let mut perm: Vec<usize> = (0..deg).collect();
-            perm.shuffle(rng);
-            perms.push(perm);
+        // new_slot_of[old slot] -> new slot (global): each node's range of
+        // the identity map, shuffled in place.
+        let mut new_slot_of: Vec<usize> = (0..self.neighbors.len()).collect();
+        for u in 0..self.n() {
+            new_slot_of[self.off(u)..self.off(u + 1)].shuffle(rng);
         }
         let old_neighbors = self.neighbors.clone();
         let old_edge_ids = self.edge_ids.clone();
-        // new_slot_of[old slot] -> new slot (global)
-        let mut new_slot_of = vec![0usize; self.neighbors.len()];
-        for (u, perm) in perms.iter().enumerate() {
-            let base = self.off(u);
-            let deg = self.off(u + 1) - base;
-            for old_p in 0..deg {
-                // perm[old_p] = new port for the entry previously at old_p
-                new_slot_of[base + old_p] = base + perm[old_p];
-            }
-        }
+        let old_rev_ports = self.rev_ports.clone();
         for (old_slot, &new_slot) in new_slot_of.iter().enumerate() {
-            self.neighbors[new_slot] = old_neighbors[old_slot];
+            // The far end's slot of the same edge moved within the
+            // neighbour's own range; shuffling permutes slots only within
+            // each node's range, so the `srcs` column needs no rebuild.
+            let v = old_neighbors[old_slot];
+            let v_base = self.off(v.index());
+            let far = new_slot_of[v_base + old_rev_ports[old_slot].index()];
+            self.neighbors[new_slot] = v;
             self.edge_ids[new_slot] = old_edge_ids[old_slot];
-        }
-        // Recompute reverse ports from scratch via per-edge slot tracking.
-        let mut edge_slots: Vec<(usize, usize)> = vec![(usize::MAX, usize::MAX); self.m()];
-        for u in 0..n {
-            let base = self.off(u);
-            let deg = self.off(u + 1) - base;
-            for p in 0..deg {
-                let slot = base + p;
-                let e = self.edge_ids[slot].index();
-                if edge_slots[e].0 == usize::MAX {
-                    edge_slots[e].0 = slot;
-                } else {
-                    edge_slots[e].1 = slot;
-                }
-            }
-        }
-        for &(s1, s2) in &edge_slots {
-            debug_assert!(s2 != usize::MAX, "every edge has two slots");
-            // Shuffling permutes slots only within each node's own range,
-            // so the `srcs` column still names each slot's owner and
-            // needs no rebuild.
-            let u1 = self.srcs[s1].index();
-            let u2 = self.srcs[s2].index();
-            self.rev_ports[s1] = Port::new(s2 - self.off(u2));
-            self.rev_ports[s2] = Port::new(s1 - self.off(u1));
+            self.rev_ports[new_slot] = Port::new(far - v_base);
         }
     }
 

@@ -135,6 +135,35 @@ fn contender_counts_track_lemma_1() {
 }
 
 #[test]
+fn fixed_t_agrees_with_adaptive_on_the_cli_expander() {
+    // The graph and config of `welle expander 128 --cap 64`. With one id
+    // per round-2/3 unit, every backlog drains inside FixedT's segment
+    // budgets, so the paper's schedule ends where the adaptive driver
+    // does. Seeds 7 and 30 have the backlogs that whole id sets let
+    // overrun the budgets by one and two epochs.
+    let g = expander(128, 1 ^ 0xF00D);
+    let adaptive = ElectionConfig {
+        max_walk_len: Some(64),
+        ..ElectionConfig::tuned_for_simulation(128)
+    };
+    let fixed = ElectionConfig {
+        sync: SyncMode::FixedT,
+        ..adaptive
+    };
+    let outcome = |r: ElectionReport| {
+        let walk = (r.final_walk_len, r.epochs_used, r.gave_up);
+        (r.contenders, r.leaders, r.leader_id, r.messages, walk)
+    };
+    for seed in [2, 7, 30] {
+        assert_eq!(
+            outcome(elect(&g, &fixed, seed)),
+            outcome(elect(&g, &adaptive, seed)),
+            "seed {seed}: FixedT and Adaptive disagree"
+        );
+    }
+}
+
+#[test]
 fn decided_round_scales_with_schedule_in_fixed_t() {
     let g = expander(128, 30);
     let cfg = ElectionConfig {
