@@ -12,9 +12,7 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{rngs::StdRng, SeedableRng};
 use welle_congest::testing::FloodMax;
-use welle_congest::{
-    AsyncEngine, Engine, EngineConfig, LatencyModel, TelemetryConfig, ThreadedEngine,
-};
+use welle_congest::{Engine, EngineConfig, LatencyModel, TelemetryConfig, ThreadedEngine};
 use welle_graph::gen;
 
 fn bench_flood(c: &mut Criterion) {
@@ -62,24 +60,20 @@ fn bench_flood(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("async_zero", n), &n, |b, _| {
             b.iter(|| {
-                let mut e = AsyncEngine::from_fn(
-                    Arc::clone(&g),
-                    EngineConfig::default(),
-                    LatencyModel::zero(),
-                    |i| FloodMax::new(i as u64),
-                );
+                let mut e = Engine::from_fn(Arc::clone(&g), EngineConfig::default(), |i| {
+                    FloodMax::new(i as u64)
+                });
+                e.set_latency(LatencyModel::zero()).unwrap();
                 black_box(e.run(100_000));
                 black_box(e.metrics().messages)
             })
         });
         group.bench_with_input(BenchmarkId::new("async_lognormal", n), &n, |b, _| {
             b.iter(|| {
-                let mut e = AsyncEngine::from_fn(
-                    Arc::clone(&g),
-                    EngineConfig::default(),
-                    LatencyModel::log_normal(0.3, 0.6).seed(7),
-                    |i| FloodMax::new(i as u64),
-                );
+                let mut e = Engine::from_fn(Arc::clone(&g), EngineConfig::default(), |i| {
+                    FloodMax::new(i as u64)
+                });
+                e.set_latency(LatencyModel::log_normal(0.3, 0.6).seed(7)).unwrap();
                 black_box(e.run(100_000));
                 black_box(e.metrics().messages)
             })

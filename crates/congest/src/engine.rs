@@ -1,15 +1,17 @@
-//! The event-driven synchronous engine (the default executor).
+//! The event-driven round engine (the default executor), with its
+//! optional fault and latency layers.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
+use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use welle_graph::{Graph, NodeId, Port};
 
-use crate::faults::{CompiledFaultPlan, CompiledFaults, FaultError, FaultPlan, FaultState};
-use crate::latency::{LatencyState, TICKS_PER_ROUND};
+use crate::faults::{CompiledFaultPlan, CompiledFaults, FaultError, FaultPlan};
+use crate::latency::{round_end_tick, LatencyError, LatencyModel, LatencyState, TICKS_PER_ROUND};
 use crate::message::Payload;
 use crate::metrics::{Metrics, NoopObserver, TransmitEvent, TransmitObserver};
 use crate::protocol::{Context, Protocol, Signal};
@@ -89,6 +91,12 @@ impl RunOutcome {
 /// a scheduled wake-up) are skipped in `O(1)`, so the paper's generous
 /// fixed-`T` schedules cost nothing to simulate.
 ///
+/// Two optional layers sit where a message crosses its edge, each
+/// checked once per round: a [`FaultPlan`] (see
+/// [`Engine::set_fault_plan`]) and a [`LatencyModel`] (see
+/// [`Engine::set_latency`]), which makes the engine the asynchronous
+/// executor of [`crate::Exec::Async`].
+///
 /// ```
 /// use std::sync::Arc;
 /// use welle_congest::{Engine, EngineConfig, testing::FloodMax};
@@ -108,7 +116,6 @@ pub struct Engine<P: Protocol> {
     pub(crate) cfg: EngineConfig,
     pub(crate) nodes: Vec<P>,
     pub(crate) rngs: Vec<StdRng>,
-    pub(crate) queues: EdgeQueues<P::Msg>,
     pub(crate) inboxes: Vec<Vec<(Port, P::Msg)>>,
     pub(crate) inbox_active: Vec<u32>,
     pub(crate) inbox_flag: Vec<bool>,
@@ -118,26 +125,10 @@ pub struct Engine<P: Protocol> {
     pub(crate) done_flags: Vec<bool>,
     pub(crate) done_count: usize,
     pub(crate) metrics: Metrics,
-    /// Reused transmission scratch: each round the edge backlog is
-    /// pumped through this batch in chunks of at most `chunk_limit`
-    /// entries (see [`Engine::set_transmit_chunk`]), so its size is
-    /// bounded by the chunk, not by the number of active edges.
-    pub(crate) deliveries: DirBatch<P::Msg>,
-    /// Sends of the current round, in send order, awaiting transmission.
-    /// Uncongested messages go straight from here to the target inbox;
-    /// only backlogged edges touch the arena in `queues`.
-    pub(crate) pending: DirBatch<P::Msg>,
-    /// Bound on the per-chunk transmission scratch (slots).
-    pub(crate) chunk_limit: usize,
-    /// Round at which each directed edge last carried a message; the
-    /// CONGEST one-per-round discipline without per-edge clearing.
-    pub(crate) last_carried: Vec<u64>,
-    /// Installed adversarial network conditions, if any. `None` keeps
-    /// the delivery loop on the exact fault-free fast path (the branch
-    /// is taken once per round, not per message).
-    pub(crate) faults: Option<Box<FaultState<P::Msg>>>,
+    /// Everything between a send and its delivery.
+    pub(crate) wire: Wire<P::Msg>,
     /// Installed telemetry, if any — the same single-branch-per-round
-    /// design as `faults`: `None` keeps the hot path untouched.
+    /// design as the wire's layers: `None` keeps the hot path untouched.
     pub(crate) telemetry: Option<Box<TelemetryState>>,
     /// Maximum phase tag published (via [`Protocol::phase_tag`]) by the
     /// callbacks of the round in progress; drained into the telemetry
@@ -163,7 +154,6 @@ impl<P: Protocol> Engine<P> {
         let n = graph.n();
         let rngs = (0..n).map(|i| node_rng(cfg.seed, i)).collect();
         Engine {
-            queues: EdgeQueues::new(graph.directed_edge_count()),
             inboxes: (0..n).map(|_| Vec::new()).collect(),
             inbox_active: Vec::new(),
             inbox_flag: vec![false; n],
@@ -173,11 +163,7 @@ impl<P: Protocol> Engine<P> {
             done_flags: vec![false; n],
             done_count: 0,
             metrics: Metrics::new(n),
-            deliveries: DirBatch::new(),
-            pending: DirBatch::new(),
-            chunk_limit: TRANSMIT_CHUNK,
-            last_carried: vec![u64::MAX; graph.directed_edge_count()],
-            faults: None,
+            wire: Wire::new(graph.directed_edge_count()),
             telemetry: None,
             phase_seen: None,
             activations: 0,
@@ -214,21 +200,81 @@ impl<P: Protocol> Engine<P> {
     /// [`Engine::set_fault_plan`]). The handle must have been compiled
     /// for this engine's graph.
     ///
-    /// Replacing a plan mid-run discards any messages the *previous*
-    /// plan still held in its delay buffer; they are counted in
-    /// [`Metrics::dropped_messages`] rather than silently vanishing.
+    /// Delayed messages wait on the latency layer's tick heap: a plan
+    /// with any delayed edge installs the zero latency model when no
+    /// model is set, which delivers everything else exactly as the
+    /// plain round engine does. Replacing a plan mid-run therefore keeps
+    /// the messages the previous plan delayed in flight; they arrive at
+    /// the round that plan gave them.
     pub fn set_compiled_faults(&mut self, plan: &CompiledFaultPlan) {
-        if let Some(old) = self.faults.take() {
-            self.metrics.dropped_messages += old.parked() as u64;
+        if plan.0.has_delays() && self.wire.latency.is_none() {
+            self.wire.latency = Some(Box::new(LatencyState::new(
+                LatencyModel::zero(),
+                self.graph.directed_edge_count(),
+            )));
         }
         self.metrics.crashed_nodes = plan.0.scheduled_crashes;
-        self.faults = Some(Box::new(FaultState::new(Arc::clone(&plan.0))));
+        self.wire.faults = Some(Arc::clone(&plan.0));
     }
 
     /// The compiled fault schedule, for executors that share it with
     /// worker threads.
     pub(crate) fn compiled_faults(&self) -> Option<Arc<CompiledFaults>> {
-        self.faults.as_ref().map(|f| Arc::clone(&f.compiled))
+        self.wire.faults.clone()
+    }
+
+    /// Installs the latency layer: from now on message arrival times
+    /// come from the seeded `model` instead of the constant one-round
+    /// hop. Each crossing schedules its delivery on a due-tick heap
+    /// (deterministic `(due, seq)` tie-breaking), per-edge service rates
+    /// below 1 make hub edges queue, and runs remain pure functions of
+    /// `(graph, protocols, seed, model, fault plan)`. Fault delays add
+    /// whole rounds on top of the sampled latency. Install before the
+    /// first `run`/`step` call; messages parked under an earlier model
+    /// stay in flight.
+    ///
+    /// Under [`LatencyModel::zero`] every delivery lands on the next
+    /// round boundary, so the run is event-for-event the plain engine's:
+    /// same callbacks, RNG draws, metrics, observer stream and telemetry
+    /// samples. The differential suites pin this down.
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    /// use welle_congest::{Engine, EngineConfig, LatencyModel, testing::FloodMax};
+    /// use welle_graph::gen;
+    ///
+    /// let g = Arc::new(gen::hypercube(3).unwrap());
+    /// let nodes = (0..g.n()).map(|i| FloodMax::new(i as u64)).collect();
+    /// let mut engine = Engine::new(Arc::clone(&g), nodes, EngineConfig::default());
+    /// engine.set_latency(LatencyModel::log_normal(0.0, 0.5).seed(7)).unwrap();
+    /// let outcome = engine.run(1_000);
+    /// assert!(outcome.is_done());
+    /// // Virtual time spans past the crossing count once latency is real.
+    /// assert!(engine.virtual_time() > 0.0);
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// A [`LatencyError`] when the model fails
+    /// [`LatencyModel::validate`]. The engine is unchanged on error.
+    pub fn set_latency(&mut self, model: LatencyModel) -> Result<(), LatencyError> {
+        model.validate()?;
+        let mut state = LatencyState::new(model, self.graph.directed_edge_count());
+        if let Some(old) = self.wire.latency.take() {
+            state.inherit_parked(*old);
+        }
+        self.wire.latency = Some(Box::new(state));
+        Ok(())
+    }
+
+    /// Virtual time elapsed, in rounds: the later of the round clock and
+    /// the latest delivery completion. Without a latency model, and
+    /// under [`LatencyModel::zero`], this is [`Engine::round`] exactly;
+    /// heavy-tailed models stretch it past the crossing count.
+    pub fn virtual_time(&self) -> f64 {
+        let round_ticks = self.round.saturating_mul(TICKS_PER_ROUND);
+        let last = self.wire.latency.as_ref().map_or(0, |l| l.last_tick());
+        round_ticks.max(last) as f64 / TICKS_PER_ROUND as f64
     }
 
     /// Installs the telemetry layer (see [`crate::TelemetryConfig`]):
@@ -266,7 +312,8 @@ impl<P: Protocol> Engine<P> {
     /// per-node inboxes, the edge-queue slot pool, delivery and pending
     /// batches. The graph may differ from the previous run's (vectors
     /// resize as needed), which is what lets a batch scheduler keep one
-    /// engine per worker across thousands of trials.
+    /// engine per worker across thousands of trials. Fault, latency and
+    /// telemetry layers are removed.
     ///
     /// Reuse also *shrinks*: a message arena whose capacity exceeds a
     /// high-water ratio of the target graph's directed-edge count
@@ -285,12 +332,10 @@ impl<P: Protocol> Engine<P> {
         mut make: impl FnMut(usize) -> P,
     ) {
         let n = graph.n();
-        let dcount = graph.directed_edge_count();
         self.nodes.clear();
         self.nodes.extend((0..n).map(&mut make));
         self.rngs.clear();
         self.rngs.extend((0..n).map(|i| node_rng(cfg.seed, i)));
-        self.queues.reset(dcount);
         for inbox in self.inboxes.iter_mut() {
             inbox.clear(); // keep each node's inbox allocation
         }
@@ -305,21 +350,7 @@ impl<P: Protocol> Engine<P> {
         self.done_flags.resize(n, false);
         self.done_count = 0;
         self.metrics.reset(n);
-        let limit = SHRINK_RATIO.saturating_mul(dcount).max(SHRINK_FLOOR);
-        if self.deliveries.capacity() > limit {
-            self.deliveries.release();
-        } else {
-            self.deliveries.clear();
-        }
-        if self.pending.capacity() > limit {
-            self.pending.release();
-        } else {
-            self.pending.clear();
-        }
-        self.chunk_limit = TRANSMIT_CHUNK;
-        self.last_carried.clear();
-        self.last_carried.resize(dcount, u64::MAX);
-        self.faults = None;
+        self.wire.reset(graph.directed_edge_count());
         self.telemetry = None;
         self.phase_seen = None;
         self.activations = 0;
@@ -332,19 +363,23 @@ impl<P: Protocol> Engine<P> {
     /// pending batches. Diagnostic only — pooling tests assert that
     /// [`Engine::reset_with`] preserves it.
     pub fn arena_capacity(&self) -> usize {
-        self.queues.arena_capacity() + self.deliveries.capacity() + self.pending.capacity()
+        let w = &self.wire;
+        w.queues.arena_capacity() + w.deliveries.capacity() + w.pending.capacity()
     }
 
     /// High-water mark of simultaneously queued messages since the last
     /// reset: the edge-queue arena recycles vacated slots and only grows
     /// one when none is free, so its occupied length is the run's peak
-    /// backlog population. The memory-budget fences in `tests/large_n.rs`
+    /// backlog population (messages parked on the latency heap are not
+    /// in the arena). The memory-budget fences in `tests/large_n.rs`
     /// assert big-`n` elections stay under a stated slot count.
     pub fn peak_arena_slots(&self) -> u64 {
-        self.queues.peak_slots() as u64
+        self.wire.queues.peak_slots() as u64
     }
 
-    /// Current round.
+    /// Current round (with a latency model, the floor of local virtual
+    /// time: event horizons stay quantized on round boundaries for the
+    /// protocol phase).
     pub fn round(&self) -> u64 {
         self.round
     }
@@ -360,13 +395,15 @@ impl<P: Protocol> Engine<P> {
     }
 
     /// Messages queued for transmission (current-round sends, edge
-    /// backlog, and fault-delayed messages), not yet delivered. `u64`
-    /// deliberately: at `n = 10⁶` the in-flight population exceeds what
-    /// a 32-bit host's `usize` can count.
+    /// backlog) or parked on the latency heap, not yet delivered.
+    /// Termination waits for this to hit zero. `u64` deliberately: at
+    /// `n = 10⁶` the in-flight population exceeds what a 32-bit host's
+    /// `usize` can count.
     pub fn in_flight(&self) -> u64 {
-        (self.pending.len() as u64)
-            .saturating_add(self.queues.in_flight())
-            .saturating_add(self.faults.as_ref().map_or(0, |f| f.parked() as u64))
+        let w = &self.wire;
+        (w.pending.len() as u64)
+            .saturating_add(w.queues.in_flight())
+            .saturating_add(w.latency.as_ref().map_or(0, |l| l.parked() as u64))
     }
 
     /// Caps the transmission scratch: each round's backlog is pumped
@@ -377,7 +414,7 @@ impl<P: Protocol> Engine<P> {
     /// peak scratch memory against per-chunk loop overhead. Default:
     /// 4096 slots.
     pub fn set_transmit_chunk(&mut self, limit: usize) {
-        self.chunk_limit = limit.max(1);
+        self.wire.chunk_limit = limit.max(1);
     }
 
     /// Immutable view of the protocol instances.
@@ -396,7 +433,7 @@ impl<P: Protocol> Engine<P> {
     }
 
     /// Runs until [`RunOutcome::Done`], [`RunOutcome::Quiescent`], or the
-    /// round limit.
+    /// round limit (with a latency model, a bound on *virtual* rounds).
     ///
     /// ```
     /// use std::sync::Arc;
@@ -457,51 +494,49 @@ impl<P: Protocol> Engine<P> {
         mut stop: impl FnMut(&Engine<P>) -> bool,
     ) -> RunOutcome {
         loop {
-            if self.started {
-                let drained = self.inbox_active.is_empty()
-                    && self.pending.is_empty()
-                    && self.queues.in_flight() == 0;
-                let parked = self.faults.as_ref().map_or(0, |f| f.parked());
-                if drained && parked == 0 {
-                    if self.done_count == self.nodes.len() {
-                        return RunOutcome::Done { round: self.round };
-                    }
-                    match self.wakeups.peek() {
-                        None => return RunOutcome::Quiescent { round: self.round },
-                        Some(&Reverse((r, _))) => {
-                            if r > self.round {
-                                // Skip the idle stretch in O(1).
-                                self.round = r;
-                            }
-                        }
-                    }
-                } else if drained {
-                    // Only fault-parked messages remain in flight: the
-                    // same O(1) skip, to the earlier of the next due
-                    // release and the next wake-up.
-                    let due = self
-                        .faults
-                        .as_ref()
-                        .and_then(|f| f.next_due())
-                        // welle-lint: allow(no-lib-unwrap) — invariant: the surrounding `!drained` branch established parked > 0, and every parked message carries a due round
-                        .expect("parked > 0 implies a next due round");
-                    let target = match self.wakeups.peek() {
-                        Some(&Reverse((r, _))) => due.min(r),
-                        None => due,
-                    };
-                    if target > self.round {
-                        self.round = target;
-                    }
-                }
-            }
-            if self.round >= round_limit {
-                return RunOutcome::RoundLimit { round: self.round };
+            let next_wake = self.wakeups.peek().map(|&Reverse((r, _))| r);
+            let idle = self.inbox_active.is_empty();
+            if let Some(out) = self.check_stop(idle, self.done_count, next_wake, round_limit) {
+                return out;
             }
             self.step_core(obs);
             if stop(self) {
                 return RunOutcome::Stopped { round: self.round };
             }
         }
+    }
+
+    /// The pre-round check of every run loop, given the executor's view
+    /// of its inboxes (all empty?), its done nodes and its earliest
+    /// wake-up. When nothing is in transit it ends a finished or
+    /// quiescent run, or skips the idle stretch in `O(1)` to the earlier
+    /// of the next wake-up and the next parked delivery. Then it
+    /// enforces the round limit, re-reading the round: a skip may have
+    /// moved it past the limit. `Some` ends the run.
+    pub(crate) fn check_stop(
+        &mut self,
+        inboxes_empty: bool,
+        done: usize,
+        next_wake: Option<u64>,
+        round_limit: u64,
+    ) -> Option<RunOutcome> {
+        let w = &self.wire;
+        if self.started && inboxes_empty && w.pending.is_empty() && w.queues.in_flight() == 0 {
+            let release = w.latency.as_ref().and_then(|l| l.next_release_round());
+            let target = match (release, next_wake) {
+                (None, _) if done == self.graph.n() => {
+                    return Some(RunOutcome::Done { round: self.round })
+                }
+                (None, None) => return Some(RunOutcome::Quiescent { round: self.round }),
+                (Some(due), Some(r)) => due.min(r),
+                (Some(t), None) | (None, Some(t)) => t,
+            };
+            self.round = self.round.max(target);
+        }
+        if self.round >= round_limit {
+            return Some(RunOutcome::RoundLimit { round: self.round });
+        }
+        None
     }
 
     /// Simulates exactly one round (start-up on the first call).
@@ -516,8 +551,8 @@ impl<P: Protocol> Engine<P> {
 
     /// Monomorphic single-round step (see [`Engine::run_core`] for why).
     fn step_core<O: TransmitObserver + ?Sized>(&mut self, obs: &mut O) {
-        // Telemetry mirrors the fault layer: taken once per round, so a
-        // run without it pays exactly one null check and nothing else.
+        // Telemetry mirrors the wire's layers: taken once per round, so
+        // a run without it pays exactly one null check and nothing else.
         let mut tel = self.telemetry.take();
         let t_round = tel.as_deref_mut().and_then(|t| t.begin(SpanStage::Round));
 
@@ -529,79 +564,56 @@ impl<P: Protocol> Engine<P> {
             t.end(SpanStage::Callbacks, t_cb, callbacks_run);
         }
 
-        // Transmission phase: one message per active directed edge.
-        // Backlogged edges deliver their queue head first (pumped in
-        // bounded chunks through the recycled scratch); then the
-        // round's fresh sends either deliver directly (edge idle this
-        // round — the common, allocation-free case) or join the backlog.
-        let mut scratch = std::mem::take(&mut self.deliveries);
-        let mut pending = std::mem::take(&mut self.pending);
-        let mut faults = self.faults.take();
-        let chunk = self.chunk_limit;
-        let transmitted = self.queues.in_flight() > 0
-            || !pending.is_empty()
-            || faults.as_ref().is_some_and(|f| f.due_now(self.round));
-        let t_deliver = tel.as_deref_mut().and_then(|t| t.begin(SpanStage::Deliver));
-        let flow;
-        {
-            let mut tx = Transmitter::new(
-                &self.graph,
-                &mut self.queues,
-                &mut self.last_carried,
-                self.round,
-            );
-            let inboxes = &mut self.inboxes;
-            let inbox_flag = &mut self.inbox_flag;
-            let inbox_active = &mut self.inbox_active;
-            let mut sink = |v: NodeId, q: Port, msg: P::Msg| {
-                inboxes[v.index()].push((q, msg));
-                if !inbox_flag[v.index()] {
-                    inbox_flag[v.index()] = true;
-                    inbox_active.push(v.raw());
-                }
-            };
-            match faults.as_deref_mut() {
-                // Fault-free fast path: decided once per round, so the
-                // per-message loop stays exactly the unfaulted hot path.
-                None => {
-                    tx.pump_backlog(&mut scratch, chunk, obs, &mut sink);
-                    for (dir, msg) in pending.drain() {
-                        tx.offer(dir as usize, msg, obs, &mut sink);
-                    }
-                }
-                Some(fs) => {
-                    let t_ff = tel.as_deref_mut().and_then(|t| t.begin(SpanStage::FaultFilter));
-                    tx.release_due(fs, obs, &mut sink);
-                    tx.pump_backlog_faulty(fs, &mut scratch, chunk, obs, &mut sink);
-                    for (dir, msg) in pending.drain() {
-                        tx.offer_faulty(fs, dir as usize, msg, obs, &mut sink);
-                    }
-                    if let Some(t) = tel.as_deref_mut() {
-                        // Events: every crossing the filter inspected.
-                        t.end(SpanStage::FaultFilter, t_ff, tx.delivered_msgs + tx.dropped_msgs);
-                    }
-                }
+        let inboxes = &mut self.inboxes;
+        let inbox_flag = &mut self.inbox_flag;
+        let inbox_active = &mut self.inbox_active;
+        let mut sink = |v: NodeId, q: Port, msg: P::Msg| {
+            inboxes[v.index()].push((q, msg));
+            if !inbox_flag[v.index()] {
+                inbox_flag[v.index()] = true;
+                inbox_active.push(v.raw());
             }
-            flow = tx.finish(&mut self.metrics);
-        }
-        if let Some(t) = tel.as_deref_mut() {
-            t.end(SpanStage::Deliver, t_deliver, flow.messages);
-        }
-        self.faults = faults;
-        self.deliveries = scratch;
-        self.pending = pending;
-        if any_activity || transmitted {
-            self.metrics.active_rounds += 1;
+        };
+        let (flow, transmitted) = self.wire.transmit(
+            &self.graph,
+            self.round,
+            &mut [],
+            tel.as_deref_mut(),
+            obs,
+            &mut sink,
+        );
+        let active = any_activity || transmitted;
+        self.close_round(tel, active, callbacks_run, &flow, t_round);
+    }
+
+    /// Closes the round an executor just simulated: folds its flow into
+    /// the metrics, counts it as active when a callback ran or a message
+    /// moved (recording its telemetry sample), ends its span, restores
+    /// the telemetry layer and advances the clock.
+    pub(crate) fn close_round(
+        &mut self,
+        mut tel: Option<Box<TelemetryState>>,
+        active: bool,
+        callbacks_run: u64,
+        flow: &RoundFlow,
+        t_round: Option<Instant>,
+    ) {
+        let m = &mut self.metrics;
+        m.messages += flow.messages;
+        m.bits += flow.bits;
+        m.dropped_messages += flow.dropped;
+        m.max_edge_backlog = m.max_edge_backlog.max(flow.max_backlog);
+        if active {
+            m.active_rounds += 1;
             if let Some(t) = tel.as_deref_mut() {
-                let parked = self.faults.as_ref().map_or(0, |f| f.parked()) as u64;
-                let tick = self.round.saturating_add(1).saturating_mul(TICKS_PER_ROUND);
+                let parked = self.wire.latency.as_ref().map_or(0, |l| l.parked()) as u64;
                 t.end_round(
                     self.round,
                     self.phase_seen.take(),
                     callbacks_run,
-                    &flow,
+                    flow,
                     parked,
-                    tick,
+                    round_end_tick(self.round),
                 );
             }
         }
@@ -614,11 +626,8 @@ impl<P: Protocol> Engine<P> {
 
     /// The protocol half of a round — start-up on the first call, then
     /// inbox/wake-up callbacks in deterministic node order. Returns
-    /// whether any callback ran. Shared verbatim with the async
-    /// executor, which pairs it with its own transmission phase (this is
-    /// what keeps the two engines event-for-event identical on
-    /// zero-latency models).
-    pub(crate) fn protocol_phase(&mut self) -> bool {
+    /// whether any callback ran.
+    fn protocol_phase(&mut self) -> bool {
         let mut any_activity = false;
         if !self.started {
             self.started = true;
@@ -679,8 +688,8 @@ impl<P: Protocol> Engine<P> {
     }
 
     fn run_callback(&mut self, i: usize, inbox: &mut Vec<(Port, P::Msg)>, kind: CallKind) {
-        if let Some(f) = &self.faults {
-            if f.compiled.is_crashed(i, self.round) {
+        if let Some(f) = &self.wire.faults {
+            if f.is_crashed(i, self.round) {
                 // Crash-stop: from its crash round on, the node executes
                 // nothing — no callbacks, no sends, no wake-ups. Its
                 // inbox (cleared by the caller) is lost with it.
@@ -705,7 +714,7 @@ impl<P: Protocol> Engine<P> {
                 budget: self.cfg.bandwidth_bits,
                 sent: 0,
                 rng: &mut self.rngs[i],
-                sends: &mut self.pending,
+                sends: &mut self.wire.pending,
                 wake: &mut wake,
             };
             match kind {
@@ -754,40 +763,304 @@ enum CallKind {
 /// million active edges flows through kilobytes of scratch.
 pub(crate) const TRANSMIT_CHUNK: usize = 4096;
 
-/// The per-message transmission discipline shared by both executors:
-/// the CONGEST one-message-per-directed-edge rule (`last_carried` round
-/// stamps), the backlog arena, and per-message metrics/observer events.
-/// Executor-specific delivery — which inbox structure receives the
-/// message — is injected as the `sink` argument of each call, so the
-/// engines cannot drift apart on the discipline itself (their
-/// executions must stay bit-identical).
-pub(crate) struct Transmitter<'a, M> {
+/// Everything between a send and its delivery: the per-edge backlog,
+/// the CONGEST one-message-per-directed-edge stamps, the round's sends,
+/// and the optional fault and latency layers. Both executors own one
+/// (the sharded engine through its inner [`Engine`]) and drive it
+/// through [`Wire::transmit`], so they cannot drift apart on delivery
+/// (their executions must stay bit-identical).
+#[derive(Debug)]
+pub(crate) struct Wire<M> {
+    /// Backlogged messages, one FIFO per directed edge.
+    queues: EdgeQueues<M>,
+    /// Round at which each directed edge last carried a message; the
+    /// CONGEST one-per-round discipline without per-edge clearing.
+    last_carried: Vec<u64>,
+    /// Reused transmission scratch: each round the edge backlog is
+    /// pumped through this batch in chunks of at most `chunk_limit`
+    /// entries (see [`Engine::set_transmit_chunk`]), so its size is
+    /// bounded by the chunk, not by the number of active edges.
+    deliveries: DirBatch<M>,
+    /// Sends of the current round, in send order, awaiting transmission.
+    /// Uncongested messages go straight from here to the target inbox;
+    /// only backlogged edges touch the arena in `queues`.
+    pending: DirBatch<M>,
+    /// Bound on the per-chunk transmission scratch (slots).
+    chunk_limit: usize,
+    /// Installed adversarial network conditions, if any.
+    faults: Option<Arc<CompiledFaults>>,
+    /// Installed latency layer, if any: the one `(due tick, seq)` heap
+    /// for latency and fault delays alike.
+    latency: Option<Box<LatencyState<M>>>,
+}
+
+impl<M: Payload> Wire<M> {
+    fn new(directed_edges: usize) -> Self {
+        Wire {
+            queues: EdgeQueues::new(directed_edges),
+            last_carried: vec![u64::MAX; directed_edges],
+            deliveries: DirBatch::new(),
+            pending: DirBatch::new(),
+            chunk_limit: TRANSMIT_CHUNK,
+            faults: None,
+            latency: None,
+        }
+    }
+
+    /// [`Engine::reset_with`]'s half for the wire: empty, without
+    /// layers, and shedding batches far oversized for the new graph.
+    fn reset(&mut self, directed_edges: usize) {
+        self.queues.reset(directed_edges);
+        let limit = SHRINK_RATIO.saturating_mul(directed_edges).max(SHRINK_FLOOR);
+        for batch in [&mut self.deliveries, &mut self.pending] {
+            if batch.capacity() > limit {
+                batch.release();
+            } else {
+                batch.clear();
+            }
+        }
+        self.chunk_limit = TRANSMIT_CHUNK;
+        self.last_carried.clear();
+        self.last_carried.resize(directed_edges, u64::MAX);
+        self.faults = None;
+        self.latency = None;
+    }
+
+    /// The transmission phase of `round`, written once for every
+    /// executor: one message per active directed edge. Messages parked
+    /// on the latency heap and due by the round's end arrive first, then
+    /// backlogged edges deliver their queue head (pumped in bounded
+    /// chunks through the recycled scratch), then the round's fresh
+    /// sends — `pending`, then each batch of `fresh` — either cross
+    /// directly (edge idle this round — the common, allocation-free
+    /// case) or join the backlog. The crossing policy is chosen here,
+    /// once per round. Returns the round's flow and whether anything was
+    /// in transit.
+    pub(crate) fn transmit<O: TransmitObserver + ?Sized>(
+        &mut self,
+        graph: &Graph,
+        round: u64,
+        fresh: &mut [DirBatch<M>],
+        mut tel: Option<&mut TelemetryState>,
+        obs: &mut O,
+        sink: &mut impl FnMut(NodeId, Port, M),
+    ) -> (RoundFlow, bool) {
+        let transmitted = self.queues.in_flight() > 0
+            || !self.pending.is_empty()
+            || fresh.iter().any(|b| !b.is_empty())
+            || self
+                .latency
+                .as_ref()
+                .is_some_and(|l| l.due_now(round_end_tick(round)));
+        let faults = self.faults.as_deref();
+        let t_deliver = tel.as_deref_mut().and_then(|t| t.begin(SpanStage::Deliver));
+        let t_ff = match (faults, tel.as_deref_mut()) {
+            (Some(_), Some(t)) => t.begin(SpanStage::FaultFilter),
+            _ => None,
+        };
+        let mut scratch = std::mem::take(&mut self.deliveries);
+        let mut pending = std::mem::take(&mut self.pending);
+        let batches = std::iter::once(&mut pending).chain(fresh.iter_mut());
+        let chunk = self.chunk_limit;
+        let (queues, carried) = (&mut self.queues, &mut self.last_carried[..]);
+        let flow = match self.latency.as_deref_mut() {
+            // Decided once per round, so each per-message loop below is
+            // compiled for its own policy: the fault-free one is exactly
+            // the unfaulted hot path.
+            None => match faults {
+                None => {
+                    let tx = Transmitter::new(graph, queues, carried, round, Plain);
+                    tx.run(&mut scratch, chunk, batches, obs, sink)
+                }
+                Some(c) => {
+                    let tx = Transmitter::new(graph, queues, carried, round, Faulted(c));
+                    tx.run(&mut scratch, chunk, batches, obs, sink)
+                }
+            },
+            Some(lat) => {
+                let mut tx =
+                    Transmitter::new(graph, queues, carried, round, Latent { lat, faults });
+                let t_lh = tel
+                    .as_deref_mut()
+                    .and_then(|t| t.begin(SpanStage::LatencyHeap));
+                tx.release_due(obs, sink);
+                if let Some(t) = tel.as_deref_mut() {
+                    // Events: heap releases delivered before this round's
+                    // own crossings.
+                    t.end(SpanStage::LatencyHeap, t_lh, tx.delivered_msgs);
+                }
+                tx.run(&mut scratch, chunk, batches, obs, sink)
+            }
+        };
+        self.deliveries = scratch;
+        self.pending = pending;
+        if let Some(t) = tel {
+            if faults.is_some() {
+                // Events: every crossing the filter inspected.
+                t.end(SpanStage::FaultFilter, t_ff, flow.messages + flow.dropped);
+            }
+            t.end(SpanStage::Deliver, t_deliver, flow.messages);
+        }
+        (flow, transmitted)
+    }
+}
+
+/// What a message meets as it crosses its edge. [`Wire::transmit`]
+/// picks one policy per round, so each one's per-message loop is
+/// compiled on its own: the fault-free path carries no fault or latency
+/// branch at all.
+trait Crossing<M> {
+    /// The fate of `msg` crossing directed edge `dir` at `round`: `Some`
+    /// delivers it this round; `None` means it was dropped (and counted
+    /// in `dropped`) or parked for a later round.
+    fn cross(
+        &mut self,
+        graph: &Graph,
+        round: u64,
+        dir: usize,
+        msg: M,
+        dropped: &mut u64,
+    ) -> Option<M>;
+}
+
+/// No faults and no latency: every crossing delivers.
+struct Plain;
+
+impl<M> Crossing<M> for Plain {
+    #[inline(always)]
+    fn cross(&mut self, _: &Graph, _: u64, _: usize, msg: M, _: &mut u64) -> Option<M> {
+        Some(msg)
+    }
+}
+
+/// The fault filter alone: cut edges, crashed endpoints and i.i.d.
+/// drops. A plan with delayed edges always runs [`Latent`] instead (see
+/// [`Engine::set_compiled_faults`]).
+struct Faulted<'a>(&'a CompiledFaults);
+
+impl<M> Crossing<M> for Faulted<'_> {
+    #[inline]
+    fn cross(
+        &mut self,
+        graph: &Graph,
+        round: u64,
+        dir: usize,
+        msg: M,
+        dropped: &mut u64,
+    ) -> Option<M> {
+        if self.0.crossing_delay(graph, round, dir).is_some() {
+            Some(msg)
+        } else {
+            *dropped += 1;
+            None
+        }
+    }
+}
+
+/// The latency layer, behind the fault filter when a plan is installed.
+/// The plan's per-edge delay folds into the due tick. A delivery due at
+/// or before the next round boundary happens now — with the zero model
+/// that is *every* unfaulted, undelayed delivery, which keeps this path
+/// event-for-event identical to [`Plain`] and [`Faulted`] — and later
+/// ones park on the tick heap.
+struct Latent<'a, M> {
+    lat: &'a mut LatencyState<M>,
+    faults: Option<&'a CompiledFaults>,
+}
+
+impl<M> Crossing<M> for Latent<'_, M> {
+    #[inline]
+    fn cross(
+        &mut self,
+        graph: &Graph,
+        round: u64,
+        dir: usize,
+        msg: M,
+        dropped: &mut u64,
+    ) -> Option<M> {
+        let mut fault_delay = 0u32;
+        if let Some(c) = self.faults {
+            match c.crossing_delay(graph, round, dir) {
+                Some(d) => fault_delay = d,
+                None => {
+                    *dropped += 1;
+                    return None;
+                }
+            }
+        }
+        let due = self.lat.crossing_due(round, crate::idx32(dir), fault_delay);
+        if due <= round_end_tick(round) {
+            self.lat.note_delivered(due);
+            Some(msg)
+        } else {
+            self.lat.park(due, crate::idx32(dir), msg);
+            None
+        }
+    }
+}
+
+/// One round's transmission discipline: the CONGEST
+/// one-message-per-directed-edge rule (`last_carried` round stamps), the
+/// backlog arena, the crossing policy `X`, and per-message
+/// metrics/observer events. Executor-specific delivery — which inbox
+/// structure receives the message — is injected as the `sink` argument.
+struct Transmitter<'a, M, X> {
     graph: &'a Graph,
     queues: &'a mut EdgeQueues<M>,
     last_carried: &'a mut [u64],
     round: u64,
+    crossing: X,
     delivered_msgs: u64,
     delivered_bits: u64,
     dropped_msgs: u64,
     max_backlog_seen: u64,
 }
 
-impl<'a, M: Payload> Transmitter<'a, M> {
-    pub(crate) fn new(
+impl<'a, M: Payload, X: Crossing<M>> Transmitter<'a, M, X> {
+    fn new(
         graph: &'a Graph,
         queues: &'a mut EdgeQueues<M>,
         last_carried: &'a mut [u64],
         round: u64,
+        crossing: X,
     ) -> Self {
         Transmitter {
             graph,
             queues,
             last_carried,
             round,
+            crossing,
             delivered_msgs: 0,
             delivered_bits: 0,
             dropped_msgs: 0,
             max_backlog_seen: 0,
+        }
+    }
+
+    /// The round's crossings: the whole backlog, then every fresh send
+    /// batch in order. Returns the round's flow.
+    fn run<'b, O: TransmitObserver + ?Sized>(
+        mut self,
+        scratch: &mut DirBatch<M>,
+        limit: usize,
+        fresh: impl Iterator<Item = &'b mut DirBatch<M>>,
+        obs: &mut O,
+        sink: &mut impl FnMut(NodeId, Port, M),
+    ) -> RoundFlow
+    where
+        M: 'b,
+    {
+        self.pump_backlog(scratch, limit, obs, sink);
+        for batch in fresh {
+            for (dir, msg) in batch.drain() {
+                self.offer(dir as usize, msg, obs, sink);
+            }
+        }
+        RoundFlow {
+            messages: self.delivered_msgs,
+            bits: self.delivered_bits,
+            dropped: self.dropped_msgs,
+            max_backlog: self.max_backlog_seen,
         }
     }
 
@@ -796,7 +1069,7 @@ impl<'a, M: Payload> Transmitter<'a, M> {
     /// most `limit` entries, delivering each chunk before popping the
     /// next. Pool slots recycle chunk by chunk, so the round's peak
     /// scratch is `min(limit, active edges)` regardless of congestion.
-    pub(crate) fn pump_backlog<O: TransmitObserver + ?Sized>(
+    fn pump_backlog<O: TransmitObserver + ?Sized>(
         &mut self,
         scratch: &mut DirBatch<M>,
         limit: usize,
@@ -815,55 +1088,10 @@ impl<'a, M: Payload> Transmitter<'a, M> {
         }
     }
 
-    /// [`Transmitter::pump_backlog`] with the fault layer applied at
-    /// each crossing.
-    pub(crate) fn pump_backlog_faulty<O: TransmitObserver + ?Sized>(
-        &mut self,
-        fs: &mut FaultState<M>,
-        scratch: &mut DirBatch<M>,
-        limit: usize,
-        obs: &mut O,
-        sink: &mut impl FnMut(NodeId, Port, M),
-    ) {
-        loop {
-            scratch.clear();
-            let more = self.queues.transmit_chunk(scratch, limit);
-            for (dir, msg) in scratch.drain() {
-                self.deliver_head_faulty(fs, dir as usize, msg, obs, sink);
-            }
-            if !more {
-                break;
-            }
-        }
-    }
-
-    /// [`Transmitter::pump_backlog`] with the latency (and optional
-    /// fault) layer applied at each crossing.
-    pub(crate) fn pump_backlog_latent<O: TransmitObserver + ?Sized>(
-        &mut self,
-        lat: &mut LatencyState<M>,
-        faults: Option<&CompiledFaults>,
-        scratch: &mut DirBatch<M>,
-        limit: usize,
-        obs: &mut O,
-        sink: &mut impl FnMut(NodeId, Port, M),
-    ) {
-        loop {
-            scratch.clear();
-            let more = self.queues.transmit_chunk(scratch, limit);
-            for (dir, msg) in scratch.drain() {
-                self.deliver_head_latent(lat, faults, dir as usize, msg, obs, sink);
-            }
-            if !more {
-                break;
-            }
-        }
-    }
-
-    /// Delivers the head of a backlogged edge — it is entitled to this
+    /// Crosses the head of a backlogged edge — it is entitled to this
     /// round by construction (one pop per active edge).
     #[inline]
-    pub(crate) fn deliver_head<O: TransmitObserver + ?Sized>(
+    fn deliver_head<O: TransmitObserver + ?Sized>(
         &mut self,
         dir: usize,
         msg: M,
@@ -871,13 +1099,15 @@ impl<'a, M: Payload> Transmitter<'a, M> {
         sink: &mut impl FnMut(NodeId, Port, M),
     ) {
         self.last_carried[dir] = self.round;
-        self.deliver(dir, msg, obs, sink);
+        self.cross(dir, msg, obs, sink);
     }
 
-    /// Offers a fresh send: delivers directly when the edge is idle
-    /// this round, otherwise joins the backlog (FIFO).
+    /// Offers a fresh send: crosses directly when the edge is idle this
+    /// round, otherwise joins the backlog (FIFO). Joining the backlog
+    /// defers the crossing policy's decision to the round the message
+    /// actually crosses.
     #[inline]
-    pub(crate) fn offer<O: TransmitObserver + ?Sized>(
+    fn offer<O: TransmitObserver + ?Sized>(
         &mut self,
         dir: usize,
         msg: M,
@@ -890,207 +1120,24 @@ impl<'a, M: Payload> Transmitter<'a, M> {
             self.max_backlog_seen = self.max_backlog_seen.max(len + 1);
         } else {
             self.last_carried[dir] = self.round;
+            self.cross(dir, msg, obs, sink);
+        }
+    }
+
+    /// One message crossing directed edge `dir` this round, under the
+    /// round's policy.
+    #[inline]
+    fn cross<O: TransmitObserver + ?Sized>(
+        &mut self,
+        dir: usize,
+        msg: M,
+        obs: &mut O,
+        sink: &mut impl FnMut(NodeId, Port, M),
+    ) {
+        let (graph, round) = (self.graph, self.round);
+        let crossing = &mut self.crossing;
+        if let Some(msg) = crossing.cross(graph, round, dir, msg, &mut self.dropped_msgs) {
             self.deliver(dir, msg, obs, sink);
-        }
-    }
-
-    /// Releases every fault-delayed message due this round, in
-    /// `(due round, crossing order)` order — identical on both
-    /// executors because the heap itself lives in the shared engine
-    /// state. Arrivals at nodes that crashed in the meantime are
-    /// discarded (the destination is gone).
-    pub(crate) fn release_due<O: TransmitObserver + ?Sized>(
-        &mut self,
-        fs: &mut FaultState<M>,
-        obs: &mut O,
-        sink: &mut impl FnMut(NodeId, Port, M),
-    ) {
-        while fs.due_now(self.round) {
-            // welle-lint: allow(no-lib-unwrap) — invariant: due_now() just peeked a head element at or before this round
-            let d = fs.delayed.pop().expect("due_now implies nonempty");
-            let dst = self.graph.directed_info(d.dir as usize).dst;
-            if fs.compiled.is_crashed(dst.index(), self.round) {
-                self.dropped_msgs += 1;
-                continue;
-            }
-            self.deliver(d.dir as usize, d.msg, obs, sink);
-        }
-    }
-
-    /// [`Transmitter::deliver_head`] with the fault layer applied at the
-    /// crossing.
-    #[inline]
-    pub(crate) fn deliver_head_faulty<O: TransmitObserver + ?Sized>(
-        &mut self,
-        fs: &mut FaultState<M>,
-        dir: usize,
-        msg: M,
-        obs: &mut O,
-        sink: &mut impl FnMut(NodeId, Port, M),
-    ) {
-        self.last_carried[dir] = self.round;
-        self.transit(fs, dir, msg, obs, sink);
-    }
-
-    /// [`Transmitter::offer`] with the fault layer applied at the
-    /// crossing. Joining the backlog defers the fault decision to the
-    /// round the message actually crosses.
-    #[inline]
-    pub(crate) fn offer_faulty<O: TransmitObserver + ?Sized>(
-        &mut self,
-        fs: &mut FaultState<M>,
-        dir: usize,
-        msg: M,
-        obs: &mut O,
-        sink: &mut impl FnMut(NodeId, Port, M),
-    ) {
-        if self.last_carried[dir] == self.round {
-            let len = self.queues.push_dir(dir, msg);
-            self.max_backlog_seen = self.max_backlog_seen.max(len + 1);
-        } else {
-            self.last_carried[dir] = self.round;
-            self.transit(fs, dir, msg, obs, sink);
-        }
-    }
-
-    /// One message crossing directed edge `dir` this round, under
-    /// faults: suppressed if the edge is cut or either endpoint has
-    /// crashed, dropped i.i.d. per the plan's rate, parked if the edge
-    /// is slow, delivered otherwise. All decisions are pure functions of
-    /// the compiled plan and `(round, dir)`, so executors agree.
-    fn transit<O: TransmitObserver + ?Sized>(
-        &mut self,
-        fs: &mut FaultState<M>,
-        dir: usize,
-        msg: M,
-        obs: &mut O,
-        sink: &mut impl FnMut(NodeId, Port, M),
-    ) {
-        let info = self.graph.directed_info(dir);
-        let c = &fs.compiled;
-        if c.edge_cut(info.edge.index(), self.round)
-            || c.is_crashed(info.src.index(), self.round)
-            || c.is_crashed(info.dst.index(), self.round)
-            || c.dropped_in_transit(self.round, dir)
-        {
-            self.dropped_msgs += 1;
-            return;
-        }
-        let delay = c.edge_delay(info.edge.index());
-        if delay == 0 {
-            self.deliver(dir, msg, obs, sink);
-        } else {
-            fs.park(self.round + delay as u64, crate::idx32(dir), msg);
-        }
-    }
-
-    /// Releases every latency-parked message due by this round's
-    /// boundary, in `(due tick, park order)` order. Arrivals at nodes
-    /// that crashed in the meantime are discarded, exactly as in
-    /// [`Transmitter::release_due`].
-    pub(crate) fn release_latent<O: TransmitObserver + ?Sized>(
-        &mut self,
-        lat: &mut LatencyState<M>,
-        faults: Option<&CompiledFaults>,
-        obs: &mut O,
-        sink: &mut impl FnMut(NodeId, Port, M),
-    ) {
-        let horizon = self
-            .round
-            .saturating_add(1)
-            .saturating_mul(TICKS_PER_ROUND);
-        while let Some(d) = lat.pop_due(horizon) {
-            if let Some(c) = faults {
-                let dst = self.graph.directed_info(d.dir as usize).dst;
-                if c.is_crashed(dst.index(), self.round) {
-                    self.dropped_msgs += 1;
-                    continue;
-                }
-            }
-            lat.note_delivered(d.due);
-            self.deliver(d.dir as usize, d.msg, obs, sink);
-        }
-    }
-
-    /// [`Transmitter::deliver_head`] with the latency (and optional
-    /// fault) layer applied at the crossing.
-    #[inline]
-    pub(crate) fn deliver_head_latent<O: TransmitObserver + ?Sized>(
-        &mut self,
-        lat: &mut LatencyState<M>,
-        faults: Option<&CompiledFaults>,
-        dir: usize,
-        msg: M,
-        obs: &mut O,
-        sink: &mut impl FnMut(NodeId, Port, M),
-    ) {
-        self.last_carried[dir] = self.round;
-        self.transit_latent(lat, faults, dir, msg, obs, sink);
-    }
-
-    /// [`Transmitter::offer`] with the latency (and optional fault)
-    /// layer applied at the crossing. Joining the backlog defers both
-    /// decisions to the round the message actually crosses.
-    #[inline]
-    pub(crate) fn offer_latent<O: TransmitObserver + ?Sized>(
-        &mut self,
-        lat: &mut LatencyState<M>,
-        faults: Option<&CompiledFaults>,
-        dir: usize,
-        msg: M,
-        obs: &mut O,
-        sink: &mut impl FnMut(NodeId, Port, M),
-    ) {
-        if self.last_carried[dir] == self.round {
-            let len = self.queues.push_dir(dir, msg);
-            self.max_backlog_seen = self.max_backlog_seen.max(len + 1);
-        } else {
-            self.last_carried[dir] = self.round;
-            self.transit_latent(lat, faults, dir, msg, obs, sink);
-        }
-    }
-
-    /// One message crossing directed edge `dir` this round, under a
-    /// latency model and (optionally) faults. Fault decisions — cuts,
-    /// crashes, i.i.d. drops — are exactly those of
-    /// [`Transmitter::transit`]; the fault layer's per-edge delay folds
-    /// into the due tick instead of using a second heap. A delivery due
-    /// at or before the next round boundary happens now — with the zero
-    /// model that is *every* unfaulted delivery, which keeps this path
-    /// event-for-event identical to the round engine — and later ones
-    /// park on the tick heap.
-    fn transit_latent<O: TransmitObserver + ?Sized>(
-        &mut self,
-        lat: &mut LatencyState<M>,
-        faults: Option<&CompiledFaults>,
-        dir: usize,
-        msg: M,
-        obs: &mut O,
-        sink: &mut impl FnMut(NodeId, Port, M),
-    ) {
-        let mut fault_delay = 0u32;
-        if let Some(c) = faults {
-            let info = self.graph.directed_info(dir);
-            if c.edge_cut(info.edge.index(), self.round)
-                || c.is_crashed(info.src.index(), self.round)
-                || c.is_crashed(info.dst.index(), self.round)
-                || c.dropped_in_transit(self.round, dir)
-            {
-                self.dropped_msgs += 1;
-                return;
-            }
-            fault_delay = c.edge_delay(info.edge.index());
-        }
-        let due = lat.crossing_due(self.round, crate::idx32(dir), fault_delay);
-        let horizon = self
-            .round
-            .saturating_add(1)
-            .saturating_mul(TICKS_PER_ROUND);
-        if due <= horizon {
-            lat.note_delivered(due);
-            self.deliver(dir, msg, obs, sink);
-        } else {
-            lat.park(due, crate::idx32(dir), msg);
         }
     }
 
@@ -1117,25 +1164,28 @@ impl<'a, M: Payload> Transmitter<'a, M> {
         });
         sink(info.dst, info.dst_port, msg);
     }
+}
 
-    /// Messages delivered so far this round (for span event counts).
-    pub(crate) fn delivered_so_far(&self) -> u64 {
-        self.delivered_msgs
-    }
-
-    /// Folds the accumulated counters into `metrics` and returns them as
-    /// this round's flow, for the telemetry layer (ignored when
-    /// telemetry is off).
-    pub(crate) fn finish(self, metrics: &mut Metrics) -> RoundFlow {
-        metrics.messages += self.delivered_msgs;
-        metrics.bits += self.delivered_bits;
-        metrics.dropped_messages += self.dropped_msgs;
-        metrics.max_edge_backlog = metrics.max_edge_backlog.max(self.max_backlog_seen);
-        RoundFlow {
-            messages: self.delivered_msgs,
-            bits: self.delivered_bits,
-            dropped: self.dropped_msgs,
-            max_backlog: self.max_backlog_seen,
+impl<M: Payload> Transmitter<'_, M, Latent<'_, M>> {
+    /// Releases every parked message due by this round's boundary, in
+    /// `(due tick, park order)` order. Arrivals at nodes that crashed in
+    /// the meantime are discarded (the destination is gone).
+    fn release_due<O: TransmitObserver + ?Sized>(
+        &mut self,
+        obs: &mut O,
+        sink: &mut impl FnMut(NodeId, Port, M),
+    ) {
+        let horizon = round_end_tick(self.round);
+        while let Some(d) = self.crossing.lat.pop_due(horizon) {
+            if let Some(c) = self.crossing.faults {
+                let dst = self.graph.directed_info(d.dir as usize).dst;
+                if c.is_crashed(dst.index(), self.round) {
+                    self.dropped_msgs += 1;
+                    continue;
+                }
+            }
+            self.crossing.lat.note_delivered(d.due);
+            self.deliver(d.dir as usize, d.msg, obs, sink);
         }
     }
 }
@@ -1561,5 +1611,237 @@ mod tests {
         let va: u64 = a.random();
         let vb: u64 = b.random();
         assert_ne!(va, vb);
+    }
+
+    /// An engine with the latency layer installed.
+    fn latent<P: Protocol>(
+        g: Arc<Graph>,
+        cfg: EngineConfig,
+        model: LatencyModel,
+        make: impl FnMut(usize) -> P,
+    ) -> Engine<P> {
+        let mut e = Engine::from_fn(g, cfg, make);
+        e.set_latency(model).unwrap();
+        e
+    }
+
+    fn flood_async(n: usize, seed: u64, model: LatencyModel) -> Engine<FloodMax> {
+        let g = Arc::new(gen::ring(n).unwrap());
+        latent(
+            g,
+            EngineConfig {
+                seed,
+                bandwidth_bits: None,
+            },
+            model,
+            |i| FloodMax::new(i as u64),
+        )
+    }
+
+    #[test]
+    fn zero_latency_event_stream_matches_the_round_engine() {
+        let g = Arc::new(gen::torus2d(4, 5).unwrap());
+        let mk = |i: usize| FloodMax::new((i as u64 * 7919) % 101);
+        let cfg = EngineConfig::default();
+        let mut sync = Engine::from_fn(Arc::clone(&g), cfg, mk);
+        let mut async_ = latent(Arc::clone(&g), cfg, LatencyModel::zero(), mk);
+        let mut obs_a = RecordingObserver::default();
+        let mut obs_b = RecordingObserver::default();
+        let out_a = sync.run_observed(10_000, &mut obs_a);
+        let out_b = async_.run_observed(10_000, &mut obs_b);
+        assert_eq!(out_a, out_b);
+        assert_eq!(obs_a.events, obs_b.events, "event-for-event equivalence");
+        assert_eq!(sync.metrics(), async_.metrics());
+        assert_eq!(async_.virtual_time(), async_.round() as f64);
+    }
+
+    #[test]
+    fn fixed_latency_shifts_arrival_rounds() {
+        // One ping down a path edge under 3 extra rounds of latency:
+        // the crossing at round 0 lands at round 3 (observer view), the
+        // pong's crossing at round 4 lands at round 7 — the same
+        // timeline the fault layer's delay-3 plan produces.
+        let g = Arc::new(gen::path(2).unwrap());
+        let mut e = latent(
+            Arc::clone(&g),
+            EngineConfig::default(),
+            LatencyModel::fixed(3.0),
+            |i| Echo::new(i == 0),
+        );
+        let mut obs = RecordingObserver::default();
+        let out = e.run_observed(1_000, &mut obs);
+        let rounds: Vec<u64> = obs.events.iter().map(|ev| ev.round).collect();
+        assert_eq!(rounds, vec![3, 7], "outcome: {out:?}");
+        assert_eq!(e.node(0).replies_received(), 1);
+        // The pong completed service at round 8 and was processed in
+        // round 8's protocol phase; the clock then reads 9.
+        assert!(e.virtual_time() >= 8.0);
+        assert_eq!(e.virtual_time(), e.round() as f64);
+    }
+
+    #[test]
+    fn termination_never_outruns_a_parked_event() {
+        // A single ping with 50 rounds of latency: the run must stay
+        // alive (in-flight > 0) until the event lands, then finish —
+        // without stepping the idle stretch round by round.
+        let g = Arc::new(gen::path(2).unwrap());
+        let mut e = latent(
+            Arc::clone(&g),
+            EngineConfig::default(),
+            LatencyModel::fixed(50.0),
+            |i| Echo::new(i == 0),
+        );
+        let out = e.run(10_000);
+        // Echo nodes never report done; the run ends quiescent only
+        // after both the ping (released round 50) and the pong
+        // (released round 101) have landed — never before.
+        assert!(matches!(out, RunOutcome::Quiescent { .. }), "{out:?}");
+        assert!(out.round() >= 101, "round {}", out.round());
+        assert_eq!(e.in_flight(), 0);
+        assert_eq!(e.node(0).replies_received(), 1);
+        assert!(
+            e.metrics().active_rounds <= 6,
+            "idle stretches must be skipped, not stepped: {}",
+            e.metrics().active_rounds
+        );
+    }
+
+    #[test]
+    fn simultaneous_events_release_in_crossing_order() {
+        // All first-round floods share one due tick under a fixed
+        // model; release must preserve the crossing (seq) order, which
+        // is the round engine's delivery order for the same round.
+        let model = LatencyModel::fixed(2.0);
+        let mut a = flood_async(12, 3, model);
+        let mut b = flood_async(12, 3, model);
+        let mut obs_a = RecordingObserver::default();
+        let mut obs_b = RecordingObserver::default();
+        a.run_observed(10_000, &mut obs_a);
+        b.run_observed(10_000, &mut obs_b);
+        assert_eq!(obs_a.events, obs_b.events, "deterministic release order");
+        // Same-round releases arrive in ascending crossing order: the
+        // observer stream is sorted by round, and within a round matches
+        // the zero-latency crossing order of that round's batch.
+        let mut prev_round = 0;
+        for ev in &obs_a.events {
+            assert!(ev.round >= prev_round, "releases sorted by round");
+            prev_round = ev.round;
+        }
+    }
+
+    #[test]
+    fn per_edge_fifo_is_preserved_under_equal_latencies() {
+        // FloodMax on a ring improves repeatedly: the same directed
+        // edge carries several messages over the run. Under a uniform
+        // positive latency all its crossings get distinct due ticks in
+        // crossing order (ticks grow with the round), so arrivals on
+        // one edge must be in crossing order — FIFO per edge.
+        let mut e = flood_async(16, 9, LatencyModel::fixed(1.25));
+        let mut obs = RecordingObserver::default();
+        let out = e.run_observed(10_000, &mut obs);
+        assert!(out.is_done(), "{out:?}");
+        use std::collections::HashMap;
+        // Each later crossing of a directed edge gets a strictly larger
+        // due tick, so its arrival round must never precede an earlier
+        // crossing's — FIFO per edge.
+        let mut last_round: HashMap<(u32, u32), u64> = HashMap::new();
+        for ev in &obs.events {
+            let key = (ev.from.raw(), ev.to.raw());
+            if let Some(&prev) = last_round.get(&key) {
+                assert!(prev <= ev.round, "edge {key:?} reordered");
+            }
+            last_round.insert(key, ev.round);
+        }
+        // Everyone converged despite the latency.
+        assert!(e.nodes().iter().all(|n| n.best() == 15));
+    }
+
+    #[test]
+    fn nonzero_latency_is_deterministic_across_repeats() {
+        for model in [
+            LatencyModel::uniform(0.0, 2.0).seed(11),
+            LatencyModel::log_normal(0.0, 0.75).seed(12),
+            LatencyModel::fixed(0.5).service_rate(0.25),
+        ] {
+            let mut a = flood_async(20, 5, model);
+            let mut b = flood_async(20, 5, model);
+            let mut obs_a = RecordingObserver::default();
+            let mut obs_b = RecordingObserver::default();
+            let out_a = a.run_observed(100_000, &mut obs_a);
+            let out_b = b.run_observed(100_000, &mut obs_b);
+            assert_eq!(out_a, out_b);
+            assert_eq!(obs_a.events, obs_b.events);
+            assert_eq!(a.metrics(), b.metrics());
+            assert_eq!(a.virtual_time(), b.virtual_time());
+        }
+    }
+
+    #[test]
+    fn service_rate_congestion_stretches_virtual_time() {
+        // Rate 0.25: every crossing occupies its edge for 4 rounds.
+        // FloodMax floods every edge at start-up, so the run's virtual
+        // span must stretch well past the zero-model run's.
+        let mut fast = flood_async(16, 2, LatencyModel::zero());
+        let mut slow = flood_async(16, 2, LatencyModel::zero().service_rate(0.25));
+        fast.run(100_000);
+        slow.run(100_000);
+        assert!(
+            slow.virtual_time() >= fast.virtual_time() * 2.0,
+            "slow {} vs fast {}",
+            slow.virtual_time(),
+            fast.virtual_time()
+        );
+        // Congestion reorders nothing fatal: everyone still converges.
+        assert!(slow.nodes().iter().all(|n| n.best() == 15));
+    }
+
+    #[test]
+    fn faults_compose_with_latency_at_the_crossing() {
+        // Cut the only edge at round 0: nothing is ever delivered, and
+        // the drop is counted — same as the round engine.
+        let g = Arc::new(gen::path(2).unwrap());
+        let mut e = latent(
+            Arc::clone(&g),
+            EngineConfig::default(),
+            LatencyModel::fixed(2.0),
+            |i| Echo::new(i == 0),
+        );
+        e.set_fault_plan(&FaultPlan::new(0).cut(0, 1, 0)).unwrap();
+        let out = e.run(1_000);
+        assert!(matches!(out, RunOutcome::Quiescent { .. }), "{out:?}");
+        assert_eq!(e.metrics().messages, 0);
+        assert_eq!(e.metrics().dropped_messages, 1);
+        assert_eq!(e.node(0).replies_received(), 0);
+    }
+
+    #[test]
+    fn fault_delay_folds_into_the_tick_heap() {
+        // delay_all(3) under the zero model reproduces the round
+        // engine's delayed-echo timeline: arrivals at rounds 3 and 7.
+        let g = Arc::new(gen::path(2).unwrap());
+        let mut e = latent(
+            Arc::clone(&g),
+            EngineConfig::default(),
+            LatencyModel::zero(),
+            |i| Echo::new(i == 0),
+        );
+        e.set_fault_plan(&FaultPlan::new(0).delay_all(3)).unwrap();
+        let mut obs = RecordingObserver::default();
+        e.run_observed(1_000, &mut obs);
+        let rounds: Vec<u64> = obs.events.iter().map(|ev| ev.round).collect();
+        assert_eq!(rounds, vec![3, 7]);
+        assert_eq!(e.node(0).replies_received(), 1);
+    }
+
+    #[test]
+    fn set_latency_rejects_a_bad_model_and_keeps_the_engine() {
+        let mut e = flood_engine(8, 1);
+        assert_eq!(
+            e.set_latency(LatencyModel::fixed(-1.0)),
+            Err(LatencyError::BadFixed(-1.0))
+        );
+        assert!(e.wire.latency.is_none());
+        assert!(e.run(1_000).is_done());
+        assert_eq!(e.virtual_time(), e.round() as f64);
     }
 }

@@ -1,12 +1,13 @@
-//! A single driving API over both executors.
+//! A single driving API over the executors, and the [`Exec`] choice
+//! between them.
 //!
 //! High-level drivers (election runners, experiment harnesses) are
 //! written once against [`Executor`] and run unchanged on the
-//! event-driven [`crate::Engine`] or the dense sharded
-//! [`crate::ThreadedEngine`] — the two produce identical executions for
-//! protocols honouring the [`crate::Protocol`] no-op contract, so the
-//! choice is purely a performance trade-off (idle-round skipping versus
-//! parallel protocol phases).
+//! event-driven [`crate::Engine`] (with or without its latency layer)
+//! or the dense sharded [`crate::ThreadedEngine`] — the synchronous
+//! runs are identical for protocols honouring the [`crate::Protocol`]
+//! no-op contract, so that choice is purely a performance trade-off
+//! (idle-round skipping versus parallel protocol phases).
 
 use std::sync::Arc;
 
@@ -42,8 +43,8 @@ pub enum Exec {
     /// (must be ≥ 1; a 1-worker `ThreadedEngine` runs its rounds inline
     /// on its inner serial engine).
     Threaded(usize),
-    /// The event-driven [`AsyncEngine`](crate::AsyncEngine), delivering
-    /// messages under this latency model.
+    /// The event-driven [`Engine`] with its latency layer
+    /// ([`Engine::set_latency`]), delivering messages under this model.
     Async(LatencyModel),
 }
 
@@ -107,9 +108,9 @@ pub trait Executor<P: Protocol> {
     /// [`Engine::peak_arena_slots`].
     fn peak_arena_slots(&self) -> u64;
 
-    /// Virtual time elapsed, in rounds. For the synchronous executors
-    /// this *is* the round count; the async executor stretches it past
-    /// the round clock when deliveries complete late.
+    /// Virtual time elapsed, in rounds. For synchronous runs this *is*
+    /// the round count; a latency model stretches it past the round
+    /// clock when deliveries complete late.
     fn virtual_time(&self) -> f64 {
         self.round() as f64
     }
@@ -155,6 +156,10 @@ impl<P: Protocol> Executor<P> for Engine<P> {
 
     fn peak_arena_slots(&self) -> u64 {
         Engine::peak_arena_slots(self)
+    }
+
+    fn virtual_time(&self) -> f64 {
+        Engine::virtual_time(self)
     }
 
     fn run_observed(

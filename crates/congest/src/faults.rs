@@ -18,8 +18,9 @@
 //! * **delivery delay** — messages crossing edge `e` arrive `d` rounds
 //!   late (the edge still carries at most one message per round; the
 //!   extra latency models slow links without abandoning round
-//!   semantics). Late arrivals are released in deterministic
-//!   `(due round, crossing order)` order.
+//!   semantics). Late arrivals wait on the latency layer's tick heap
+//!   and are released in deterministic `(due round, crossing order)`
+//!   order.
 //! * **edge cuts** — edge `e` disappears at round `r`; messages sent
 //!   into it afterwards vanish (no failure detector is modelled).
 //!   Cutting a graph's bridges yields partition experiments.
@@ -30,8 +31,6 @@
 //! zero delays, and no cuts is **bit-identical** to running without a
 //! plan — the engines' property suites enforce this.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -379,6 +378,29 @@ impl CompiledFaults {
             self.delay[edge]
         }
     }
+
+    /// Whether any edge delivers late (such plans run on the latency
+    /// layer's tick heap).
+    pub(crate) fn has_delays(&self) -> bool {
+        self.delay.iter().any(|&d| d > 0)
+    }
+
+    /// The filter every crossing passes: `None` when the message
+    /// crossing directed edge `dir` at `round` is suppressed — the edge
+    /// is cut, either endpoint has crashed, or it is dropped in transit
+    /// — and otherwise the edge's extra delay in rounds. All decisions
+    /// are pure functions of the plan and `(round, dir)`, so executors
+    /// agree.
+    #[inline]
+    pub(crate) fn crossing_delay(&self, graph: &Graph, round: u64, dir: usize) -> Option<u32> {
+        let info = graph.directed_info(dir);
+        let edge = info.edge.index();
+        let suppressed = self.edge_cut(edge, round)
+            || self.is_crashed(info.src.index(), round)
+            || self.is_crashed(info.dst.index(), round)
+            || self.dropped_in_transit(round, dir);
+        (!suppressed).then(|| self.edge_delay(edge))
+    }
 }
 
 /// SplitMix64-style mix of three words into one uniform word. Shared
@@ -392,78 +414,6 @@ pub(crate) fn mix3(seed: u64, round: u64, dir: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// A message parked by the delay layer, ordered by `(due, seq)` so a
-/// `BinaryHeap<DelayedMsg>` pops the earliest due message first and
-/// preserves crossing order within a round.
-#[derive(Debug)]
-pub(crate) struct DelayedMsg<M> {
-    pub(crate) due: u64,
-    pub(crate) seq: u64,
-    pub(crate) dir: u32,
-    pub(crate) msg: M,
-}
-
-impl<M> PartialEq for DelayedMsg<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl<M> Eq for DelayedMsg<M> {}
-impl<M> PartialOrd for DelayedMsg<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for DelayedMsg<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: the heap is a max-heap, we want earliest-due first.
-        (other.due, other.seq).cmp(&(self.due, self.seq))
-    }
-}
-
-/// Runtime state of an installed fault plan: the compiled schedule plus
-/// the delay buffer. Lives inside the (inner) engine so both executors
-/// drive the identical state through the shared `Transmitter`.
-#[derive(Debug)]
-pub(crate) struct FaultState<M> {
-    pub(crate) compiled: Arc<CompiledFaults>,
-    pub(crate) delayed: BinaryHeap<DelayedMsg<M>>,
-    seq: u64,
-}
-
-impl<M> FaultState<M> {
-    pub(crate) fn new(compiled: Arc<CompiledFaults>) -> Self {
-        FaultState {
-            compiled,
-            delayed: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-
-    /// Parks a message that crossed `dir` for release at round `due`.
-    pub(crate) fn park(&mut self, due: u64, dir: u32, msg: M) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.delayed.push(DelayedMsg { due, seq, dir, msg });
-    }
-
-    /// Messages parked in the delay buffer (they count as in flight).
-    pub(crate) fn parked(&self) -> usize {
-        self.delayed.len()
-    }
-
-    /// Whether any parked message is due at `round`.
-    pub(crate) fn due_now(&self, round: u64) -> bool {
-        self.delayed.peek().is_some_and(|d| d.due <= round)
-    }
-
-    /// Round of the earliest parked release, if any (the engines' idle
-    /// skip jumps to it instead of stepping empty rounds).
-    pub(crate) fn next_due(&self) -> Option<u64> {
-        self.delayed.peek().map(|d| d.due)
-    }
 }
 
 #[cfg(test)]
@@ -579,19 +529,27 @@ mod tests {
 
     #[test]
     fn delayed_heap_orders_by_due_then_seq() {
-        let mut fs: FaultState<u64> =
-            FaultState::new(Arc::new(
-                CompiledFaults::compile(&FaultPlan::new(0), &gen::ring(4).unwrap()).unwrap(),
-            ));
-        fs.park(9, 0, 900);
-        fs.park(5, 1, 500);
-        fs.park(5, 2, 501);
-        fs.park(7, 3, 700);
-        assert_eq!(fs.parked(), 4);
-        assert!(fs.due_now(5));
-        assert!(!fs.due_now(4));
+        use crate::latency::{round_end_tick, LatencyModel, LatencyState};
+        // Fault delays ride the latency layer's tick heap: the delay a
+        // crossing passes the filter with becomes part of its due tick,
+        // and parked messages release earliest due first, ties in
+        // crossing order.
+        let g = gen::ring(4).unwrap();
+        let c = CompiledFaults::compile(&FaultPlan::new(0).delay_all(2), &g).unwrap();
+        let mut st: LatencyState<u64> =
+            LatencyState::new(LatencyModel::zero(), g.directed_edge_count());
+        for (round, dir, msg) in [(7, 0, 900), (3, 1, 500), (3, 2, 501), (5, 3, 700)] {
+            let delay = c.crossing_delay(&g, round, dir).unwrap();
+            assert_eq!(delay, 2);
+            let due = st.crossing_due(round, crate::idx32(dir), delay);
+            st.park(due, crate::idx32(dir), msg);
+        }
+        assert_eq!(st.parked(), 4);
+        // Sent in round 3 with two rounds of delay: arrives after round 5.
+        assert!(st.due_now(round_end_tick(5)));
+        assert!(!st.due_now(round_end_tick(4)));
         let mut order = Vec::new();
-        while let Some(d) = fs.delayed.pop() {
+        while let Some(d) = st.pop_due(u64::MAX) {
             order.push(d.msg);
         }
         assert_eq!(order, vec![500, 501, 700, 900]);

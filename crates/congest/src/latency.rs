@@ -1,36 +1,37 @@
-//! Per-edge message latency models for the [`AsyncEngine`].
+//! Per-edge message latency models: the engine's latency layer (see
+//! [`Engine::set_latency`](crate::Engine::set_latency)).
 //!
-//! The round engines deliver every message exactly one round after it
-//! crosses its edge. A [`LatencyModel`] replaces that constant with a
-//! seeded per-crossing sample — fixed, uniform, or log-normal service
-//! times, plus an optional per-edge service *rate* so a hub edge fed
-//! faster than it drains builds a queue — while keeping the run a pure
-//! function of `(graph, protocols, seed, model)`.
+//! Without the layer the engine delivers every message exactly one
+//! round after it crosses its edge. A [`LatencyModel`] replaces that
+//! constant with a seeded per-crossing sample — fixed, uniform, or
+//! log-normal service times, plus an optional per-edge service *rate* so
+//! a hub edge fed faster than it drains builds a queue — while keeping
+//! the run a pure function of `(graph, protocols, seed, model)`.
 //!
-//! Internally the async engine measures time in **ticks**,
-//! [`TICKS_PER_ROUND`] per protocol round, so sub-round latencies order
-//! deterministically without floating-point comparisons on the event
-//! heap. A crossing at round `r` completes service at
-//! `r·TPR + service_ticks` (later if the edge is still busy) and is
-//! delivered `latency + fault-delay` ticks after that. With the zero
-//! model every crossing lands exactly on `(r + 1)·TPR` — the next round
-//! boundary — which is what makes the async engine event-for-event
-//! identical to the round engine there.
+//! Internally the layer measures time in **ticks**, [`TICKS_PER_ROUND`]
+//! per protocol round, so sub-round latencies order deterministically
+//! without floating-point comparisons on the event heap. A crossing at
+//! round `r` completes service at `r·TPR + service_ticks` (later if the
+//! edge is still busy) and is delivered `latency + fault-delay` ticks
+//! after that. With the zero model every crossing lands exactly on
+//! `(r + 1)·TPR` — the next round boundary — which is what makes a
+//! latent run event-for-event identical to a plain one there. The same
+//! heap holds the fault layer's delayed messages: a plan with delayed
+//! edges runs on the zero model when no other is set.
 //!
 //! Samples are keyed statelessly on `(model seed, crossing round,
 //! directed edge)` with the same [`mix3`](crate::faults) hash the drop
 //! layer uses: no RNG stream ordering is involved, so the schedule
 //! cannot depend on heap insertion order.
-//!
-//! [`AsyncEngine`]: crate::AsyncEngine
 
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
 
 use rand::LogNormal;
 
-use crate::faults::{mix3, DelayedMsg};
+use crate::faults::mix3;
 
 /// Virtual-time resolution: ticks per protocol round.
 ///
@@ -39,6 +40,13 @@ use crate::faults::{mix3, DelayedMsg};
 /// leaving sixty-plus bits of round range.
 pub(crate) const TICKS_PER_ROUND: u64 = 1024;
 
+/// The tick at the end boundary of `round`: deliveries due by it happen
+/// in that round.
+#[inline]
+pub(crate) fn round_end_tick(round: u64) -> u64 {
+    round.saturating_add(1).saturating_mul(TICKS_PER_ROUND)
+}
+
 /// Stream key offset for the second sample word (Box–Muller needs two).
 const W2_SALT: u64 = 0xA5A5_5A5A_C3C3_3C3C;
 
@@ -46,7 +54,7 @@ const W2_SALT: u64 = 0xA5A5_5A5A_C3C3_3C3C;
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum LatencyDist {
     /// No extra latency: every crossing is delivered exactly one round
-    /// later, making the async engine bit-identical to the round engine.
+    /// later, making a latent run bit-identical to a plain one.
     #[default]
     Zero,
     /// Every crossing takes an extra fixed number of rounds (fractions
@@ -69,8 +77,8 @@ pub enum LatencyDist {
     },
 }
 
-/// A seeded description of per-edge message latency, consumed by
-/// [`AsyncEngine`](crate::AsyncEngine) via
+/// A seeded description of per-edge message latency, installed with
+/// [`Engine::set_latency`](crate::Engine::set_latency) or chosen via
 /// [`Exec::Async`](crate::Exec::Async).
 ///
 /// ```
@@ -93,8 +101,8 @@ pub struct LatencyModel {
 }
 
 impl LatencyModel {
-    /// The zero model: no latency, unit service rate. An async run under
-    /// this model is bit-identical to the round engine.
+    /// The zero model: no latency, unit service rate. A run under this
+    /// model is bit-identical to one without a latency layer.
     pub fn zero() -> Self {
         LatencyModel {
             seed: 0,
@@ -241,7 +249,36 @@ fn to_ticks(rounds: f64) -> u64 {
     (rounds.max(0.0) * TICKS_PER_ROUND as f64) as u64
 }
 
-/// Runtime state of a [`LatencyModel`] inside the async engine: the
+/// A message parked on the tick heap, ordered by `(due, seq)` so a
+/// `BinaryHeap<DelayedMsg>` pops the earliest due message first and
+/// preserves crossing order within a tick.
+#[derive(Debug)]
+pub(crate) struct DelayedMsg<M> {
+    pub(crate) due: u64,
+    pub(crate) seq: u64,
+    pub(crate) dir: u32,
+    pub(crate) msg: M,
+}
+
+impl<M> PartialEq for DelayedMsg<M> {
+    fn eq(&self, other: &Self) -> bool {
+        self.due == other.due && self.seq == other.seq
+    }
+}
+impl<M> Eq for DelayedMsg<M> {}
+impl<M> PartialOrd for DelayedMsg<M> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<M> Ord for DelayedMsg<M> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reversed: the heap is a max-heap, we want earliest-due first.
+        (other.due, other.seq).cmp(&(self.due, self.seq))
+    }
+}
+
+/// Runtime state of a [`LatencyModel`] inside the engine: the
 /// precomputed service schedule, per-edge busy horizons (only when the
 /// rate is below 1), and the due-tick heap of parked deliveries.
 #[derive(Debug)]
@@ -332,6 +369,14 @@ impl<M> LatencyState<M> {
             .saturating_add(self.service_ticks)
             .saturating_add(u64::from(fault_delay).saturating_mul(TICKS_PER_ROUND))
             .saturating_add(self.sample_ticks(round, dir))
+    }
+
+    /// Takes over `old`'s parked deliveries and virtual-time span, so
+    /// replacing the model keeps every message in flight.
+    pub(crate) fn inherit_parked(&mut self, old: LatencyState<M>) {
+        self.parked = old.parked;
+        self.seq = old.seq;
+        self.last_tick = old.last_tick;
     }
 
     /// Parks a delivery for release at tick `due`.

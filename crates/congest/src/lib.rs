@@ -19,17 +19,18 @@
 //! cuts/partitions — without giving up replayability (see [`faults`
 //! module docs](FaultPlan)).
 //!
-//! Three executors share these semantics behind the [`Executor`] trait:
+//! Two executors share these semantics behind the [`Executor`] trait:
 //! the event-driven [`Engine`] (skips idle rounds in `O(1)` — essential
-//! for the paper's fixed-`T` schedules), the sharded multi-threaded
-//! [`ThreadedEngine`], and the asynchronous [`AsyncEngine`], which
-//! replaces the constant one-round hop with a seeded [`LatencyModel`]
-//! (fixed, uniform, or log-normal per-crossing latency plus per-edge
+//! for the paper's fixed-`T` schedules) and the sharded multi-threaded
+//! [`ThreadedEngine`]. The engine also runs the asynchronous model: an
+//! optional latency layer ([`Engine::set_latency`]) replaces the
+//! constant one-round hop with a seeded [`LatencyModel`] (fixed,
+//! uniform, or log-normal per-crossing latency plus per-edge
 //! service-rate queueing). Synchronous executions are bit-identical
 //! across engines and thread counts for protocols honouring the
-//! [`Protocol`] no-op contract, and the async engine rejoins them bit
-//! for bit under [`LatencyModel::zero`] — so drivers choose executors
-//! on performance, and latency models on what they want to study.
+//! [`Protocol`] no-op contract, and a latent run rejoins them bit for
+//! bit under [`LatencyModel::zero`] — so drivers choose executors on
+//! performance, and latency models on what they want to study.
 //!
 //! # Example: flooding the maximum id
 //!
@@ -49,7 +50,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod async_engine;
 mod engine;
 mod exec;
 mod faults;
@@ -63,8 +63,6 @@ mod threaded;
 mod trace;
 
 pub mod testing;
-
-pub use async_engine::AsyncEngine;
 
 /// Narrows a node/edge/slot index to the engine's `u32` arena
 /// representation: the single sanctioned narrowing point in the hot

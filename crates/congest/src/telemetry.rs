@@ -111,7 +111,8 @@ pub struct RoundSample {
     pub max_backlog: u64,
     /// Messages dropped by the fault layer this round.
     pub dropped: u64,
-    /// Messages parked (fault-delay or latency heap) at round end.
+    /// Messages parked on the latency heap (latency or fault delay) at
+    /// round end.
     pub parked: u64,
     /// Virtual-time tick at the round's end boundary.
     pub tick: u64,
@@ -138,9 +139,11 @@ pub enum SpanStage {
     Callbacks,
     /// The transmission phase: queue pops, fresh sends, inbox pushes.
     Deliver,
-    /// The fault filter inside delivery (cuts, crashes, drops, delays).
+    /// The fault filter inside delivery (cuts, crashes, drops, delays),
+    /// while a fault plan is installed.
     FaultFilter,
-    /// The latency heap inside delivery (async executor only).
+    /// The latency heap's releases inside delivery, while a latency
+    /// layer is installed.
     LatencyHeap,
 }
 
@@ -252,7 +255,7 @@ struct SpanProfiler {
 }
 
 /// Runtime telemetry state, boxed behind the engine's single
-/// `Option` branch (mirroring `FaultState`).
+/// `Option` branch (mirroring the fault and latency layers).
 #[derive(Debug)]
 pub(crate) struct TelemetryState {
     cfg: TelemetryConfig,

@@ -6,7 +6,6 @@ use std::sync::Arc;
 
 use welle_graph::{Graph, Port};
 
-use crate::async_engine::AsyncEngine;
 use crate::engine::{Engine, EngineConfig, RunOutcome};
 use crate::exec::Exec;
 use crate::faults::FaultPlan;
@@ -19,8 +18,8 @@ use crate::threaded::ThreadedEngine;
 /// Every concrete executor choice a cross-executor equivalence check
 /// should cover, labelled for assertion messages: the serial engine
 /// (the oracle), the sharded engine at one and several workers, and
-/// the async engine under the zero-latency model (which contracts to
-/// be bit-identical to serial). Suites that iterate this list pick up
+/// the engine under the zero latency model (which contracts to be
+/// bit-identical to serial). Suites that iterate this list pick up
 /// new executors automatically instead of enumerating them by hand.
 pub fn all_execs() -> [(&'static str, Exec); 4] {
     [
@@ -62,8 +61,12 @@ pub fn run_everywhere<P: Protocol>(
     for (name, exec) in all_execs() {
         let nodes: Vec<P> = (0..graph.n()).map(&make).collect();
         let (outcome, metrics, report) = match exec {
-            Exec::Serial => {
+            Exec::Serial | Exec::Async(_) => {
                 let mut e = Engine::new(Arc::clone(graph), nodes, cfg);
+                if let Exec::Async(model) = exec {
+                    // welle-lint: allow(no-lib-unwrap) — test-support harness: all_execs lists only valid models
+                    e.set_latency(model).expect("latency model is valid");
+                }
                 if let Some(plan) = faults {
                     // welle-lint: allow(no-lib-unwrap) — test-support harness: a misfitting plan is a broken test, and panicking is its assertion mechanism
                     e.set_fault_plan(plan).expect("fault plan fits the graph");
@@ -79,18 +82,6 @@ pub fn run_everywhere<P: Protocol>(
                 if k > 1 {
                     e.set_inline_cutoff(0);
                 }
-                if let Some(plan) = faults {
-                    // welle-lint: allow(no-lib-unwrap) — test-support harness: a misfitting plan is a broken test, and panicking is its assertion mechanism
-                    e.set_fault_plan(plan).expect("fault plan fits the graph");
-                }
-                if let Some(tcfg) = telemetry {
-                    e.set_telemetry(tcfg);
-                }
-                let out = e.run(round_limit);
-                (out, e.metrics().clone(), e.take_telemetry())
-            }
-            Exec::Async(model) => {
-                let mut e = AsyncEngine::new(Arc::clone(graph), nodes, cfg, model);
                 if let Some(plan) = faults {
                     // welle-lint: allow(no-lib-unwrap) — test-support harness: a misfitting plan is a broken test, and panicking is its assertion mechanism
                     e.set_fault_plan(plan).expect("fault plan fits the graph");

@@ -29,7 +29,7 @@ use std::sync::{Arc, Barrier, Mutex};
 use rand::rngs::StdRng;
 use welle_graph::{Graph, NodeId, Port};
 
-use crate::engine::{Engine, EngineConfig, RunOutcome, Transmitter};
+use crate::engine::{Engine, EngineConfig, RunOutcome};
 use crate::faults::{CompiledFaultPlan, CompiledFaults, FaultError, FaultPlan};
 use crate::metrics::{Metrics, NoopObserver, TransmitObserver};
 use crate::protocol::{Context, Protocol, Signal};
@@ -213,7 +213,7 @@ struct RoundAgg {
     wake_entries: usize,
 }
 
-/// The executor-specific delivery sink for [`Transmitter`]: routes a
+/// The executor-specific delivery sink for the inner engine's wire: routes a
 /// delivered message to the owning shard's inbox and maintains the
 /// shard's active list (and the driver's nonempty-inbox count).
 fn shard_sink<'v, 's, P: Protocol>(
@@ -509,7 +509,8 @@ impl<P: Protocol> ThreadedEngine<P> {
                 barrier: &barrier,
             };
             loop {
-                if let Some(out) = self.check_stopped(&agg, round_limit) {
+                let (idle, done, wake) = (agg.inbox_total == 0, agg.done_total, agg.min_wake);
+                if let Some(out) = self.inner.check_stop(idle, done, wake, round_limit) {
                     break out;
                 }
                 let starting = !self.inner.started;
@@ -579,68 +580,15 @@ impl<P: Protocol> ThreadedEngine<P> {
                     }
                 }
                 agg = self.merge_and_transmit(&mut guards, starting, obs, callbacks_run, t_round);
-                drop(guards);
-                self.inner.round += 1;
             }
         })
     }
 
-    /// Pre-round bookkeeping shared with the serial engine: idle
-    /// detection (skipping ahead to the next wake in `O(1)`),
-    /// termination, and the round limit. Returns `Some` when the run is
-    /// over.
-    fn check_stopped(&mut self, agg: &RoundAgg, round_limit: u64) -> Option<RunOutcome> {
-        if self.inner.started {
-            let round = self.inner.round;
-            let drained = agg.inbox_total == 0
-                && self.inner.pending.is_empty()
-                && self.inner.queues.in_flight() == 0;
-            let parked = self.inner.faults.as_ref().map_or(0, |f| f.parked());
-            if drained && parked == 0 {
-                if agg.done_total == self.inner.graph.n() {
-                    return Some(RunOutcome::Done { round });
-                }
-                match agg.min_wake {
-                    None => return Some(RunOutcome::Quiescent { round }),
-                    Some(r) => {
-                        if r > round {
-                            self.inner.round = r;
-                        }
-                    }
-                }
-            } else if drained {
-                // Only fault-parked messages remain: the serial engine's
-                // O(1) skip to the earlier of next release and next wake.
-                let due = self
-                    .inner
-                    .faults
-                    .as_ref()
-                    .and_then(|f| f.next_due())
-                    // welle-lint: allow(no-lib-unwrap) — invariant: the `!drained` branch above established parked > 0, and every parked message carries a due round
-                    .expect("parked > 0 implies a next due round");
-                let target = match agg.min_wake {
-                    Some(r) => due.min(r),
-                    None => due,
-                };
-                if target > round {
-                    self.inner.round = target;
-                }
-            }
-        }
-        // Re-read the round: an idle skip above may have moved it past
-        // the limit, and the serial engine stops in that case too.
-        if self.inner.round >= round_limit {
-            return Some(RunOutcome::RoundLimit {
-                round: self.inner.round,
-            });
-        }
-        None
-    }
-
-    /// The serial half of a round: transmit the backlog, drain any
-    /// signal sends, then every shard's fresh sends in node order
-    /// (determinism); deliver into shard inboxes and collect the
-    /// aggregates.
+    /// The serial half of a round: fold every shard's bookkeeping into
+    /// the inner engine, transmit through its wire — the backlog, any
+    /// signal sends, then every shard's fresh sends in shard (= node)
+    /// order (determinism) into shard inboxes — close the round, and
+    /// collect the aggregates.
     fn merge_and_transmit<O: TransmitObserver + ?Sized>(
         &mut self,
         shards: &mut [impl DerefMut<Target = Shard<P>>],
@@ -651,119 +599,43 @@ impl<P: Protocol> ThreadedEngine<P> {
     ) -> RoundAgg {
         let shard_len = shards[0].nodes.len().max(1);
         let mut any_activity = starting;
-        let mut transmitted = false;
+        let mut outboxes = Vec::with_capacity(shards.len());
+        for shard in shards.iter_mut() {
+            any_activity |= shard.ran;
+            if let Some(tag) = shard.phase_seen.take() {
+                self.inner.phase_seen = Some(match self.inner.phase_seen {
+                    Some(cur) => cur.max(tag),
+                    None => tag,
+                });
+            }
+            let base = shard.base;
+            while let Some((local, cnt)) = shard.sent_log.pop() {
+                self.inner.metrics.sent_by_node[base + local as usize] += cnt as u64;
+            }
+            outboxes.push(std::mem::take(&mut shard.outbox));
+        }
 
-        // Backlogged edges deliver their queue head first (pumped in
-        // bounded chunks) — exactly the serial engine's order; the
-        // discipline itself is the shared [`Transmitter`], only the
-        // shard-routed inbox sink is ours.
-        let mut scratch = std::mem::take(&mut self.inner.deliveries);
-        let mut pending = std::mem::take(&mut self.inner.pending);
-        let mut faults = self.inner.faults.take();
-        let chunk = self.inner.chunk_limit;
-        transmitted |= self.inner.queues.in_flight() > 0
-            || !pending.is_empty()
-            || faults.as_ref().is_some_and(|f| f.due_now(self.inner.round));
         let mut inbox_total = 0usize;
         let mut tel = self.inner.telemetry.take();
-        let t_deliver = tel.as_deref_mut().and_then(|t| t.begin(SpanStage::Deliver));
-        let flow;
-        {
-            let mut tx = Transmitter::new(
-                &self.inner.graph,
-                &mut self.inner.queues,
-                &mut self.inner.last_carried,
-                self.inner.round,
-            );
+        let (flow, transmitted) = {
             let mut views: Vec<&mut Shard<P>> =
                 shards.iter_mut().map(|s| s.deref_mut()).collect();
-            {
-                let mut sink = shard_sink(&mut views, shard_len, &mut inbox_total);
-                match faults.as_deref_mut() {
-                    None => {
-                        tx.pump_backlog(&mut scratch, chunk, obs, &mut sink);
-                        // Signal sends queued between runs (see
-                        // `Engine::signal`).
-                        for (dir, msg) in pending.drain() {
-                            tx.offer(dir as usize, msg, obs, &mut sink);
-                        }
-                    }
-                    Some(fs) => {
-                        tx.release_due(fs, obs, &mut sink);
-                        tx.pump_backlog_faulty(fs, &mut scratch, chunk, obs, &mut sink);
-                        for (dir, msg) in pending.drain() {
-                            tx.offer_faulty(fs, dir as usize, msg, obs, &mut sink);
-                        }
-                    }
-                }
-            }
-
-            // Then the round's fresh sends, in shard (= node) order:
-            // deliver directly when the edge is idle this round, join
-            // the backlog otherwise.
-            for s in 0..views.len() {
-                any_activity |= views[s].ran;
-                if let Some(tag) = views[s].phase_seen.take() {
-                    self.inner.phase_seen = Some(match self.inner.phase_seen {
-                        Some(cur) => cur.max(tag),
-                        None => tag,
-                    });
-                }
-                let base = views[s].base;
-                while let Some((local, cnt)) = views[s].sent_log.pop() {
-                    self.inner.metrics.sent_by_node[base + local as usize] += cnt as u64;
-                }
-                let mut outbox = std::mem::take(&mut views[s].outbox);
-                transmitted |= !outbox.is_empty();
-                {
-                    let mut sink = shard_sink(&mut views, shard_len, &mut inbox_total);
-                    match faults.as_deref_mut() {
-                        None => {
-                            for (dir, msg) in outbox.drain() {
-                                tx.offer(dir as usize, msg, obs, &mut sink);
-                            }
-                        }
-                        Some(fs) => {
-                            for (dir, msg) in outbox.drain() {
-                                tx.offer_faulty(fs, dir as usize, msg, obs, &mut sink);
-                            }
-                        }
-                    }
-                }
-                views[s].outbox = outbox; // recycle the allocation
-            }
-            flow = tx.finish(&mut self.inner.metrics);
+            let mut sink = shard_sink(&mut views, shard_len, &mut inbox_total);
+            self.inner.wire.transmit(
+                &self.inner.graph,
+                self.inner.round,
+                &mut outboxes,
+                tel.as_deref_mut(),
+                obs,
+                &mut sink,
+            )
+        };
+        for (shard, outbox) in shards.iter_mut().zip(outboxes) {
+            shard.outbox = outbox; // recycle the allocation
         }
-        if let Some(t) = tel.as_deref_mut() {
-            t.end(SpanStage::Deliver, t_deliver, flow.messages);
-        }
-        self.inner.faults = faults;
-        self.inner.deliveries = scratch;
-        self.inner.pending = pending;
-
-        if any_activity || transmitted {
-            self.inner.metrics.active_rounds += 1;
-            if let Some(t) = tel.as_deref_mut() {
-                let parked = self.inner.faults.as_ref().map_or(0, |f| f.parked()) as u64;
-                let tick = self
-                    .inner
-                    .round
-                    .saturating_add(1)
-                    .saturating_mul(crate::latency::TICKS_PER_ROUND);
-                t.end_round(
-                    self.inner.round,
-                    self.inner.phase_seen.take(),
-                    callbacks_run,
-                    &flow,
-                    parked,
-                    tick,
-                );
-            }
-        }
-        if let Some(t) = tel.as_deref_mut() {
-            t.end(SpanStage::Round, t_round, callbacks_run + flow.messages);
-        }
-        self.inner.telemetry = tel;
+        let active = any_activity || transmitted;
+        let inner = &mut self.inner;
+        inner.close_round(tel, active, callbacks_run, &flow, t_round);
 
         RoundAgg {
             inbox_total,

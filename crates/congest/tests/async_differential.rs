@@ -1,4 +1,5 @@
-//! Differential suite locking [`AsyncEngine`] to the round engine.
+//! Differential suite locking the engine's latency layer to the round
+//! engine without it.
 //!
 //! The async executor's contract has two halves:
 //!
@@ -17,7 +18,7 @@ use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use welle_congest::testing::FloodMax;
 use welle_congest::{
-    AsyncEngine, Engine, EngineConfig, FaultPlan, LatencyModel, Metrics, RecordingObserver,
+    Engine, EngineConfig, FaultPlan, LatencyModel, Metrics, RecordingObserver,
     TransmitEvent,
 };
 use welle_graph::Graph;
@@ -90,7 +91,8 @@ fn run_async(g: &Arc<Graph>, seed: u64, model: LatencyModel, plan: Option<&Fault
         seed,
         bandwidth_bits: None,
     };
-    let mut e = AsyncEngine::from_fn(Arc::clone(g), cfg, model, mk_node);
+    let mut e = Engine::from_fn(Arc::clone(g), cfg, mk_node);
+    e.set_latency(model).unwrap();
     if let Some(p) = plan {
         e.set_fault_plan(p).unwrap();
     }

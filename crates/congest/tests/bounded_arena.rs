@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use welle_congest::testing::FloodMax;
 use welle_congest::{
-    AsyncEngine, Engine, EngineConfig, FaultPlan, LatencyModel, Metrics, RecordingObserver,
+    Engine, EngineConfig, FaultPlan, LatencyModel, Metrics, RecordingObserver,
     ThreadedEngine, TransmitEvent,
 };
 use welle_graph::Graph;
@@ -125,7 +125,8 @@ fn run_async_zero(
         seed,
         bandwidth_bits: None,
     };
-    let mut e = AsyncEngine::from_fn(Arc::clone(g), cfg, LatencyModel::zero(), mk_node);
+    let mut e = Engine::from_fn(Arc::clone(g), cfg, mk_node);
+    e.set_latency(LatencyModel::zero()).unwrap();
     if let Some(c) = chunk {
         e.set_transmit_chunk(c);
     }

@@ -32,7 +32,7 @@ use welle_graph::Graph;
 use crate::config::{ElectionConfig, Params};
 use crate::election::{Election, Exec};
 use crate::error::ConfigError;
-use crate::runner::{plan_for, run_resolved, ElectionReport, ExecPlan, PooledEngine};
+use crate::runner::{plan_for, ElectionReport, PooledEngine, RunSpec};
 use crate::scheduler::run_pool;
 use crate::sink::{ParsedTrial, StreamSink};
 
@@ -265,10 +265,11 @@ pub struct CampaignReport {
     pub trials: Vec<Trial>,
     /// One aggregate per scenario, in scenario order.
     pub summaries: Vec<CampaignSummary>,
-    /// Serial engines constructed while running the trials. With the
-    /// pooled trial scheduler this stays at (at most) one per worker
-    /// thread — not one per trial — because workers reset and reuse
-    /// their engine's arenas between trials. Reuse is also bounded: a
+    /// Round engines ([`welle_congest::Engine`], serial or latent)
+    /// constructed while running the trials. Every trial runner — each
+    /// worker of the trial pool, or the single serial loop — keeps one
+    /// engine and resets it between trials, so this stays at (at most)
+    /// one per runner, not one per trial. Reuse is also bounded: a
     /// reset sheds any message arena left far oversized for the next
     /// trial's graph (the high-water shrink rule on
     /// [`welle_congest::Engine::reset_with`]), so a campaign mixing a
@@ -603,7 +604,7 @@ impl<'o> Campaign<'o> {
     ///
     /// Returns the first [`ConfigError`] among the scenarios — checked
     /// before anything is simulated — [`ConfigError::NoSeeds`] for an
-    /// empty seed set, [`ConfigError::ZeroThreads`] for
+    /// empty seed set, [`ConfigError::ZeroTrialThreads`] for
     /// `trial_threads(0)`, and sink/manifest failures as
     /// [`ConfigError::SinkIo`] / [`ConfigError::ResumeMismatch`].
     pub fn run(self) -> Result<CampaignReport, ConfigError> {
@@ -623,7 +624,7 @@ impl<'o> Campaign<'o> {
             return Err(ConfigError::NoSeeds);
         }
         let workers = match trial_threads {
-            Some(0) => return Err(ConfigError::ZeroThreads),
+            Some(0) => return Err(ConfigError::ZeroTrialThreads),
             Some(k) => k,
             None => default_trial_threads(),
         };
@@ -716,57 +717,34 @@ impl<'o> Campaign<'o> {
             trials.push(trial);
         };
 
-        let engines_built = if workers > 1 && obs.is_none() {
-            let run_one = |pool: &mut PooledEngine, u: usize| {
-                let (si, seed) = order[start + u];
-                let (params, plan, faults) = &prepared[si];
-                match plan {
-                    ExecPlan::Serial => pool.run(
-                        &scenarios[si].graph,
-                        params,
-                        seed,
-                        faults.as_ref(),
-                        telem,
-                        &mut NoopObserver,
-                    ),
-                    other => run_resolved(
-                        &scenarios[si].graph,
-                        Arc::clone(params),
-                        *other,
-                        seed,
-                        faults.as_ref(),
-                        telem,
-                        &mut NoopObserver,
-                    ),
-                }
+        // One trial, pooled or not: the only place a trial is run.
+        let trial = |pool: &mut PooledEngine, i: usize, obs: &mut dyn TransmitObserver| {
+            let (si, seed) = order[i];
+            let (params, plan, faults) = &prepared[si];
+            let spec = RunSpec {
+                graph: &scenarios[si].graph,
+                params,
+                plan: *plan,
+                faults: faults.as_ref(),
+                telem,
             };
+            pool.run(&spec, seed, obs)
+        };
+        let engines_built = if workers > 1 && obs.is_none() {
+            let run_one =
+                |pool: &mut PooledEngine, u: usize| trial(pool, start + u, &mut NoopObserver);
             run_pool(stop_at - start, workers, run_one, |u, report| {
                 record(start + u, report)
             })
         } else {
             let mut pool = PooledEngine::new();
             let mut noop = NoopObserver;
-            for (i, &(si, seed)) in order.iter().enumerate().take(stop_at).skip(start) {
-                let (params, plan, faults) = &prepared[si];
+            for i in start..stop_at {
                 let o: &mut dyn TransmitObserver = match obs.as_deref_mut() {
                     Some(o) => o,
                     None => &mut noop,
                 };
-                let report = match plan {
-                    ExecPlan::Serial => {
-                        pool.run(&scenarios[si].graph, params, seed, faults.as_ref(), telem, o)
-                    }
-                    other => run_resolved(
-                        &scenarios[si].graph,
-                        Arc::clone(params),
-                        *other,
-                        seed,
-                        faults.as_ref(),
-                        telem,
-                        o,
-                    ),
-                };
-                record(i, report);
+                record(i, trial(&mut pool, i, o));
             }
             pool.built
         };
@@ -791,6 +769,7 @@ impl<'o> Campaign<'o> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::ExecPlan;
     use welle_graph::gen;
 
     fn graph() -> Arc<Graph> {
@@ -1226,7 +1205,20 @@ mod tests {
             .seeds(0..1000) // would be expensive if it ran anything
             .run()
             .unwrap_err();
-        assert_eq!(err, ConfigError::ZeroThreads);
+        assert_eq!(err, ConfigError::ZeroTrialThreads);
+        assert_eq!(
+            err.to_string(),
+            "Campaign::trial_threads needs at least one trial worker thread"
+        );
+        let engine = Campaign::new(Election::on(&g).executor(Exec::Threaded(0)))
+            .seeds(0..1000)
+            .run()
+            .unwrap_err();
+        assert_eq!(engine, ConfigError::ZeroThreads);
+        assert_eq!(
+            engine.to_string(),
+            "Exec::Threaded needs at least one worker thread"
+        );
     }
 
     #[test]

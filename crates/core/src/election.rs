@@ -23,7 +23,7 @@ use welle_graph::Graph;
 
 use crate::config::{ElectionConfig, Params};
 use crate::error::ConfigError;
-use crate::runner::{plan_for, run_resolved, ElectionReport};
+use crate::runner::{plan_for, run_resolved, ElectionReport, RunSpec};
 
 /// Which CONGEST executor drives the election (re-exported from
 /// [`welle_congest`], where the executors live). `Exec::Async` opens
@@ -162,15 +162,14 @@ impl<'g, 'o> Election<'g, 'o> {
             Some(o) => o,
             None => &mut noop,
         };
-        Ok(run_resolved(
+        let spec = RunSpec {
             graph,
-            params,
+            params: &params,
             plan,
-            seed,
-            compiled.as_ref(),
+            faults: compiled.as_ref(),
             telem,
-            obs,
-        ))
+        };
+        Ok(run_resolved(&spec, seed, obs))
     }
 }
 

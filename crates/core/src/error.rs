@@ -37,6 +37,9 @@ pub enum ConfigError {
     /// [`Exec::Threaded`](crate::Exec::Threaded) was given zero worker
     /// threads.
     ZeroThreads,
+    /// [`Campaign::trial_threads`](crate::Campaign::trial_threads) was
+    /// given zero trial worker threads.
+    ZeroTrialThreads,
     /// A [`Campaign`](crate::Campaign) was asked to run with no seeds.
     NoSeeds,
     /// A [`FaultPlan`](crate::FaultPlan) does not fit the graph it was
@@ -85,6 +88,12 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::ZeroThreads => {
                 write!(f, "Exec::Threaded needs at least one worker thread")
+            }
+            ConfigError::ZeroTrialThreads => {
+                write!(
+                    f,
+                    "Campaign::trial_threads needs at least one trial worker thread"
+                )
             }
             ConfigError::NoSeeds => write!(f, "campaign has no seeds to run"),
             ConfigError::Fault(e) => write!(f, "fault plan rejected: {e}"),

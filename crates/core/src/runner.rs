@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use welle_congest::{
-    AsyncEngine, CompiledFaultPlan, Engine, EngineConfig, Exec, Executor, LatencyModel,
-    RunOutcome, TelemetryConfig, TelemetryReport, ThreadedEngine, TransmitObserver,
+    CompiledFaultPlan, Engine, EngineConfig, Exec, Executor, LatencyModel, RunOutcome,
+    TelemetryConfig, TelemetryReport, ThreadedEngine, TransmitObserver,
 };
 use welle_graph::Graph;
 
@@ -23,7 +23,8 @@ pub(crate) enum ExecPlan {
     Serial,
     /// The sharded engine with this many workers (≥ 1).
     Threaded(usize),
-    /// The async engine under this (validated) latency model.
+    /// The serial engine with its latency layer under this (validated)
+    /// model.
     Async(LatencyModel),
 }
 
@@ -176,78 +177,36 @@ impl ElectionReport {
     }
 }
 
-/// Builds the engine named by `plan` (see [`plan_for`]), installs the
-/// pre-compiled fault plan when one is set (compiled once per scenario
-/// by the callers — see [`welle_congest::FaultPlan::compile_for`] —
-/// not once per trial), drives the election to completion, and
-/// summarizes. The one
-/// code path from validated parameters to [`ElectionReport`];
-/// everything above — builder and campaign — funnels through here.
-pub(crate) fn run_resolved(
-    graph: &Arc<Graph>,
-    params: Arc<Params>,
-    plan: ExecPlan,
-    seed: u64,
-    faults: Option<&CompiledFaultPlan>,
-    telem: Option<TelemetryConfig>,
-    obs: &mut dyn TransmitObserver,
-) -> ElectionReport {
-    let engine_cfg = EngineConfig {
-        seed,
-        bandwidth_bits: params.bandwidth_bits,
-    };
-    let cfg = params.cfg;
-    match plan {
-        ExecPlan::Serial => {
-            let mut engine = Engine::from_fn(Arc::clone(graph), engine_cfg, |_| {
-                ElectionNode::new(Arc::clone(&params))
-            });
-            if let Some(plan) = faults {
-                engine.set_compiled_faults(plan);
-            }
-            if let Some(tcfg) = telem {
-                engine.set_telemetry(tcfg);
-            }
-            let outcome = drive(&mut engine, &params, &cfg, obs);
-            let recorded = engine.take_telemetry();
-            summarize(&engine, outcome, recorded)
-        }
-        ExecPlan::Threaded(k) => {
-            let mut engine = ThreadedEngine::from_fn(Arc::clone(graph), engine_cfg, k, |_| {
-                ElectionNode::new(Arc::clone(&params))
-            });
-            if let Some(plan) = faults {
-                engine.set_compiled_faults(plan);
-            }
-            if let Some(tcfg) = telem {
-                engine.set_telemetry(tcfg);
-            }
-            let outcome = drive(&mut engine, &params, &cfg, obs);
-            let recorded = engine.take_telemetry();
-            summarize(&engine, outcome, recorded)
-        }
-        ExecPlan::Async(model) => {
-            let mut engine =
-                AsyncEngine::from_fn(Arc::clone(graph), engine_cfg, model, |_| {
-                    ElectionNode::new(Arc::clone(&params))
-                });
-            if let Some(plan) = faults {
-                engine.set_compiled_faults(plan);
-            }
-            if let Some(tcfg) = telem {
-                engine.set_telemetry(tcfg);
-            }
-            let outcome = drive(&mut engine, &params, &cfg, obs);
-            let recorded = engine.take_telemetry();
-            summarize(&engine, outcome, recorded)
-        }
-    }
+/// Everything a trial runs besides its seed: one validated scenario
+/// (see [`plan_for`]) and the layers to install. Fault plans are
+/// compiled once per scenario by the callers — see
+/// [`welle_congest::FaultPlan::compile_for`] — not once per trial.
+#[derive(Clone, Copy)]
+pub(crate) struct RunSpec<'a> {
+    pub(crate) graph: &'a Arc<Graph>,
+    pub(crate) params: &'a Arc<Params>,
+    pub(crate) plan: ExecPlan,
+    pub(crate) faults: Option<&'a CompiledFaultPlan>,
+    pub(crate) telem: Option<TelemetryConfig>,
 }
 
-/// A serial engine recycled across trials: the campaign scheduler keeps
-/// one of these per worker, so a thousand-trial sweep builds (at most)
-/// one engine per worker thread and every later trial reuses its arenas
-/// via [`Engine::reset_with`] instead of re-allocating. Reuse also
+/// Runs one trial on a freshly built engine: the one code path from
+/// validated parameters to [`ElectionReport`] that everything above —
+/// builder and campaign — funnels through (the campaign's workers reuse
+/// their engine through [`PooledEngine::run`] instead).
+pub(crate) fn run_resolved(
+    spec: &RunSpec<'_>,
+    seed: u64,
+    obs: &mut dyn TransmitObserver,
+) -> ElectionReport {
+    PooledEngine::new().run(spec, seed, obs)
+}
+
+/// A round engine (serial or latent) recycled across trials: the
+/// campaign scheduler keeps one of these per worker, so a thousand-trial
+/// sweep builds (at most) one engine per worker thread and every later
+/// trial reuses its arenas via [`Engine::reset_with`] instead of
+/// re-allocating. Reuse also
 /// bounds memory in mixed-scale campaigns: a reset sheds any message
 /// arena left far oversized for the next trial's graph (see the
 /// high-water shrink rule on [`Engine::reset_with`]).
@@ -266,43 +225,64 @@ impl PooledEngine {
         }
     }
 
-    /// Runs one serial trial on the pooled engine, building it on first
-    /// use and resetting it afterwards. Bit-identical to
-    /// [`run_resolved`] with `threads = None` — both construct the same
-    /// initial engine state.
+    /// Runs one trial: on the pooled engine — built on first use, reset
+    /// afterwards, with the latency layer installed for latent plans —
+    /// or, for [`ExecPlan::Threaded`], on a sharded engine of its own
+    /// that is neither pooled nor counted. A reset engine is
+    /// bit-identical to a fresh one, so the report does not depend on
+    /// which trials the pool ran before.
     pub(crate) fn run(
         &mut self,
-        graph: &Arc<Graph>,
-        params: &Arc<Params>,
+        spec: &RunSpec<'_>,
         seed: u64,
-        faults: Option<&CompiledFaultPlan>,
-        telem: Option<TelemetryConfig>,
         obs: &mut dyn TransmitObserver,
     ) -> ElectionReport {
         let engine_cfg = EngineConfig {
             seed,
-            bandwidth_bits: params.bandwidth_bits,
+            bandwidth_bits: spec.params.bandwidth_bits,
         };
-        let make = |_| ElectionNode::new(Arc::clone(params));
+        let make = |_| ElectionNode::new(Arc::clone(spec.params));
+        let cfg = spec.params.cfg;
+        let latency = match spec.plan {
+            ExecPlan::Threaded(k) => {
+                let mut engine =
+                    ThreadedEngine::from_fn(Arc::clone(spec.graph), engine_cfg, k, make);
+                if let Some(plan) = spec.faults {
+                    engine.set_compiled_faults(plan);
+                }
+                if let Some(tcfg) = spec.telem {
+                    engine.set_telemetry(tcfg);
+                }
+                let outcome = drive(&mut engine, spec.params, &cfg, obs);
+                let recorded = engine.take_telemetry();
+                return summarize(&engine, outcome, recorded);
+            }
+            ExecPlan::Serial => None,
+            ExecPlan::Async(model) => Some(model),
+        };
         let engine = match self.engine.as_mut() {
             Some(e) => {
-                e.reset_with(Arc::clone(graph), engine_cfg, make);
+                e.reset_with(Arc::clone(spec.graph), engine_cfg, make);
                 e
             }
             None => {
                 self.built += 1;
                 self.engine
-                    .insert(Engine::from_fn(Arc::clone(graph), engine_cfg, make))
+                    .insert(Engine::from_fn(Arc::clone(spec.graph), engine_cfg, make))
             }
         };
-        if let Some(plan) = faults {
+        if let Some(model) = latency {
+            let installed = engine.set_latency(model);
+            // welle-lint: allow(no-lib-unwrap) — invariant: plan_for validated the model before building the ExecPlan
+            installed.expect("plan_for validated the model");
+        }
+        if let Some(plan) = spec.faults {
             engine.set_compiled_faults(plan);
         }
-        if let Some(tcfg) = telem {
+        if let Some(tcfg) = spec.telem {
             engine.set_telemetry(tcfg);
         }
-        let cfg = params.cfg;
-        let outcome = drive(engine, params, &cfg, obs);
+        let outcome = drive(engine, spec.params, &cfg, obs);
         // Taken unconditionally: a reused engine must never leak one
         // trial's telemetry into the next.
         let recorded = engine.take_telemetry();
@@ -539,23 +519,29 @@ mod tests {
         let mut pool = PooledEngine::new();
         let mut noop = welle_congest::NoopObserver;
         let mut grown = 0usize;
-        for seed in [1u64, 2, 3, 1] {
-            let pooled = pool.run(&g, &params, seed, None, None, &mut noop);
-            let fresh = run_resolved(
-                &g,
-                Arc::clone(&params),
-                ExecPlan::Serial,
-                seed,
-                None,
-                None,
-                &mut noop,
-            );
+        let latent = ExecPlan::Async(LatencyModel::log_normal(0.3, 0.6).seed(5));
+        for (seed, plan) in [
+            (1u64, ExecPlan::Serial),
+            (2, latent),
+            (3, ExecPlan::Serial),
+            (1, latent),
+        ] {
+            let spec = RunSpec {
+                graph: &g,
+                params: &params,
+                plan,
+                faults: None,
+                telem: None,
+            };
+            let pooled = pool.run(&spec, seed, &mut noop);
+            let fresh = run_resolved(&spec, seed, &mut noop);
             assert_eq!(pooled.leaders, fresh.leaders, "seed {seed}");
             assert_eq!(pooled.messages, fresh.messages, "seed {seed}");
             assert_eq!(pooled.bits, fresh.bits, "seed {seed}");
             assert_eq!(pooled.engine_rounds, fresh.engine_rounds, "seed {seed}");
+            assert_eq!(pooled.virtual_time, fresh.virtual_time, "seed {seed}");
             assert_eq!(pooled.outcome, fresh.outcome, "seed {seed}");
-            if seed == 1 {
+            if seed == 1 && plan == ExecPlan::Serial {
                 grown = pool.arena_capacity();
             }
         }

@@ -159,7 +159,7 @@ impl Check {
             }
             Check::NoAmbientEntropy => !rel.starts_with("crates/bench"),
             Check::TickMathSaturates => {
-                matches!(base, "async_engine.rs" | "faults.rs" | "latency.rs")
+                matches!(base, "engine.rs" | "faults.rs" | "latency.rs")
             }
             Check::NoLibUnwrap => {
                 (rel.starts_with("src/") || rel.contains("/src/")) && !rel.starts_with("crates/bench")

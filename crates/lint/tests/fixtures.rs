@@ -35,7 +35,7 @@ fn every_check_fires_on_its_bad_fixture() {
     let expect = [
         ("no-hash-iter", "crates/congest/src/hash_iter.rs", 2),
         ("no-ambient-entropy", "crates/congest/src/entropy.rs", 1),
-        ("tick-math-saturates", "crates/congest/src/async_engine.rs", 2),
+        ("tick-math-saturates", "crates/congest/src/engine.rs", 2),
         ("no-lib-unwrap", "crates/congest/src/unwraps.rs", 2),
         ("no-float-eq", "crates/congest/src/float_eq.rs", 2),
         ("no-narrowing-cast", "crates/congest/src/casts.rs", 1),
@@ -77,7 +77,7 @@ fn bad_fixture_findings_do_not_cross_files() {
     let paired = [
         ("no-hash-iter", "hash_iter.rs"),
         ("no-ambient-entropy", "entropy.rs"),
-        ("tick-math-saturates", "async_engine.rs"),
+        ("tick-math-saturates", "engine.rs"),
         ("no-lib-unwrap", "unwraps.rs"),
         ("no-float-eq", "float_eq.rs"),
         ("no-narrowing-cast", "casts.rs"),

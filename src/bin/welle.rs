@@ -390,6 +390,17 @@ fn parse() -> Result<Args, String> {
     if args.resume && args.out.is_none() {
         return Err("--resume needs --out (the CSV file is the resume manifest)".to_string());
     }
+    // The run's seeds are `--seed` and the `--seeds - 1` after it; the
+    // last of them must still be a u64.
+    let extra_seeds = u64::try_from(args.seeds.saturating_sub(1)).unwrap_or(u64::MAX);
+    if args.seed.checked_add(extra_seeds).is_none() {
+        return Err(format!(
+            "--seed {} with --seeds {} runs past the largest seed, {}",
+            args.seed,
+            args.seeds,
+            u64::MAX
+        ));
+    }
     if args.explicit && (args.round_log.is_some() || args.phase_table || args.profile) {
         return Err(
             "telemetry options (--round-log/--phase-table/--profile) are not supported \
@@ -509,11 +520,13 @@ fn main() -> ExitCode {
         None
     };
     let mut ok = true;
+    // `parse` checked that the last seed does not pass u64::MAX.
+    let first_seed = args.seed;
+    let seeds = (0..args.seeds as u64).map(move |k| first_seed + k);
     if args.explicit {
         // The two-stage explicit election (implicit + broadcast) has its
         // own driver; the implicit stage inside it runs on the builder.
-        for k in 0..args.seeds {
-            let seed = args.seed + k as u64;
+        for seed in seeds {
             let rep = run_explicit_election(&graph, &cfg, 10_000_000, seed);
             println!(
                 "seed {seed}: leaders={:?} elect_msgs={} bcast_msgs={:?} success={}",
@@ -571,7 +584,7 @@ fn main() -> ExitCode {
         } else {
             strict_labels.push(args.family.clone());
         }
-        campaign = campaign.seeds(args.seed..args.seed + args.seeds as u64);
+        campaign = campaign.seeds(seeds);
         if let Some(k) = args.trial_threads {
             campaign = campaign.trial_threads(k);
         }

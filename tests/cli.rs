@@ -69,6 +69,35 @@ fn incompatible_flags_are_rejected_up_front() {
 }
 
 #[test]
+fn the_largest_seed_runs_and_a_range_past_it_is_rejected() {
+    let last = welle(&["ring", "16", "--seed", "18446744073709551615", "--cap", "32"]);
+    assert!(last.status.success(), "{last:?}");
+    let stdout = String::from_utf8(last.stdout).unwrap();
+    assert!(stdout.contains("seed 18446744073709551615"), "{stdout}");
+
+    for extra in [&["--seeds", "2"][..], &["--seeds", "2", "--explicit"][..]] {
+        let mut args = vec!["ring", "16", "--seed", "18446744073709551615"];
+        args.extend_from_slice(extra);
+        let past = welle(&args);
+        assert!(!past.status.success(), "{args:?}");
+        let stderr = String::from_utf8(past.stderr).unwrap();
+        assert!(
+            stderr.contains("--seed") && stderr.contains("--seeds"),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn zero_trial_threads_names_the_trial_pool() {
+    let out = welle(&["ring", "16", "--trial-threads", "0"]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("Campaign::trial_threads"), "{stderr}");
+    assert!(!stderr.contains("Exec::Threaded"), "{stderr}");
+}
+
+#[test]
 fn latency_flags_are_validated_and_zero_matches_the_sync_run() {
     // Flag validation: the async executor excludes the sharded one, and
     // the latency sub-options need --latency.
