@@ -673,6 +673,10 @@ impl<P: Protocol> Engine<P> {
                 self.inboxes[i] = inbox; // recycle the allocation
                 any_activity = true;
             }
+            // Callbacks only queue sends, so nothing was delivered into
+            // `inbox_active` meanwhile: hand the allocation back.
+            active.clear();
+            self.inbox_active = active;
         }
         any_activity
     }

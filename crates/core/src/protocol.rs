@@ -8,7 +8,10 @@
 //!    proxy records.
 //! 2. **R1** — proxies send each current-epoch origin its id, walk count
 //!    (the distinctness bit `d`), the set `I1` of other contenders they
-//!    serve, and any known winner — reverse-routed along the trails.
+//!    serve, and any known winner — reverse-routed along the trails: every
+//!    node passes a unit on by its earliest recorded arrival of the
+//!    origin's walks, so the way home never revisits a node and is never
+//!    longer than the walk (see [`welle_walks::Trail`]).
 //! 3. **R2** — contenders send `max(I2 ∪ {u})` (`I2` is the union of the
 //!    received `I1`s) forward to their proxies: one unit per contender.
 //! 4. **R3** — proxies reverse-route `max(I3)` (`I3` is the union of the
@@ -20,7 +23,24 @@
 //!    Distinctness properties; on success they stop, commit their trails
 //!    with a `StopMark` wave, and — if they hold the largest id in `I4`
 //!    and have heard no winner — declare leadership and flood a winner
-//!    wave (proxies relay it to all their contenders).
+//!    wave (proxies reverse-route it to all their contenders).
+//!
+//! **Relay filter.** A node's reverse route towards an origin is fixed
+//! once the walks are done, so every unit it relays towards that origin
+//! follows the first one home. Relays therefore pass on only what the
+//! contender can still use, per `(origin, epoch)`:
+//!
+//! * an `I1` id once (a fragment of several ids goes on, unchanged,
+//!   while any of its ids is new) — the contender reads `I1` only as a
+//!   set, through `|I2|` and its maximum;
+//! * an `I3` maximum only if it exceeds every one relayed before — the
+//!   contender reads `I4` only through its maximum;
+//! * the first winner notice — a contender acts on the first only;
+//! * every proxy's `(id, count)` reply.
+//!
+//! In a fault-free run whose traffic drains within each segment, the
+//! contender therefore receives the same sets and maxima as without the
+//! filter, and decides the same.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -57,6 +77,9 @@ pub struct ElectionNode {
     /// container: seeded-path state must never depend on hash order
     /// (enforced by `welle-lint`'s `no-hash-iter`).
     fwd_seen: BTreeSet<u64>,
+    /// Per-origin reverse relay filter (see the module docs), cleared
+    /// with `fwd_seen`.
+    relayed: BTreeMap<u64, Relayed>,
     winner_heard: Option<u64>,
     winner_relayed_as_proxy: bool,
     /// Next unfired global segment index.
@@ -86,6 +109,7 @@ impl ElectionNode {
             pending_stays: Vec::new(),
             i3_max: None,
             fwd_seen: BTreeSet::new(),
+            relayed: BTreeMap::new(),
             winner_heard: None,
             winner_relayed_as_proxy: false,
             seg_idx: 0,
@@ -192,6 +216,7 @@ impl ElectionNode {
             .retain(|_, r| r.finalized || r.epoch >= epoch);
         self.i3_max = None;
         self.fwd_seen.clear();
+        self.relayed.clear();
 
         let launch = match &mut self.contender {
             Some(c) if c.active => {
@@ -377,22 +402,13 @@ impl ElectionNode {
         }
         let split = split_lazy(count, ctx.degree(), ctx.rng());
         if split.stay > 0 {
-            self.trails
-                .enter_epoch(origin, epoch, walk_len)
-                // welle-lint: allow(no-lib-unwrap) — invariant: enter_epoch for this (origin, epoch) succeeded lines above with the same walk_len
-                .expect("trail just created")
-                .record_out(step, Hop::Stay);
             self.pending_stays
                 .push((origin, epoch, remaining - 1, split.stay));
             let next = ctx.round() + 1;
             ctx.wake_at(next);
         }
         for (port, cnt) in split.moves {
-            self.trails
-                .enter_epoch(origin, epoch, walk_len)
-                // welle-lint: allow(no-lib-unwrap) — invariant: enter_epoch for this (origin, epoch) succeeded lines above with the same walk_len
-                .expect("trail just created")
-                .record_out(step, Hop::Via(port));
+            trail.record_out(port);
             ctx.send(port, ElectionMsg::walk(origin, epoch, remaining - 1, cnt));
         }
     }
@@ -413,33 +429,34 @@ impl ElectionNode {
     }
 
     /// Routes a reverse unit one hop: deliver at the origin, relay along
-    /// the trail (re-addressed, sharing any interned id run), or drop.
+    /// the trail (re-addressed, sharing any interned id run) if the
+    /// contender can still use it, or drop.
     fn route_reverse(&mut self, ctx: &mut Context<'_, ElectionMsg>, msg: ElectionMsg) {
         let MsgView::Rev {
             origin,
             epoch,
-            step,
+            item,
             ..
         } = msg.view()
         else {
             return;
         };
         let route = match self.trails.at_epoch(origin, epoch) {
-            Some(trail) => trail.reverse_route(step),
+            Some(trail) => trail.reverse_route(),
             None => ReverseRoute::Broken,
         };
         match route {
             ReverseRoute::AtOrigin => {
                 if self.id == origin {
-                    if let MsgView::Rev { item, .. } = msg.view() {
-                        self.deliver_to_contender(ctx, epoch, item);
-                    }
+                    self.deliver_to_contender(ctx, epoch, item);
                 } else {
                     self.stats.broken_routes += 1;
                 }
             }
             ReverseRoute::Forward(port, next_step) => {
-                ctx.send(port, msg.with_step(next_step));
+                if self.relayed.entry(origin).or_default().admit(epoch, &item) {
+                    ctx.send(port, msg.with_step(next_step));
+                }
             }
             ReverseRoute::Broken => self.stats.broken_routes += 1,
         }
@@ -511,12 +528,11 @@ impl ElectionNode {
             self.stats.broken_routes += 1;
             return;
         };
-        let ports = trail.distinct_out_ports();
         let is_proxy = self
             .proxies
             .get(&origin)
             .is_some_and(|r| r.epoch == epoch);
-        for port in ports {
+        for &port in trail.distinct_out_ports() {
             // Re-address to step 0 for the next hop; interned id runs
             // are shared, not re-cloned per edge.
             ctx.send(port, msg.with_step(0));
@@ -593,6 +609,53 @@ impl ElectionNode {
             self.route_reverse(ctx, msg);
         } else {
             self.process_forward(ctx, msg);
+        }
+    }
+}
+
+/// What one relay already sent towards one origin in one epoch: the
+/// reverse-path twin of `fwd_seen` (see the module docs).
+#[derive(Debug, Default)]
+struct Relayed {
+    epoch: u32,
+    /// `I1` ids relayed, sorted.
+    i1: Vec<u64>,
+    /// Largest `I3` maximum relayed.
+    i3_max: Option<u64>,
+    /// Whether a winner notice was relayed.
+    winner: bool,
+}
+
+impl Relayed {
+    /// Whether `item`, of `epoch`, can still change what the contender
+    /// computes; records it if so. A unit of another epoch starts over.
+    fn admit(&mut self, epoch: u32, item: &RevItem<'_>) -> bool {
+        if self.epoch != epoch {
+            *self = Relayed {
+                epoch,
+                ..Relayed::default()
+            };
+        }
+        match *item {
+            RevItem::ProxyInfo { .. } => true,
+            RevItem::KnownContenders { ids } => {
+                let mut fresh = false;
+                for &id in ids {
+                    if let Err(at) = self.i1.binary_search(&id) {
+                        self.i1.insert(at, id);
+                        fresh = true;
+                    }
+                }
+                fresh
+            }
+            RevItem::I3Max { id } => {
+                let fresh = self.i3_max.is_none_or(|m| id > m);
+                if fresh {
+                    self.i3_max = Some(id);
+                }
+                fresh
+            }
+            RevItem::Winner { .. } => !std::mem::replace(&mut self.winner, true),
         }
     }
 }

@@ -2,10 +2,10 @@
 //! `HashMap`/`HashSet` protocol state (`fwd_seen`, `proxy_counts`, the
 //! `TrailStore` map) with ordered containers must not change a single
 //! report byte. The pinned rows below were recorded *before* the swap
-//! (their count columns have since fallen with the round-2/3 message
-//! volume); the proptest then holds the stronger invariant the swap exists to
-//! protect — full-report identity across repeated runs and executors on
-//! random graphs and seeds.
+//! (their count columns have since fallen with the message volume of
+//! later protocol changes); the proptest then holds the stronger
+//! invariant the swap exists to protect — full-report identity across
+//! repeated runs and executors on random graphs and seeds.
 
 use std::sync::Arc;
 
@@ -43,77 +43,97 @@ fn run_row(g: &Arc<welle_graph::Graph>, seed: u64, exec: Exec) -> String {
         .csv_row()
 }
 
-/// The columns that the message volume of rounds 2 and 3 drives; every
-/// other column is a decision column.
-const COUNT_COLUMNS: [&str; 9] = [
+/// The columns that message volume drives; every other column is a
+/// decision column. Rounds 2 and 3 carry maxima, and the reverse traffic
+/// of rounds 1 and 3 and the wait phase takes the earliest-visit routes.
+const COUNT_COLUMNS: [&str; 13] = [
     "messages",
     "bits",
     "decided_round",
     "engine_rounds",
     "virtual_time",
+    "r1_rounds",
     "r2_rounds",
     "r3_rounds",
+    "wait_rounds",
+    "r1_msgs",
     "r2_msgs",
     "r3_msgs",
+    "wait_msgs",
 ];
 
-/// `got` must equal the pinned row, and the pin must keep every decision
-/// column of the old row verbatim and no count column above it.
-fn assert_golden(label: &str, got: &str, old: &str, pinned: &str) {
+/// `got` must equal the newest row of `history`, and every row must keep
+/// each decision column of the row before it verbatim and no count
+/// column above it.
+fn assert_golden(label: &str, got: &str, history: &[&str]) {
+    let pinned = history[history.len() - 1];
     assert_eq!(got, pinned, "{label}: drifted from its pin");
     let columns: Vec<&str> = ElectionReport::csv_header().split(',').collect();
-    let old: Vec<&str> = old.split(',').collect();
-    let pinned: Vec<&str> = pinned.split(',').collect();
-    assert_eq!(old.len(), columns.len(), "{label}: old column count");
-    assert_eq!(pinned.len(), columns.len(), "{label}: pinned column count");
-    for ((col, o), p) in columns.iter().zip(old).zip(pinned) {
-        if COUNT_COLUMNS.contains(col) {
-            let (o, p): (f64, f64) = (o.parse().unwrap(), p.parse().unwrap());
-            assert!(p <= o, "{label}: {col} grew from {o} to {p}");
-        } else {
-            assert_eq!(p, o, "{label}: decision column {col} changed");
+    for pair in history.windows(2) {
+        let old: Vec<&str> = pair[0].split(',').collect();
+        let new: Vec<&str> = pair[1].split(',').collect();
+        assert_eq!(old.len(), columns.len(), "{label}: old column count");
+        assert_eq!(new.len(), columns.len(), "{label}: new column count");
+        for ((col, o), p) in columns.iter().zip(old).zip(new) {
+            if COUNT_COLUMNS.contains(col) {
+                let (o, p): (f64, f64) = (o.parse().unwrap(), p.parse().unwrap());
+                assert!(p <= o, "{label}: {col} grew from {o} to {p}");
+            } else {
+                assert_eq!(p, o, "{label}: decision column {col} changed");
+            }
         }
     }
 }
 
-/// Golden rows as `(n, extra, seed, old row, pinned row)`. The old rows
-/// were recorded at the pre-fix tree (hash-based `fwd_seen`,
-/// `proxy_counts`, `TrailStore`), and the ordered-container replacements
-/// reproduced them byte for byte. Sending one maximum id per round-2 and
-/// round-3 unit instead of whole id sets then moved the
-/// [`COUNT_COLUMNS`], and nothing else.
+/// Golden rows as `(n, extra, seed, history)`, each history oldest
+/// first. The first rows were recorded at the pre-fix tree (hash-based
+/// `fwd_seen`, `proxy_counts`, `TrailStore`), and the ordered-container
+/// replacements reproduced them byte for byte. Sending one maximum id
+/// per round-2 and round-3 unit instead of whole id sets gave the second
+/// rows; routing reverse units by each relay's earliest visit, with
+/// relays dropping units the contender cannot use, gave the third. Each
+/// step moved only [`COUNT_COLUMNS`].
 #[test]
 fn pinned_reports_unchanged_by_hash_state_fix() {
     // The ten zero columns are the per-phase breakdown added with the
     // telemetry layer — all zero here because these runs record none.
-    let cases: [(usize, usize, u64, &str, &str); 3] = [
+    let cases: [(usize, usize, u64, [&str; 3]); 3] = [
         (
             48,
             40,
             11,
-            "48,84,12,1,4862562,55049,2724113,1279,1317,16,5,0,0,0,1317,0,0,0,0,0,0,0,0,0,0,true",
-            "48,84,12,1,4862562,18415,880066,470,508,16,5,0,0,0,508,0,0,0,0,0,0,0,0,0,0,true",
+            [
+                "48,84,12,1,4862562,55049,2724113,1279,1317,16,5,0,0,0,1317,0,0,0,0,0,0,0,0,0,0,true",
+                "48,84,12,1,4862562,18415,880066,470,508,16,5,0,0,0,508,0,0,0,0,0,0,0,0,0,0,true",
+                "48,84,12,1,4862562,11126,497616,256,277,16,5,0,0,0,277,0,0,0,0,0,0,0,0,0,0,true",
+            ],
         ),
         (
             40,
             24,
             7,
-            "40,63,16,1,2304460,100023,4761748,2957,2966,64,7,1,0,0,2966,0,0,0,0,0,0,0,0,0,0,true",
-            "40,63,16,1,2304460,31744,1473041,1163,1172,64,7,1,0,0,1172,0,0,0,0,0,0,0,0,0,0,true",
+            [
+                "40,63,16,1,2304460,100023,4761748,2957,2966,64,7,1,0,0,2966,0,0,0,0,0,0,0,0,0,0,true",
+                "40,63,16,1,2304460,31744,1473041,1163,1172,64,7,1,0,0,1172,0,0,0,0,0,0,0,0,0,0,true",
+                "40,63,16,1,2304460,15427,650831,554,563,64,7,1,0,0,563,0,0,0,0,0,0,0,0,0,0,true",
+            ],
         ),
         (
             56,
             60,
             23,
-            "56,113,19,1,9178418,147863,7624009,2860,2868,32,6,0,0,0,2868,0,0,0,0,0,0,0,0,0,0,true",
-            "56,113,19,1,9178418,40162,2010076,959,967,32,6,0,0,0,967,0,0,0,0,0,0,0,0,0,0,true",
+            [
+                "56,113,19,1,9178418,147863,7624009,2860,2868,32,6,0,0,0,2868,0,0,0,0,0,0,0,0,0,0,true",
+                "56,113,19,1,9178418,40162,2010076,959,967,32,6,0,0,0,967,0,0,0,0,0,0,0,0,0,0,true",
+                "56,113,19,1,9178418,21997,1026200,470,478,32,6,0,0,0,478,0,0,0,0,0,0,0,0,0,0,true",
+            ],
         ),
     ];
-    for (n, extra, seed, old, pinned) in cases {
+    for (n, extra, seed, history) in cases {
         let g = random_connected(n, extra, seed);
         let got = run_row(&g, seed ^ 0x5EED, Exec::Serial);
         let label = format!("n={n} extra={extra} seed={seed}");
-        assert_golden(&label, &got, old, pinned);
+        assert_golden(&label, &got, &history);
     }
 }
 

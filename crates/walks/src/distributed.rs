@@ -3,8 +3,9 @@
 //! of length `L`; proxies report back along the recorded trails. Used to
 //! validate (a) that token counts are conserved end-to-end, (b) that the
 //! empirical endpoint distribution matches the exact `P^L` evolution,
-//! and (c) that reverse routing always reaches the origin — independent
-//! of the election protocol built on top.
+//! and (c) that reverse routing, which leaves every node by its earliest
+//! recorded arrival, always reaches the origin — independent of the
+//! election protocol built on top.
 
 use welle_congest::{bits_for, Context, Payload, Protocol};
 use welle_graph::Port;
@@ -25,7 +26,8 @@ pub enum FleetMsg {
     /// A proxy's report travelling back to the origin: how many walks
     /// ended at it.
     Report {
-        /// Step index at the receiving node (reverse-routing state).
+        /// Bound on the receiving node's earliest step: the sender's
+        /// earliest step − 1 (see [`crate::Trail`]).
         step: u32,
         /// Number of walks that ended at the reporting proxy.
         count: u32,
@@ -124,21 +126,12 @@ impl WalkFleetNode {
         }
         let split = split_lazy(count, ctx.degree(), ctx.rng());
         if split.stay > 0 {
-            self.trails
-                .enter_epoch(ORIGIN_KEY, 0, self.walk_len)
-                // welle-lint: allow(no-lib-unwrap) — invariant: this protocol only ever runs epoch 0 with one fixed walk_len
-                .expect("single epoch")
-                .record_out(step, Hop::Stay);
             self.pending_stays.push((remaining - 1, split.stay));
             let next = ctx.round() + 1;
             ctx.wake_at(next);
         }
         for (port, cnt) in split.moves {
-            self.trails
-                .enter_epoch(ORIGIN_KEY, 0, self.walk_len)
-                // welle-lint: allow(no-lib-unwrap) — invariant: this protocol only ever runs epoch 0 with one fixed walk_len
-                .expect("single epoch")
-                .record_out(step, Hop::Via(port));
+            trail.record_out(port);
             ctx.send(
                 port,
                 FleetMsg::Token {
@@ -151,7 +144,11 @@ impl WalkFleetNode {
 
     fn route_report(&mut self, ctx: &mut Context<'_, FleetMsg>, step: u32, count: u32) {
         let route = match self.trails.at_epoch(ORIGIN_KEY, 0) {
-            Some(t) => t.reverse_route(step),
+            Some(t) => {
+                // The earliest step falls at every hop of a route.
+                debug_assert!(t.earliest().is_some_and(|(s, _)| s <= step));
+                t.reverse_route()
+            }
             None => ReverseRoute::Broken,
         };
         match route {

@@ -2,16 +2,32 @@
 //!
 //! Algorithm 2 requires three kinds of traffic to follow the walks after
 //! they complete: proxy replies travel *backwards* to the contender
-//! (rounds 1 and 3), contender broadcasts travel *forwards* to the proxies
-//! (round 2, winner messages, stop commitments). Nodes therefore remember,
-//! per `(origin, epoch, step)`, through which ports walk tokens arrived and
-//! left. Since the origin is the unique source of its walks, following
-//! *any* recorded in-port backwards reaches the origin; following all
-//! recorded out-ports forwards (with per-wave dedup — the paper's
-//! "filtering and forwarding") reaches every proxy.
+//! (rounds 1 and 3, winner notices), contender broadcasts travel
+//! *forwards* to the proxies (round 2, winner messages, stop
+//! commitments). Each node therefore keeps, per `(origin, epoch)`, two
+//! facts about the walk tokens that passed it:
 //!
-//! Trails store sparse `(step, hop)` pairs: memory is proportional to the
-//! number of distinct passages, not to the walk length.
+//! * the **earliest arrival**: the lowest step at which a token reached
+//!   the node, and the hop it came by (the first recorded on a tie);
+//! * the sorted set of **out-ports** over which tokens ever left.
+//!
+//! **Backwards**, every unit leaves by the earliest arrival's in-port.
+//! A token is at node `v` at step `s` only if it was at the neighbour
+//! behind its in-port at step `s − 1`, so that neighbour's earliest step
+//! is at most `s − 1`. The earliest step therefore falls at every hop:
+//! a route never meets a node twice, and it ends at the one node whose
+//! earliest arrival is step 0, the origin. The earliest arrival is never
+//! a lazy stay, since a stay at step `s` needs a visit at `s − 1`. Every
+//! unit a node sends towards one origin takes the same path home, which
+//! is what lets relays drop repeats (see `welle-core`'s protocol).
+//!
+//! **Forwards**, a unit follows every recorded out-port, with per-wave
+//! dedup at each node (the paper's "filtering and forwarding"), and so
+//! reaches every proxy.
+//!
+//! Routes count hops along recorded trail edges, as the paper's bounds
+//! do; the earliest-arrival route is never longer than the walk.
+//! Memory per trail is one arrival plus at most one entry per port.
 
 use std::collections::BTreeMap;
 
@@ -35,11 +51,11 @@ pub struct Trail {
     epoch: u32,
     len: u32,
     finalized: bool,
-    /// Deduplicated `(step, hop)` pairs: step-`s` tokens arrived via hop.
-    ins: Vec<(u32, Hop)>,
-    /// Deduplicated `(step, hop)` pairs: step-`s` tokens left via hop
-    /// (arriving elsewhere as step `s + 1`).
-    outs: Vec<(u32, Hop)>,
+    /// The earliest recorded arrival `(step, hop)`: lowest step, first
+    /// recorded on a tie.
+    earliest: Option<(u32, Hop)>,
+    /// Distinct ports over which tokens left, sorted.
+    out_ports: Vec<Port>,
 }
 
 impl Trail {
@@ -48,8 +64,8 @@ impl Trail {
             epoch,
             len,
             finalized: false,
-            ins: Vec::new(),
-            outs: Vec::new(),
+            earliest: None,
+            out_ports: Vec::new(),
         }
     }
 
@@ -65,7 +81,7 @@ impl Trail {
 
     /// Whether the trail has no recorded hops at all.
     pub fn is_empty(&self) -> bool {
-        self.ins.is_empty() && self.outs.is_empty()
+        self.earliest.is_none() && self.out_ports.is_empty()
     }
 
     /// Whether the origin committed to this epoch as its final guess.
@@ -73,82 +89,49 @@ impl Trail {
         self.finalized
     }
 
-    /// Records that step-`step` tokens arrived here via `hop`
-    /// (deduplicated).
+    /// Records that step-`step` tokens arrived here via `hop`; only an
+    /// arrival earlier than every recorded one is kept.
     pub fn record_in(&mut self, step: u32, hop: Hop) {
-        if !self.ins.contains(&(step, hop)) {
-            self.ins.push((step, hop));
+        if self.earliest.is_none_or(|(s, _)| step < s) {
+            self.earliest = Some((step, hop));
         }
     }
 
-    /// Records that step-`step` tokens left here via `hop` (deduplicated).
-    pub fn record_out(&mut self, step: u32, hop: Hop) {
-        if !self.outs.contains(&(step, hop)) {
-            self.outs.push((step, hop));
+    /// Records that tokens left here over `port` (deduplicated).
+    pub fn record_out(&mut self, port: Port) {
+        if let Err(at) = self.out_ports.binary_search(&port) {
+            self.out_ports.insert(at, port);
         }
     }
 
-    /// Hops through which step-`step` tokens arrived.
-    pub fn ins(&self, step: u32) -> impl Iterator<Item = Hop> + '_ {
-        self.ins
-            .iter()
-            .filter(move |&&(s, _)| s == step)
-            .map(|&(_, h)| h)
+    /// The earliest recorded arrival `(step, hop)`, if any.
+    pub fn earliest(&self) -> Option<(u32, Hop)> {
+        self.earliest
     }
 
-    /// Hops through which step-`step` tokens departed.
-    pub fn outs(&self, step: u32) -> impl Iterator<Item = Hop> + '_ {
-        self.outs
-            .iter()
-            .filter(move |&&(s, _)| s == step)
-            .map(|&(_, h)| h)
-    }
-
-    /// The reverse-routing decision at `step`: follow the first recorded
-    /// in-hop (any recorded hop leads to the origin). Skips over lazy
-    /// stays by descending steps.
-    pub fn reverse_route(&self, step: u32) -> ReverseRoute {
-        let mut s = step;
-        loop {
-            let Some(hop) = self.ins(s).next() else {
-                return ReverseRoute::Broken;
-            };
-            match hop {
-                Hop::Origin => return ReverseRoute::AtOrigin,
-                Hop::Stay => {
-                    debug_assert!(s > 0, "stay recorded at step 0");
-                    s -= 1;
-                }
-                Hop::Via(p) => {
-                    debug_assert!(s > 0, "in-edge recorded at step 0");
-                    return ReverseRoute::Forward(p, s - 1);
-                }
+    /// The reverse-routing decision: leave by the earliest arrival's
+    /// in-port (see the module docs for why this always reaches the
+    /// origin without revisiting a node).
+    pub fn reverse_route(&self) -> ReverseRoute {
+        match self.earliest {
+            Some((_, Hop::Origin)) => ReverseRoute::AtOrigin,
+            Some((step, Hop::Via(p))) => {
+                debug_assert!(step > 0, "in-edge recorded at step 0");
+                ReverseRoute::Forward(p, step - 1)
             }
+            // A stay needs an earlier visit; only a trail rebuilt from
+            // a stale token can start with one.
+            Some((_, Hop::Stay)) | None => ReverseRoute::Broken,
         }
     }
 
-    /// Number of recorded (in, out) entries — memory diagnostics.
-    pub fn footprint(&self) -> (usize, usize) {
-        (self.ins.len(), self.outs.len())
-    }
-
-    /// Distinct ports over which tokens ever left this node, across all
-    /// steps. Forward waves (round 2, stop marks, winner messages) are
-    /// relayed over exactly these ports once per item — the paper's
-    /// "filtering and forwarding": every path segment of the walk DAG is
-    /// covered, and per-node dedup keeps one copy per edge.
-    pub fn distinct_out_ports(&self) -> Vec<Port> {
-        let mut ports: Vec<Port> = self
-            .outs
-            .iter()
-            .filter_map(|&(_, h)| match h {
-                Hop::Via(p) => Some(p),
-                _ => None,
-            })
-            .collect();
-        ports.sort_unstable();
-        ports.dedup();
-        ports
+    /// Distinct ports over which tokens ever left this node, sorted.
+    /// Forward waves (round 2, stop marks, winner messages) are relayed
+    /// over exactly these ports once per item — the paper's "filtering
+    /// and forwarding": every path segment of the walk DAG is covered,
+    /// and per-node dedup keeps one copy per edge.
+    pub fn distinct_out_ports(&self) -> &[Port] {
+        &self.out_ports
     }
 }
 
@@ -157,10 +140,11 @@ impl Trail {
 pub enum ReverseRoute {
     /// This node *is* the origin: deliver locally.
     AtOrigin,
-    /// Send over the port; the receiver continues at the given step.
+    /// Send over the port; the receiver's earliest step is at most the
+    /// given one.
     Forward(Port, u32),
-    /// No trail information (protocol bug or stale GC) — callers treat
-    /// this as a dropped reply.
+    /// No usable trail information (protocol bug or stale GC) — callers
+    /// treat this as a dropped reply.
     Broken,
 }
 
@@ -255,15 +239,16 @@ mod tests {
     #[test]
     fn record_and_dedup() {
         let mut t = Trail::new(2, 4);
-        t.record_in(1, Hop::Via(Port::new(0)));
-        t.record_in(1, Hop::Via(Port::new(0)));
+        t.record_in(3, Hop::Via(Port::new(0)));
         t.record_in(1, Hop::Via(Port::new(2)));
-        assert_eq!(t.ins(1).count(), 2);
-        assert_eq!(t.ins(0).count(), 0);
-        t.record_out(1, Hop::Stay);
-        t.record_out(1, Hop::Stay);
-        assert_eq!(t.outs(1).collect::<Vec<_>>(), vec![Hop::Stay]);
-        assert_eq!(t.footprint(), (2, 1));
+        // A tie keeps the first recorded hop; later steps never replace.
+        t.record_in(1, Hop::Via(Port::new(5)));
+        t.record_in(2, Hop::Stay);
+        assert_eq!(t.earliest(), Some((1, Hop::Via(Port::new(2)))));
+        t.record_out(Port::new(4));
+        t.record_out(Port::new(1));
+        t.record_out(Port::new(4));
+        assert_eq!(t.distinct_out_ports(), &[Port::new(1), Port::new(4)]);
     }
 
     #[test]
@@ -271,18 +256,20 @@ mod tests {
         let mut store = TrailStore::new();
         let t = store.enter_epoch(1, 20, 1 << 20).unwrap();
         assert!(t.is_empty());
-        assert_eq!(t.footprint(), (0, 0));
+        assert!(t.distinct_out_ports().is_empty());
         assert_eq!(t.len(), 1 << 20);
     }
 
     #[test]
     fn reverse_route_skips_stays() {
         let mut t = Trail::new(0, 5);
-        // Token arrived at step 1 via port 3, stayed for steps 2 and 3.
+        // Tokens arrived at step 1 via port 3, stayed for steps 2 and
+        // 3, and came back at step 4 via port 0.
         t.record_in(1, Hop::Via(Port::new(3)));
         t.record_in(2, Hop::Stay);
         t.record_in(3, Hop::Stay);
-        assert_eq!(t.reverse_route(3), ReverseRoute::Forward(Port::new(3), 0));
+        t.record_in(4, Hop::Via(Port::new(0)));
+        assert_eq!(t.reverse_route(), ReverseRoute::Forward(Port::new(3), 0));
     }
 
     #[test]
@@ -290,14 +277,16 @@ mod tests {
         let mut t = Trail::new(0, 2);
         t.record_in(0, Hop::Origin);
         t.record_in(1, Hop::Stay);
-        assert_eq!(t.reverse_route(1), ReverseRoute::AtOrigin);
-        assert_eq!(t.reverse_route(0), ReverseRoute::AtOrigin);
+        t.record_in(2, Hop::Via(Port::new(1)));
+        assert_eq!(t.reverse_route(), ReverseRoute::AtOrigin);
     }
 
     #[test]
     fn reverse_route_broken_without_records() {
-        let t = Trail::new(0, 3);
-        assert_eq!(t.reverse_route(2), ReverseRoute::Broken);
+        let mut t = Trail::new(0, 3);
+        assert_eq!(t.reverse_route(), ReverseRoute::Broken);
+        t.record_in(2, Hop::Stay);
+        assert_eq!(t.reverse_route(), ReverseRoute::Broken);
     }
 
     #[test]
@@ -306,8 +295,8 @@ mod tests {
         store.enter_epoch(7, 0, 1).unwrap().record_in(0, Hop::Origin);
         // Same epoch: same trail.
         assert_eq!(
-            store.enter_epoch(7, 0, 1).unwrap().ins(0).collect::<Vec<_>>(),
-            vec![Hop::Origin]
+            store.enter_epoch(7, 0, 1).unwrap().earliest(),
+            Some((0, Hop::Origin))
         );
         // Newer epoch replaces a non-finalized trail.
         let t = store.enter_epoch(7, 1, 2).unwrap();

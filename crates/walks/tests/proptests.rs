@@ -1,13 +1,60 @@
 //! Property-based tests for the walk machinery.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
-use welle_graph::{analysis, gen, NodeId};
+use welle_graph::{analysis, gen, Graph, NodeId};
 use welle_walks::{
     endpoint_distribution, lazy_step, run_walk_fleet, split_lazy, Hop, ReverseRoute, TrailStore,
 };
+
+const ORIGIN: u64 = 9;
+
+/// Walks `walks` lazy walks of `len` steps from `origin`, step by step,
+/// recording every node's trail as the protocols do, and returns the
+/// per-node trail stores.
+fn simulate_trails(
+    g: &Graph,
+    origin: usize,
+    walks: u32,
+    len: u32,
+    rng: &mut StdRng,
+) -> Vec<TrailStore> {
+    let mut trails: Vec<TrailStore> = (0..g.n()).map(|_| TrailStore::new()).collect();
+    let record = |trails: &mut [TrailStore], v: NodeId, step: u32, hop: Hop| {
+        trails[v.index()]
+            .enter_epoch(ORIGIN, 0, len)
+            .expect("one epoch")
+            .record_in(step, hop);
+    };
+    record(&mut trails, NodeId::new(origin), 0, Hop::Origin);
+    // Token bundles at the current step, by node in index order.
+    let mut at: BTreeMap<usize, u32> = BTreeMap::from([(origin, walks)]);
+    for step in 0..len {
+        let mut next: BTreeMap<usize, u32> = BTreeMap::new();
+        for (&u, &count) in &at {
+            let u = NodeId::new(u);
+            let split = split_lazy(count, g.degree(u), rng);
+            if split.stay > 0 {
+                record(&mut trails, u, step + 1, Hop::Stay);
+                *next.entry(u.index()).or_default() += split.stay;
+            }
+            for (port, moved) in split.moves {
+                trails[u.index()]
+                    .enter_epoch(ORIGIN, 0, len)
+                    .expect("one epoch")
+                    .record_out(port);
+                let v = g.neighbor(u, port);
+                record(&mut trails, v, step + 1, Hop::Via(g.reverse_port(u, port)));
+                *next.entry(v.index()).or_default() += moved;
+            }
+        }
+        at = next;
+    }
+    trails
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -45,27 +92,53 @@ proptest! {
         }
     }
 
+    /// From every node the walks reached, reverse routing over the
+    /// graph's ports reaches the origin within the walk length, the
+    /// earliest step falling at every hop and no node repeating.
     #[test]
-    fn trail_reverse_route_terminates(steps in 1u32..40, seed in any::<u64>()) {
-        // Build a random single-walk trail: at each step, stay or come
-        // from a random port; reverse routing must reach Origin.
+    fn trail_reverse_route_terminates(
+        seed in any::<u64>(),
+        n in 4usize..24,
+        walks in 1u32..64,
+        len in 1u32..16,
+    ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut store = TrailStore::new();
-        let t = store.enter_epoch(9, 0, steps).unwrap();
-        t.record_in(0, Hop::Origin);
-        for s in 1..=steps {
-            let hop = if rand::RngExt::random_bool(&mut rng, 0.5) {
-                Hop::Stay
-            } else {
-                Hop::Via(welle_graph::Port::new(rand::RngExt::random_range(&mut rng, 0..4usize)))
+        let g = gen::gnp_connected(n, 0.3, &mut rng).unwrap();
+        let origin = (seed % n as u64) as usize;
+        let trails = simulate_trails(&g, origin, walks, len, &mut rng);
+        for start in 0..n {
+            let Some(trail) = trails[start].at_epoch(ORIGIN, 0) else {
+                continue;
             };
-            t.record_in(s, hop);
-        }
-        // From any step, the route either forwards over an edge or lands
-        // at the origin — never Broken.
-        let trail = store.current(9).unwrap();
-        for s in 0..=steps {
-            prop_assert_ne!(trail.reverse_route(s), ReverseRoute::Broken);
+            let (mut step, _) = trail.earliest().expect("a trail holds an arrival");
+            let mut at = NodeId::new(start);
+            let mut seen = vec![false; n];
+            seen[start] = true;
+            let mut hops = 0u32;
+            loop {
+                let here = trails[at.index()].at_epoch(ORIGIN, 0).expect("routes stay on the trail");
+                match here.reverse_route() {
+                    ReverseRoute::AtOrigin => {
+                        prop_assert_eq!(at.index(), origin, "only the origin answers AtOrigin");
+                        break;
+                    }
+                    ReverseRoute::Forward(port, bound) => {
+                        at = g.neighbor(at, port);
+                        hops += 1;
+                        prop_assert!(hops <= len, "route from {} is longer than the walk", start);
+                        prop_assert!(!seen[at.index()], "route from {} revisits {}", start, at.index());
+                        seen[at.index()] = true;
+                        let next = trails[at.index()]
+                            .at_epoch(ORIGIN, 0)
+                            .and_then(|t| t.earliest())
+                            .map(|(s, _)| s);
+                        prop_assert!(next.is_some_and(|s| s <= bound && s < step),
+                            "earliest step did not fall: {} then {:?}", step, next);
+                        step = next.unwrap_or(0);
+                    }
+                    ReverseRoute::Broken => prop_assert!(false, "broken route from {}", start),
+                }
+            }
         }
     }
 

@@ -51,11 +51,32 @@ struct Args {
     round_log: Option<PathBuf>,
     phase_table: bool,
     profile: bool,
-    baseline: Option<String>,
+    baseline: Option<Baseline>,
     drop_rate: Option<f64>,
     crash: Option<f64>,
     crash_at: Option<u64>,
     fault_seed: Option<u64>,
+}
+
+/// The comparison a `--baseline` run adds after the election.
+#[derive(Clone, Copy)]
+enum Baseline {
+    Flood,
+    Hs,
+    KnownTmix,
+}
+
+impl Baseline {
+    fn parse(name: &str) -> Result<Baseline, String> {
+        match name {
+            "flood" => Ok(Baseline::Flood),
+            "hs" => Ok(Baseline::Hs),
+            "known-tmix" => Ok(Baseline::KnownTmix),
+            other => Err(format!(
+                "unknown baseline {other} (want flood | hs | known-tmix)"
+            )),
+        }
+    }
 }
 
 fn usage() -> &'static str {
@@ -196,7 +217,9 @@ fn parse() -> Result<Args, String> {
             }
             "--baseline" => {
                 i += 1;
-                args.baseline = Some(argv.get(i).ok_or("--baseline needs a value")?.clone());
+                args.baseline = Some(Baseline::parse(
+                    argv.get(i).ok_or("--baseline needs a value")?,
+                )?);
             }
             "--threads" => {
                 i += 1;
@@ -263,6 +286,13 @@ fn parse() -> Result<Args, String> {
                     .map_err(|_| format!("bad drop-sweep list: {list}"))?;
                 if rates.is_empty() {
                     return Err("--drop-sweep needs at least one rate".to_string());
+                }
+                // Checked here: only rates above 0 get a fault plan, so a
+                // negative or NaN rate would run as a fault-free control.
+                if let Some(bad) = rates.iter().find(|p| !(0.0..=1.0).contains(*p)) {
+                    return Err(format!(
+                        "--drop-sweep rate {bad} is not a probability in [0, 1]"
+                    ));
                 }
                 args.drop_sweep = Some(rates);
             }
@@ -736,22 +766,22 @@ fn main() -> ExitCode {
             println!("{line}");
         }
     };
-    match args.baseline.as_deref() {
-        Some("flood") => {
+    match args.baseline {
+        Some(Baseline::Flood) => {
             let b = run_flood_max(&graph, args.seed);
             bprint(format!(
                 "baseline flood-max: leaders={:?} msgs={} rounds={}",
                 b.leaders, b.messages, b.rounds
             ));
         }
-        Some("hs") => {
+        Some(Baseline::Hs) => {
             let b = run_hirschberg_sinclair(&graph, args.seed);
             bprint(format!(
                 "baseline hirschberg-sinclair: leaders={:?} msgs={} rounds={}",
                 b.leaders, b.messages, b.rounds
             ));
         }
-        Some("known-tmix") => {
+        Some(Baseline::KnownTmix) => {
             match mixing_time(
                 &graph,
                 MixingOptions {
@@ -769,7 +799,6 @@ fn main() -> ExitCode {
                 None => eprintln!("baseline known-tmix: graph did not mix within horizon"),
             }
         }
-        Some(other) => eprintln!("unknown baseline {other}"),
         None => {}
     }
 

@@ -69,6 +69,26 @@ fn incompatible_flags_are_rejected_up_front() {
 }
 
 #[test]
+fn bad_sweep_rates_and_unknown_baselines_fail_before_the_graph_is_built() {
+    // Negative and NaN rates used to run as fault-free controls.
+    for list in ["0,-0.5", "0,nan", "0,1.5"] {
+        let out = welle(&["ring", "16", "--drop-sweep", list]);
+        assert_eq!(out.status.code(), Some(1), "{list}: {out:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("--drop-sweep"), "{list}: {stderr}");
+        // The `graph:` line on stdout comes after the graph is built.
+        assert!(out.stdout.is_empty(), "{list}: the run started");
+    }
+    // An unknown baseline used to be reported after the election, with
+    // exit status 0.
+    let out = welle(&["ring", "16", "--baseline", "nope"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("unknown baseline nope"), "{stderr}");
+    assert!(out.stdout.is_empty(), "the run started");
+}
+
+#[test]
 fn the_largest_seed_runs_and_a_range_past_it_is_rejected() {
     let last = welle(&["ring", "16", "--seed", "18446744073709551615", "--cap", "32"]);
     assert!(last.status.success(), "{last:?}");

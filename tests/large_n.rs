@@ -24,81 +24,115 @@ use welle::graph::Graph;
 
 const N: usize = 100_000;
 
-/// Golden rows as `(graph, seed, old row, pinned row)`. The old rows were
-/// captured before the packed-message/SoA/bounded-arena engine rewrite
-/// (at commit `4f8d1b9`), with the exact recipe below, and held until
-/// rounds 2 and 3 began sending one maximum id per unit instead of whole
-/// id sets. That change may move only the [`COUNT_COLUMNS`], never a
-/// decision: any other drift means a change altered an observable —
-/// message bits, delivery order, RNG consumption — and is a bug.
-const GOLDEN_ROWS: [(&str, u64, &str, &str); 6] = [
+/// Golden rows as `(graph, seed, history)`, each history oldest first:
+///
+/// 1. captured before the packed-message/SoA/bounded-arena engine
+///    rewrite (at commit `4f8d1b9`), with the exact recipe below;
+/// 2. after rounds 2 and 3 began sending one maximum id per unit
+///    instead of whole id sets;
+/// 3. after reverse units began leaving every relay by its earliest
+///    recorded visit, and relays began dropping units the contender
+///    cannot use.
+///
+/// A run must reproduce the last row. Each change may lower only the
+/// [`COUNT_COLUMNS`], never move a decision: any other drift means a
+/// change altered an observable — message bits, delivery order, RNG
+/// consumption — and is a bug.
+const GOLDEN_ROWS: [(&str, u64, [&str; 3]); 6] = [
     (
         "hypercube4",
         3,
-        "16,32,10,1,63443,3714,126515,243,254,4,3,0,0,0,254,11,49,76,102,16,137,624,1208,1473,272,true",
-        "16,32,10,1,63443,1328,44179,89,100,4,3,0,0,0,100,11,49,11,13,16,137,624,141,154,272,true",
+        [
+            "16,32,10,1,63443,3714,126515,243,254,4,3,0,0,0,254,11,49,76,102,16,137,624,1208,1473,272,true",
+            "16,32,10,1,63443,1328,44179,89,100,4,3,0,0,0,100,11,49,11,13,16,137,624,141,154,272,true",
+            "16,32,10,1,63443,1202,39583,79,89,4,3,0,0,0,89,11,42,11,10,15,137,563,141,119,242,true",
+        ],
     ),
     (
         "hypercube4",
         11,
-        "16,32,9,1,61900,6043,212523,533,539,16,5,0,0,0,539,39,140,100,234,26,302,1245,1965,2287,244,true",
-        "16,32,9,1,61900,2281,77922,257,263,16,5,0,0,0,263,39,140,24,34,26,302,1245,231,259,244,true",
+        [
+            "16,32,9,1,61900,6043,212523,533,539,16,5,0,0,0,539,39,140,100,234,26,302,1245,1965,2287,244,true",
+            "16,32,9,1,61900,2281,77922,257,263,16,5,0,0,0,263,39,140,24,34,26,302,1245,231,259,244,true",
+            "16,32,9,1,61900,1680,55229,177,183,16,5,0,0,0,183,39,77,24,18,25,302,772,231,143,232,true",
+        ],
     ),
     (
         "ring24",
         5,
-        "24,24,15,1,329768,170920,7458220,8194,8208,256,9,0,0,0,8208,692,2067,530,4715,204,10908,39636,17068,99692,3616,true",
-        "24,24,15,1,329768,62554,2652527,3525,3539,256,9,0,0,0,3539,692,2067,92,484,204,10908,39636,1461,6933,3616,true",
+        [
+            "24,24,15,1,329768,170920,7458220,8194,8208,256,9,0,0,0,8208,692,2067,530,4715,204,10908,39636,17068,99692,3616,true",
+            "24,24,15,1,329768,62554,2652527,3525,3539,256,9,0,0,0,3539,692,2067,92,484,204,10908,39636,1461,6933,3616,true",
+            "24,24,15,1,329768,19634,680318,1205,1219,256,9,0,0,0,1219,692,275,92,74,86,10908,5543,1461,729,993,true",
+        ],
     ),
     (
         "torus4x5",
         7,
-        "20,40,15,1,157240,19074,748271,786,793,16,5,0,0,0,793,45,150,226,340,32,688,3068,6930,7801,587,true",
-        "20,40,15,1,157240,5407,205308,285,292,16,5,0,0,0,292,45,150,29,36,32,688,3068,527,537,587,true",
+        [
+            "20,40,15,1,157240,19074,748271,786,793,16,5,0,0,0,793,45,150,226,340,32,688,3068,6930,7801,587,true",
+            "20,40,15,1,157240,5407,205308,285,292,16,5,0,0,0,292,45,150,29,36,32,688,3068,527,537,587,true",
+            "20,40,15,1,157240,4118,150889,235,242,16,5,0,0,0,242,45,115,29,22,31,688,2039,527,319,545,true",
+        ],
     ),
     (
         "rr48x4",
         1,
-        "48,96,15,1,5102334,84694,4194448,1850,1859,32,6,0,0,0,1859,98,413,354,950,44,3441,14738,27126,37139,2250,true",
-        "48,96,15,1,5102334,24899,1190580,677,686,32,6,0,0,0,686,98,413,44,87,44,3441,14738,1940,2530,2250,true",
+        [
+            "48,96,15,1,5102334,84694,4194448,1850,1859,32,6,0,0,0,1859,98,413,354,950,44,3441,14738,27126,37139,2250,true",
+            "48,96,15,1,5102334,24899,1190580,677,686,32,6,0,0,0,686,98,413,44,87,44,3441,14738,1940,2530,2250,true",
+            "48,96,15,1,5102334,14788,659200,394,403,32,6,0,0,0,403,98,195,44,29,37,3441,6652,1940,913,1842,true",
+        ],
     ),
     (
         "clique12",
         9,
-        "12,66,9,1,19484,1978,63271,144,148,4,3,0,0,0,148,11,33,41,51,12,89,380,686,720,103,true",
-        "12,66,9,1,19484,737,22863,72,76,4,3,0,0,0,76,11,33,9,11,12,89,380,84,81,103,true",
+        [
+            "12,66,9,1,19484,1978,63271,144,148,4,3,0,0,0,148,11,33,41,51,12,89,380,686,720,103,true",
+            "12,66,9,1,19484,737,22863,72,76,4,3,0,0,0,76,11,33,9,11,12,89,380,84,81,103,true",
+            "12,66,9,1,19484,681,20951,65,69,4,3,0,0,0,69,11,28,9,9,12,89,336,84,69,103,true",
+        ],
     ),
 ];
 
-/// The columns that the message volume of rounds 2 and 3 drives; every
-/// other column is a decision column.
-const COUNT_COLUMNS: [&str; 9] = [
+/// The columns that message volume drives; every other column is a
+/// decision column. Rounds 2 and 3 carry maxima, and the reverse traffic
+/// of rounds 1 and 3 and the wait phase takes the earliest-visit routes.
+const COUNT_COLUMNS: [&str; 13] = [
     "messages",
     "bits",
     "decided_round",
     "engine_rounds",
     "virtual_time",
+    "r1_rounds",
     "r2_rounds",
     "r3_rounds",
+    "wait_rounds",
+    "r1_msgs",
     "r2_msgs",
     "r3_msgs",
+    "wait_msgs",
 ];
 
-/// `got` must equal the pinned row, and the pin must keep every decision
-/// column of the old row verbatim and no count column above it.
-fn assert_golden(label: &str, got: &str, old: &str, pinned: &str) {
+/// `got` must equal the newest row of `history`, and every row must keep
+/// each decision column of the row before it verbatim and no count
+/// column above it.
+fn assert_golden(label: &str, got: &str, history: &[&str]) {
+    let pinned = history[history.len() - 1];
     assert_eq!(got, pinned, "{label}: drifted from its pin");
     let columns: Vec<&str> = ElectionReport::csv_header().split(',').collect();
-    let old: Vec<&str> = old.split(',').collect();
-    let pinned: Vec<&str> = pinned.split(',').collect();
-    assert_eq!(old.len(), columns.len(), "{label}: old column count");
-    assert_eq!(pinned.len(), columns.len(), "{label}: pinned column count");
-    for ((col, o), p) in columns.iter().zip(old).zip(pinned) {
-        if COUNT_COLUMNS.contains(col) {
-            let (o, p): (f64, f64) = (o.parse().unwrap(), p.parse().unwrap());
-            assert!(p <= o, "{label}: {col} grew from {o} to {p}");
-        } else {
-            assert_eq!(p, o, "{label}: decision column {col} changed");
+    for pair in history.windows(2) {
+        let old: Vec<&str> = pair[0].split(',').collect();
+        let new: Vec<&str> = pair[1].split(',').collect();
+        assert_eq!(old.len(), columns.len(), "{label}: old column count");
+        assert_eq!(new.len(), columns.len(), "{label}: new column count");
+        for ((col, o), p) in columns.iter().zip(old).zip(new) {
+            if COUNT_COLUMNS.contains(col) {
+                let (o, p): (f64, f64) = (o.parse().unwrap(), p.parse().unwrap());
+                assert!(p <= o, "{label}: {col} grew from {o} to {p}");
+            } else {
+                assert_eq!(p, o, "{label}: decision column {col} changed");
+            }
         }
     }
 }
@@ -131,9 +165,9 @@ fn golden_row(name: &str, seed: u64, exec: Exec) -> String {
 
 #[test]
 fn golden_rows_are_unchanged_since_the_pre_rewrite_engine() {
-    for (name, seed, old, pinned) in GOLDEN_ROWS {
+    for (name, seed, history) in GOLDEN_ROWS {
         let got = golden_row(name, seed, Exec::Serial);
-        assert_golden(&format!("{name}/{seed} serial"), &got, old, pinned);
+        assert_golden(&format!("{name}/{seed} serial"), &got, &history);
     }
 }
 
@@ -148,14 +182,14 @@ proptest! {
         workers in 1usize..5,
         use_async in any::<bool>(),
     ) {
-        let (name, seed, old, pinned) = GOLDEN_ROWS[case];
+        let (name, seed, history) = GOLDEN_ROWS[case];
         let exec = if use_async {
             Exec::Async(LatencyModel::zero())
         } else {
             Exec::Threaded(workers)
         };
         let got = golden_row(name, seed, exec);
-        assert_golden(&format!("{name}/{seed} {exec:?}"), &got, old, pinned);
+        assert_golden(&format!("{name}/{seed} {exec:?}"), &got, &history);
     }
 }
 
@@ -312,7 +346,9 @@ fn expander_1m_elects_within_memory_budget() {
     // recycling message arena. The budget is ≈1.5× the peak of
     // 28 353 208 slots ≈ 1.0 GiB at 36 B/slot observed while rounds 2
     // and 3 still sent whole id sets; with one maximum id per unit the
-    // run peaks at 775 632 slots (see `results/large_n_rounds.md`).
+    // run peaked at 775 632 slots, and with reverse units going home by
+    // earliest visits it peaks at 701 483 (see
+    // `results/large_n_rounds.md`).
     const PEAK_ARENA_BUDGET: u64 = 42_000_000;
     let n = 1_000_000;
     let mut rng = StdRng::seed_from_u64(42);
