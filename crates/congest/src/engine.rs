@@ -114,29 +114,27 @@ impl RunOutcome {
 pub struct Engine<P: Protocol> {
     pub(crate) graph: Arc<Graph>,
     pub(crate) cfg: EngineConfig,
-    pub(crate) nodes: Vec<P>,
-    pub(crate) rngs: Vec<StdRng>,
-    pub(crate) inboxes: Vec<Vec<(Port, P::Msg)>>,
-    pub(crate) inbox_active: Vec<u32>,
-    pub(crate) inbox_flag: Vec<bool>,
-    pub(crate) wakeups: BinaryHeap<Reverse<(u64, u32)>>,
     pub(crate) round: u64,
     pub(crate) started: bool,
-    pub(crate) done_flags: Vec<bool>,
-    pub(crate) done_count: usize,
     pub(crate) metrics: Metrics,
-    /// Everything between a send and its delivery.
+    /// Everything between a shard's outbox and an inbox.
     pub(crate) wire: Wire<P::Msg>,
     /// Installed telemetry, if any — the same single-branch-per-round
     /// design as the wire's layers: `None` keeps the hot path untouched.
     pub(crate) telemetry: Option<Box<TelemetryState>>,
     /// Maximum phase tag published (via [`Protocol::phase_tag`]) by the
-    /// callbacks of the round in progress; drained into the telemetry
-    /// sample at round end.
+    /// callbacks of the round in progress, and by any signal since the
+    /// last one; drained into the telemetry sample at round end.
     pub(crate) phase_seen: Option<u8>,
-    /// Monotone count of protocol callbacks executed (crashed nodes
-    /// excluded); per-round deltas give a sample's `active_nodes`.
-    pub(crate) activations: u64,
+    /// Every node's protocol state, as one shard with base 0. The
+    /// sharded executor splits it for a run and joins it back after.
+    ///
+    /// Declared last, with the outbox last in [`Shard`], so a dropped
+    /// engine frees its largest batch last: `perfbench/`'s heap counter
+    /// loses the frees an exiting trial thread has not yet published,
+    /// and a sweep's `peak_heap_mib` follows that drop order (see
+    /// `BENCH_NOTES.md`).
+    pub(crate) shard: Shard<P>,
 }
 
 impl<P: Protocol> Engine<P> {
@@ -151,26 +149,16 @@ impl<P: Protocol> Engine<P> {
             graph.n(),
             "need exactly one protocol instance per node"
         );
-        let n = graph.n();
-        let rngs = (0..n).map(|i| node_rng(cfg.seed, i)).collect();
         Engine {
-            inboxes: (0..n).map(|_| Vec::new()).collect(),
-            inbox_active: Vec::new(),
-            inbox_flag: vec![false; n],
-            wakeups: BinaryHeap::new(),
+            shard: Shard::new(nodes, cfg.seed),
             round: 0,
             started: false,
-            done_flags: vec![false; n],
-            done_count: 0,
-            metrics: Metrics::new(n),
+            metrics: Metrics::new(graph.n()),
             wire: Wire::new(graph.directed_edge_count()),
             telemetry: None,
             phase_seen: None,
-            activations: 0,
             graph,
             cfg,
-            nodes,
-            rngs,
         }
     }
 
@@ -309,8 +297,8 @@ impl<P: Protocol> Engine<P> {
     /// Resets this engine in place to exactly the state
     /// [`Engine::from_fn`]`(graph, cfg, make)` would construct, but
     /// reusing every arena the previous run grew — node and RNG vectors,
-    /// per-node inboxes, the edge-queue slot pool, delivery and pending
-    /// batches. The graph may differ from the previous run's (vectors
+    /// per-node inboxes, the edge-queue slot pool, the delivery and
+    /// send batches. The graph may differ from the previous run's (vectors
     /// resize as needed), which is what lets a batch scheduler keep one
     /// engine per worker across thousands of trials. Fault, latency and
     /// telemetry layers are removed.
@@ -331,40 +319,25 @@ impl<P: Protocol> Engine<P> {
         cfg: EngineConfig,
         mut make: impl FnMut(usize) -> P,
     ) {
-        let n = graph.n();
-        self.nodes.clear();
-        self.nodes.extend((0..n).map(&mut make));
-        self.rngs.clear();
-        self.rngs.extend((0..n).map(|i| node_rng(cfg.seed, i)));
-        for inbox in self.inboxes.iter_mut() {
-            inbox.clear(); // keep each node's inbox allocation
-        }
-        self.inboxes.resize_with(n, Vec::new);
-        self.inbox_active.clear();
-        self.inbox_flag.clear();
-        self.inbox_flag.resize(n, false);
-        self.wakeups.clear();
+        let (n, directed_edges) = (graph.n(), graph.directed_edge_count());
+        self.shard.reset(n, cfg.seed, &mut make, directed_edges);
         self.round = 0;
         self.started = false;
-        self.done_flags.clear();
-        self.done_flags.resize(n, false);
-        self.done_count = 0;
         self.metrics.reset(n);
-        self.wire.reset(graph.directed_edge_count());
+        self.wire.reset(directed_edges);
         self.telemetry = None;
         self.phase_seen = None;
-        self.activations = 0;
         self.graph = graph;
         self.cfg = cfg;
     }
 
     /// Total slots the engine's reusable message buffers can hold
     /// without re-allocating: the edge-queue arena plus the delivery and
-    /// pending batches. Diagnostic only — pooling tests assert that
+    /// send batches. Diagnostic only — pooling tests assert that
     /// [`Engine::reset_with`] preserves it.
     pub fn arena_capacity(&self) -> usize {
         let w = &self.wire;
-        w.queues.arena_capacity() + w.deliveries.capacity() + w.pending.capacity()
+        w.queues.arena_capacity() + w.deliveries.capacity() + self.shard.outbox.capacity()
     }
 
     /// High-water mark of simultaneously queued messages since the last
@@ -401,7 +374,7 @@ impl<P: Protocol> Engine<P> {
     /// `usize` can count.
     pub fn in_flight(&self) -> u64 {
         let w = &self.wire;
-        (w.pending.len() as u64)
+        (self.shard.outbox.len() as u64)
             .saturating_add(w.queues.in_flight())
             .saturating_add(w.latency.as_ref().map_or(0, |l| l.parked() as u64))
     }
@@ -419,17 +392,17 @@ impl<P: Protocol> Engine<P> {
 
     /// Immutable view of the protocol instances.
     pub fn nodes(&self) -> &[P] {
-        &self.nodes
+        &self.shard.nodes
     }
 
     /// The protocol instance at node `i`.
     pub fn node(&self, i: usize) -> &P {
-        &self.nodes[i]
+        &self.shard.nodes[i]
     }
 
     /// Consumes the engine, returning the protocol instances.
     pub fn into_nodes(self) -> Vec<P> {
-        self.nodes
+        self.shard.nodes
     }
 
     /// Runs until [`RunOutcome::Done`], [`RunOutcome::Quiescent`], or the
@@ -494,9 +467,9 @@ impl<P: Protocol> Engine<P> {
         mut stop: impl FnMut(&Engine<P>) -> bool,
     ) -> RunOutcome {
         loop {
-            let next_wake = self.wakeups.peek().map(|&Reverse((r, _))| r);
-            let idle = self.inbox_active.is_empty();
-            if let Some(out) = self.check_stop(idle, self.done_count, next_wake, round_limit) {
+            let s = &self.shard;
+            let (idle, done, next_wake) = (s.idle(), s.done_count, s.next_wake());
+            if let Some(out) = self.check_stop(idle, done, next_wake, round_limit) {
                 return out;
             }
             self.step_core(obs);
@@ -507,21 +480,22 @@ impl<P: Protocol> Engine<P> {
     }
 
     /// The pre-round check of every run loop, given the executor's view
-    /// of its inboxes (all empty?), its done nodes and its earliest
-    /// wake-up. When nothing is in transit it ends a finished or
-    /// quiescent run, or skips the idle stretch in `O(1)` to the earlier
-    /// of the next wake-up and the next parked delivery. Then it
-    /// enforces the round limit, re-reading the round: a skip may have
-    /// moved it past the limit. `Some` ends the run.
+    /// of its shards (all idle: no inbox holds a message and no send
+    /// awaits transmission?), its done nodes and its earliest wake-up.
+    /// When nothing is in transit it ends a finished or quiescent run,
+    /// or skips the idle stretch in `O(1)` to the earlier of the next
+    /// wake-up and the next parked delivery. Then it enforces the round
+    /// limit, re-reading the round: a skip may have moved it past the
+    /// limit. `Some` ends the run.
     pub(crate) fn check_stop(
         &mut self,
-        inboxes_empty: bool,
+        idle: bool,
         done: usize,
         next_wake: Option<u64>,
         round_limit: u64,
     ) -> Option<RunOutcome> {
         let w = &self.wire;
-        if self.started && inboxes_empty && w.pending.is_empty() && w.queues.in_flight() == 0 {
+        if self.started && idle && w.queues.in_flight() == 0 {
             let release = w.latency.as_ref().and_then(|l| l.next_release_round());
             let target = match (release, next_wake) {
                 (None, _) if done == self.graph.n() => {
@@ -557,33 +531,48 @@ impl<P: Protocol> Engine<P> {
         let t_round = tel.as_deref_mut().and_then(|t| t.begin(SpanStage::Round));
 
         let t_cb = tel.as_deref_mut().and_then(|t| t.begin(SpanStage::Callbacks));
-        let acts_before = self.activations;
-        let any_activity = self.protocol_phase();
-        let callbacks_run = self.activations - acts_before;
+        let kind = self.next_phase();
+        let (ran, callbacks_run) = self.protocol_phase(kind);
         if let Some(t) = tel.as_deref_mut() {
             t.end(SpanStage::Callbacks, t_cb, callbacks_run);
         }
 
-        let inboxes = &mut self.inboxes;
-        let inbox_flag = &mut self.inbox_flag;
-        let inbox_active = &mut self.inbox_active;
-        let mut sink = |v: NodeId, q: Port, msg: P::Msg| {
-            inboxes[v.index()].push((q, msg));
-            if !inbox_flag[v.index()] {
-                inbox_flag[v.index()] = true;
-                inbox_active.push(v.raw());
-            }
-        };
+        let mut outbox = std::mem::take(&mut self.shard.outbox);
+        let shard = &mut self.shard;
         let (flow, transmitted) = self.wire.transmit(
             &self.graph,
             self.round,
-            &mut [],
+            std::slice::from_mut(&mut outbox),
             tel.as_deref_mut(),
             obs,
-            &mut sink,
+            &mut |v, q, msg| shard.deliver(v.index(), q, msg),
         );
-        let active = any_activity || transmitted;
-        self.close_round(tel, active, callbacks_run, &flow, t_round);
+        self.shard.outbox = outbox; // recycle the allocation
+        self.close_round(tel, ran || transmitted, callbacks_run, &flow, t_round);
+    }
+
+    /// The kind of the coming round's protocol phase — start-up on the
+    /// first round — marking the run started.
+    pub(crate) fn next_phase(&mut self) -> CallKind {
+        if std::mem::replace(&mut self.started, true) {
+            CallKind::Round
+        } else {
+            CallKind::Start
+        }
+    }
+
+    /// Runs a protocol phase of `kind` on every node and folds its
+    /// tallies in. Returns whether any node was activated and how many
+    /// callbacks ran.
+    fn protocol_phase(&mut self, kind: CallKind) -> (bool, u64) {
+        let env = PhaseEnv {
+            graph: &self.graph,
+            budget: self.cfg.bandwidth_bits,
+            faults: self.wire.faults.as_deref(),
+        };
+        self.shard.run_phase(&env, self.round, kind);
+        self.shard
+            .take_tally(&mut self.metrics.sent_by_node, &mut self.phase_seen)
     }
 
     /// Closes the round an executor just simulated: folds its flow into
@@ -624,141 +613,349 @@ impl<P: Protocol> Engine<P> {
         self.round += 1;
     }
 
-    /// The protocol half of a round — start-up on the first call, then
-    /// inbox/wake-up callbacks in deterministic node order. Returns
-    /// whether any callback ran.
-    fn protocol_phase(&mut self) -> bool {
-        let mut any_activity = false;
-        if !self.started {
-            self.started = true;
-            for i in 0..self.nodes.len() {
-                let mut empty = Vec::new();
-                self.run_callback(i, &mut empty, CallKind::Start);
-            }
-            any_activity = true;
-        } else {
-            let mut active: Vec<u32> = std::mem::take(&mut self.inbox_active);
-            // `inbox_flag` doubles as the membership set: delivery already
-            // guards `inbox_active` with it, so guarding due wake-ups the
-            // same way keeps `active` duplicate-free without a dedup pass.
-            while let Some(&Reverse((r, node))) = self.wakeups.peek() {
-                if r <= self.round {
-                    self.wakeups.pop();
-                    if !self.inbox_flag[node as usize] {
-                        self.inbox_flag[node as usize] = true;
-                        active.push(node);
-                    }
-                } else {
-                    break;
-                }
-            }
-            // Deterministic node order: a linear flag scan when dense
-            // (cheaper and cache-friendly), a sort when sparse.
-            if active.len() >= self.nodes.len() / 8 {
-                active.clear();
-                for (i, flag) in self.inbox_flag.iter().enumerate() {
-                    if *flag {
-                        active.push(crate::idx32(i));
-                    }
-                }
-            } else {
-                active.sort_unstable();
-            }
-            for &node in &active {
-                let i = node as usize;
-                self.inbox_flag[i] = false;
-                let mut inbox = std::mem::take(&mut self.inboxes[i]);
-                self.run_callback(i, &mut inbox, CallKind::Round);
-                inbox.clear();
-                self.inboxes[i] = inbox; // recycle the allocation
-                any_activity = true;
-            }
-            // Callbacks only queue sends, so nothing was delivered into
-            // `inbox_active` meanwhile: hand the allocation back.
-            active.clear();
-            self.inbox_active = active;
-        }
-        any_activity
-    }
-
     /// Broadcasts a control signal to every node (see
     /// [`Protocol::on_signal`]); resulting sends are transmitted starting
-    /// with the next round.
+    /// with the next round. Signal callbacks count in no round's
+    /// `active_nodes`; their sends count in `sent_by_node`, and their
+    /// phase tag lands in the next recorded sample.
     pub fn signal(&mut self, signal: Signal) {
-        for i in 0..self.nodes.len() {
-            let mut empty = Vec::new();
-            self.run_callback(i, &mut empty, CallKind::Signal(signal));
+        self.protocol_phase(CallKind::Signal(signal));
+    }
+}
+
+/// What a protocol phase calls on a node.
+#[derive(Clone, Copy)]
+pub(crate) enum CallKind {
+    /// [`Protocol::on_start`], on every node.
+    Start,
+    /// [`Protocol::on_round`], on every node with messages or a due
+    /// wake-up.
+    Round,
+    /// [`Protocol::on_signal`], on every node.
+    Signal(Signal),
+}
+
+/// The round-invariant environment of a protocol phase, shared by
+/// every callback: the network, the CONGEST budget and the compiled
+/// fault schedule (if any).
+pub(crate) struct PhaseEnv<'a> {
+    pub(crate) graph: &'a Graph,
+    pub(crate) budget: Option<usize>,
+    pub(crate) faults: Option<&'a CompiledFaults>,
+}
+
+/// The nodes `base..base + nodes.len()` and everything a protocol phase
+/// reads or writes for them: protocol instances, RNGs, inboxes, the
+/// active list, wake-ups, done flags, the sends awaiting transmission,
+/// and the tallies of the last phase. [`Engine`] keeps every node in one
+/// shard with base 0; [`crate::ThreadedEngine`] splits it into one
+/// shard per worker for a run and joins them back after, so both
+/// executors run every callback through [`Shard::run_phase`].
+#[derive(Debug)]
+pub(crate) struct Shard<P: Protocol> {
+    /// Global index of the shard's first node.
+    pub(crate) base: usize,
+    pub(crate) nodes: Vec<P>,
+    rngs: Vec<StdRng>,
+    inboxes: Vec<Vec<(Port, P::Msg)>>,
+    /// Local indices with a nonempty inbox.
+    pub(crate) active: Vec<u32>,
+    /// Membership flags for `active`: keeps it, and the due wake-ups
+    /// merged into it, duplicate-free without a dedup pass.
+    flags: Vec<bool>,
+    /// Pending wake-ups as `(round, local index)`, kept as a multiset.
+    pub(crate) wakeups: BinaryHeap<Reverse<(u64, u32)>>,
+    done_flags: Vec<bool>,
+    pub(crate) done_count: usize,
+    /// Whether the last phase activated any node.
+    ran: bool,
+    /// Callbacks the last phase ran (crashed nodes excluded).
+    calls: u64,
+    /// Sends of the last phase per node, `(local index, count)`.
+    sent_log: Vec<(u32, u32)>,
+    /// Maximum phase tag pulled (via [`Protocol::phase_tag`]) in the
+    /// last phase.
+    phase_seen: Option<u8>,
+    /// Sends awaiting transmission, `(directed_index, msg)` in send
+    /// order: a signal's sends, then the round's.
+    pub(crate) outbox: DirBatch<P::Msg>,
+}
+
+impl<P: Protocol> Default for Shard<P> {
+    fn default() -> Self {
+        Shard::new(Vec::new(), 0)
+    }
+}
+
+impl<P: Protocol> Shard<P> {
+    /// One shard over `nodes`, with base 0 and the node RNGs of `seed`.
+    fn new(nodes: Vec<P>, seed: u64) -> Self {
+        let n = nodes.len();
+        Shard {
+            base: 0,
+            rngs: (0..n).map(|i| node_rng(seed, i)).collect(),
+            inboxes: (0..n).map(|_| Vec::new()).collect(),
+            active: Vec::new(),
+            flags: vec![false; n],
+            wakeups: BinaryHeap::new(),
+            done_flags: vec![false; n],
+            done_count: 0,
+            outbox: DirBatch::new(),
+            ran: false,
+            calls: 0,
+            sent_log: Vec::new(),
+            phase_seen: None,
+            nodes,
         }
     }
 
-    fn run_callback(&mut self, i: usize, inbox: &mut Vec<(Port, P::Msg)>, kind: CallKind) {
-        if let Some(f) = &self.wire.faults {
-            if f.is_crashed(i, self.round) {
-                // Crash-stop: from its crash round on, the node executes
-                // nothing — no callbacks, no sends, no wake-ups. Its
-                // inbox (cleared by the caller) is lost with it.
-                return;
+    /// [`Engine::reset_with`]'s half for the nodes: `n` fresh ones,
+    /// reusing every allocation but an oversized outbox.
+    fn reset(&mut self, n: usize, seed: u64, make: impl FnMut(usize) -> P, directed_edges: usize) {
+        self.nodes.clear();
+        self.nodes.extend((0..n).map(make));
+        self.rngs.clear();
+        self.rngs.extend((0..n).map(|i| node_rng(seed, i)));
+        for inbox in self.inboxes.iter_mut() {
+            inbox.clear(); // keep each node's inbox allocation
+        }
+        self.inboxes.resize_with(n, Vec::new);
+        self.active.clear();
+        self.flags.clear();
+        self.flags.resize(n, false);
+        self.wakeups.clear();
+        self.done_flags.clear();
+        self.done_flags.resize(n, false);
+        self.done_count = 0;
+        recycle(&mut self.outbox, directed_edges);
+        self.ran = false;
+        self.calls = 0;
+        self.sent_log.clear();
+        self.phase_seen = None;
+    }
+
+    /// Whether no inbox holds a message and no send awaits transmission.
+    pub(crate) fn idle(&self) -> bool {
+        self.active.is_empty() && self.outbox.is_empty()
+    }
+
+    /// Round of the earliest pending wake-up.
+    pub(crate) fn next_wake(&self) -> Option<u64> {
+        self.wakeups.peek().map(|&Reverse((r, _))| r)
+    }
+
+    /// A protocol phase of `kind` at `round` on this shard's nodes, in
+    /// ascending node order: start-up and signals call every node, a
+    /// round calls every node with messages or a due wake-up.
+    pub(crate) fn run_phase(&mut self, env: &PhaseEnv<'_>, round: u64, kind: CallKind) {
+        if !matches!(kind, CallKind::Round) {
+            self.ran = true;
+            for local in 0..self.nodes.len() {
+                self.call(env, round, local, kind);
+            }
+            return;
+        }
+        let mut todo = std::mem::take(&mut self.active);
+        // `flags` doubles as the membership set: delivery already guards
+        // `active` with it, so guarding due wake-ups the same way keeps
+        // `todo` duplicate-free without a dedup pass.
+        while let Some(&Reverse((r, local))) = self.wakeups.peek() {
+            if r > round {
+                break;
+            }
+            self.wakeups.pop();
+            if !self.flags[local as usize] {
+                self.flags[local as usize] = true;
+                todo.push(local);
             }
         }
-        self.activations += 1;
+        // Ascending node order: a linear flag scan when dense (cheaper
+        // and cache-friendly), a sort when sparse.
+        if todo.len() >= self.nodes.len() / 8 {
+            todo.clear();
+            for (local, flag) in self.flags.iter().enumerate() {
+                if *flag {
+                    todo.push(crate::idx32(local));
+                }
+            }
+        } else {
+            todo.sort_unstable();
+        }
+        self.ran = !todo.is_empty();
+        for &local in &todo {
+            self.flags[local as usize] = false;
+            self.call(env, round, local as usize, CallKind::Round);
+        }
+        // Callbacks only queue sends, so nothing was delivered into
+        // `active` meanwhile: hand the allocation back.
+        todo.clear();
+        self.active = todo;
+    }
+
+    /// One callback on local node `local`, with everything the engine
+    /// does around it: the crash-stop skip, the wake-up clamp, done
+    /// counting and the phase-tag pull.
+    fn call(&mut self, env: &PhaseEnv<'_>, round: u64, local: usize, kind: CallKind) {
+        let i = self.base + local;
+        if env.faults.is_some_and(|f| f.is_crashed(i, round)) {
+            // Crash-stop: from its crash round on, the node executes
+            // nothing — no callbacks, no sends, no wake-ups. A round's
+            // inbox is lost with it.
+            if let CallKind::Round = kind {
+                self.inboxes[local].clear();
+            }
+            return;
+        }
+        self.calls += 1;
         let u = NodeId::new(i);
-        let degree = self.graph.degree(u);
-        let n = self.graph.n();
         let mut wake = None;
-        let sent;
-        {
-            // Sends go straight into `pending` as `(directed_index, msg)`
-            // — `Context::send` resolves the index from `dir_base`, so no
-            // per-message recomputation or intermediate buffer.
-            let mut ctx = Context {
-                round: self.round,
-                n,
-                degree,
-                dir_base: crate::idx32(self.graph.directed_base(u)),
-                budget: self.cfg.bandwidth_bits,
-                sent: 0,
-                rng: &mut self.rngs[i],
-                sends: &mut self.wire.pending,
-                wake: &mut wake,
-            };
-            match kind {
-                CallKind::Start => self.nodes[i].on_start(&mut ctx),
-                CallKind::Round => self.nodes[i].on_round(&mut ctx, inbox),
-                CallKind::Signal(s) => self.nodes[i].on_signal(&mut ctx, s),
+        // Sends go straight into the outbox as `(directed_index, msg)` —
+        // `Context::send` resolves the index from `dir_base`, so no
+        // per-message recomputation or intermediate buffer.
+        let mut ctx = Context {
+            round,
+            n: env.graph.n(),
+            degree: env.graph.degree(u),
+            dir_base: crate::idx32(env.graph.directed_base(u)),
+            budget: env.budget,
+            sent: 0,
+            rng: &mut self.rngs[local],
+            sends: &mut self.outbox,
+            wake: &mut wake,
+        };
+        let node = &mut self.nodes[local];
+        match kind {
+            CallKind::Start => node.on_start(&mut ctx),
+            CallKind::Round => {
+                let mut inbox = std::mem::take(&mut self.inboxes[local]);
+                node.on_round(&mut ctx, &mut inbox);
+                inbox.clear();
+                self.inboxes[local] = inbox; // recycle the allocation
             }
-            sent = ctx.sent;
+            CallKind::Signal(s) => node.on_signal(&mut ctx, s),
         }
+        let sent = ctx.sent;
         if sent > 0 {
-            self.metrics.sent_by_node[i] += sent as u64;
+            self.sent_log.push((crate::idx32(local), sent));
         }
         if let Some(r) = wake {
-            self.wakeups.push(Reverse((r.max(self.round + 1), crate::idx32(i))));
+            self.wakeups
+                .push(Reverse((r.max(round + 1), crate::idx32(local))));
         }
-        let done_now = self.nodes[i].is_done();
-        if done_now != self.done_flags[i] {
-            self.done_flags[i] = done_now;
+        let done_now = node.is_done();
+        if done_now != self.done_flags[local] {
+            self.done_flags[local] = done_now;
             if done_now {
                 self.done_count += 1;
             } else {
                 self.done_count -= 1;
             }
         }
-        // The phase-observer pull (see `Protocol::phase_tag`): merge by
-        // maximum so the per-round reduction is order-free.
-        if let Some(tag) = self.nodes[i].phase_tag() {
-            self.phase_seen = Some(match self.phase_seen {
-                Some(cur) => cur.max(tag),
-                None => tag,
+        // The phase-observer pull (see `Protocol::phase_tag`): merged by
+        // maximum (`None` below every tag), so the reduction is
+        // order-free across nodes and shards.
+        self.phase_seen = self.phase_seen.max(node.phase_tag());
+    }
+
+    /// Hands over the last phase's tallies and clears them: the sends
+    /// are added to `sent_by_node` (indexed by global node), the phase
+    /// tag max-merges into `phase`. Returns whether any node was
+    /// activated, and how many callbacks ran.
+    pub(crate) fn take_tally(
+        &mut self,
+        sent_by_node: &mut [u64],
+        phase: &mut Option<u8>,
+    ) -> (bool, u64) {
+        for (local, sent) in self.sent_log.drain(..) {
+            sent_by_node[self.base + local as usize] += u64::from(sent);
+        }
+        *phase = (*phase).max(self.phase_seen.take());
+        let ran = std::mem::take(&mut self.ran);
+        (ran, std::mem::take(&mut self.calls))
+    }
+
+    /// Delivers `msg`, arrived through `port`, into local node `local`'s
+    /// inbox, and lists the node as active.
+    #[inline]
+    pub(crate) fn deliver(&mut self, local: usize, port: Port, msg: P::Msg) {
+        self.inboxes[local].push((port, msg));
+        if !self.flags[local] {
+            self.flags[local] = true;
+            self.active.push(crate::idx32(local));
+        }
+    }
+
+    /// Splits this shard (base 0, tallies taken) into contiguous shards
+    /// of `len` nodes each. The first keeps the sends awaiting
+    /// transmission: they go out ahead of every shard's next sends, as
+    /// they would from the whole shard.
+    pub(crate) fn split(mut self, len: usize) -> Vec<Shard<P>> {
+        debug_assert!(self.base == 0 && self.sent_log.is_empty() && self.calls == 0);
+        let count = self.nodes.len().div_ceil(len).max(1);
+        let active = std::mem::take(&mut self.active);
+        let wakeups = std::mem::take(&mut self.wakeups);
+        let mut shards = Vec::with_capacity(count);
+        // Split from the back so each split_off is O(shard size).
+        for base in (1..count).rev().map(|s| s * len) {
+            shards.push(Shard {
+                base,
+                nodes: self.nodes.split_off(base),
+                rngs: self.rngs.split_off(base),
+                inboxes: self.inboxes.split_off(base),
+                flags: self.flags.split_off(base),
+                done_flags: self.done_flags.split_off(base),
+                ..Shard::default()
             });
         }
+        shards.push(self);
+        shards.reverse();
+        for s in &mut shards {
+            s.done_count = s.done_flags.iter().filter(|&&d| d).count();
+        }
+        for i in active {
+            let s = &mut shards[i as usize / len];
+            s.active.push(i - crate::idx32(s.base));
+        }
+        for Reverse((r, i)) in wakeups {
+            let s = &mut shards[i as usize / len];
+            s.wakeups.push(Reverse((r, i - crate::idx32(s.base))));
+        }
+        shards
+    }
+
+    /// Joins the shards of a [`Shard::split`] back into one, in order.
+    pub(crate) fn join(shards: Vec<Shard<P>>) -> Shard<P> {
+        let mut rest = shards.into_iter();
+        let mut whole = rest.next().unwrap_or_default();
+        for s in rest {
+            debug_assert!(s.outbox.is_empty() && s.sent_log.is_empty() && s.calls == 0);
+            let base = crate::idx32(s.base);
+            whole.nodes.extend(s.nodes);
+            whole.rngs.extend(s.rngs);
+            whole.inboxes.extend(s.inboxes);
+            whole.flags.extend(s.flags);
+            whole.done_flags.extend(s.done_flags);
+            whole.done_count += s.done_count;
+            whole.active.extend(s.active.iter().map(|&l| base + l));
+            let wakeups = s.wakeups.into_iter();
+            whole
+                .wakeups
+                .extend(wakeups.map(|Reverse((r, l))| Reverse((r, base + l))));
+        }
+        whole
     }
 }
 
-#[derive(Clone, Copy)]
-enum CallKind {
-    Start,
-    Round,
-    Signal(Signal),
+/// Empties `batch` for reuse on a graph of `directed_edges`, releasing
+/// its memory when it is far oversized for that graph (see
+/// [`Engine::reset_with`]).
+fn recycle<M>(batch: &mut DirBatch<M>, directed_edges: usize) {
+    let limit = SHRINK_RATIO.saturating_mul(directed_edges).max(SHRINK_FLOOR);
+    if batch.capacity() > limit {
+        batch.release();
+    } else {
+        batch.clear();
+    }
 }
 
 /// Default bound on the per-chunk transmission scratch, in slots (see
@@ -767,12 +964,12 @@ enum CallKind {
 /// million active edges flows through kilobytes of scratch.
 pub(crate) const TRANSMIT_CHUNK: usize = 4096;
 
-/// Everything between a send and its delivery: the per-edge backlog,
-/// the CONGEST one-message-per-directed-edge stamps, the round's sends,
-/// and the optional fault and latency layers. Both executors own one
-/// (the sharded engine through its inner [`Engine`]) and drive it
-/// through [`Wire::transmit`], so they cannot drift apart on delivery
-/// (their executions must stay bit-identical).
+/// Everything between a shard's outbox and an inbox: the per-edge
+/// backlog, the CONGEST one-message-per-directed-edge stamps, and the
+/// optional fault and latency layers. Both executors own one (the
+/// sharded engine through its inner [`Engine`]) and drive it through
+/// [`Wire::transmit`], so they cannot drift apart on delivery (their
+/// executions must stay bit-identical).
 #[derive(Debug)]
 pub(crate) struct Wire<M> {
     /// Backlogged messages, one FIFO per directed edge.
@@ -785,10 +982,6 @@ pub(crate) struct Wire<M> {
     /// entries (see [`Engine::set_transmit_chunk`]), so its size is
     /// bounded by the chunk, not by the number of active edges.
     deliveries: DirBatch<M>,
-    /// Sends of the current round, in send order, awaiting transmission.
-    /// Uncongested messages go straight from here to the target inbox;
-    /// only backlogged edges touch the arena in `queues`.
-    pending: DirBatch<M>,
     /// Bound on the per-chunk transmission scratch (slots).
     chunk_limit: usize,
     /// Installed adversarial network conditions, if any.
@@ -804,7 +997,6 @@ impl<M: Payload> Wire<M> {
             queues: EdgeQueues::new(directed_edges),
             last_carried: vec![u64::MAX; directed_edges],
             deliveries: DirBatch::new(),
-            pending: DirBatch::new(),
             chunk_limit: TRANSMIT_CHUNK,
             faults: None,
             latency: None,
@@ -812,17 +1004,10 @@ impl<M: Payload> Wire<M> {
     }
 
     /// [`Engine::reset_with`]'s half for the wire: empty, without
-    /// layers, and shedding batches far oversized for the new graph.
+    /// layers, and shedding scratch far oversized for the new graph.
     fn reset(&mut self, directed_edges: usize) {
         self.queues.reset(directed_edges);
-        let limit = SHRINK_RATIO.saturating_mul(directed_edges).max(SHRINK_FLOOR);
-        for batch in [&mut self.deliveries, &mut self.pending] {
-            if batch.capacity() > limit {
-                batch.release();
-            } else {
-                batch.clear();
-            }
-        }
+        recycle(&mut self.deliveries, directed_edges);
         self.chunk_limit = TRANSMIT_CHUNK;
         self.last_carried.clear();
         self.last_carried.resize(directed_edges, u64::MAX);
@@ -834,10 +1019,10 @@ impl<M: Payload> Wire<M> {
     /// executor: one message per active directed edge. Messages parked
     /// on the latency heap and due by the round's end arrive first, then
     /// backlogged edges deliver their queue head (pumped in bounded
-    /// chunks through the recycled scratch), then the round's fresh
-    /// sends — `pending`, then each batch of `fresh` — either cross
-    /// directly (edge idle this round — the common, allocation-free
-    /// case) or join the backlog. The crossing policy is chosen here,
+    /// chunks through the recycled scratch), then the sends of each
+    /// batch of `fresh` in order — one shard outbox per batch — either
+    /// cross directly (edge idle this round — the common,
+    /// allocation-free case) or join the backlog. The crossing policy is chosen here,
     /// once per round. Returns the round's flow and whether anything was
     /// in transit.
     pub(crate) fn transmit<O: TransmitObserver + ?Sized>(
@@ -850,7 +1035,6 @@ impl<M: Payload> Wire<M> {
         sink: &mut impl FnMut(NodeId, Port, M),
     ) -> (RoundFlow, bool) {
         let transmitted = self.queues.in_flight() > 0
-            || !self.pending.is_empty()
             || fresh.iter().any(|b| !b.is_empty())
             || self
                 .latency
@@ -863,8 +1047,7 @@ impl<M: Payload> Wire<M> {
             _ => None,
         };
         let mut scratch = std::mem::take(&mut self.deliveries);
-        let mut pending = std::mem::take(&mut self.pending);
-        let batches = std::iter::once(&mut pending).chain(fresh.iter_mut());
+        let batches = fresh.iter_mut();
         let chunk = self.chunk_limit;
         let (queues, carried) = (&mut self.queues, &mut self.last_carried[..]);
         let flow = match self.latency.as_deref_mut() {
@@ -897,7 +1080,6 @@ impl<M: Payload> Wire<M> {
             }
         };
         self.deliveries = scratch;
-        self.pending = pending;
         if let Some(t) = tel {
             if faults.is_some() {
                 // Events: every crossing the filter inspected.

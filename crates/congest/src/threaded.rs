@@ -2,12 +2,13 @@
 //! [`crate::Engine`].
 //!
 //! [`ThreadedEngine`] wraps an inner [`Engine`] and adds a parallel
-//! execution layer: the network is split into contiguous node shards,
-//! one per worker thread, and workers are spawned **once per run** and
-//! parked on a shared round barrier. Each parallel round costs two
-//! barrier crossings — a protocol phase over the shards, then a serial
-//! merge + transmit phase on the driving thread — instead of the
-//! thread-spawn-per-round of the previous implementation.
+//! execution layer: for each run, the engine's one shard of per-node
+//! state is split into contiguous node shards, one per worker thread,
+//! and joined back when the run ends. Workers are spawned **once per
+//! run** and parked on a shared round barrier. Each parallel round costs
+//! two barrier crossings — the engine's own protocol phase, run on every
+//! shard at once, then a serial merge + transmit phase on the driving
+//! thread.
 //!
 //! Rounds whose protocol phase is too sparse to amortize a barrier
 //! crossing run inline on the driving thread (see
@@ -19,21 +20,16 @@
 //! protocols that honour the [`crate::Protocol`] no-op contract.
 
 use std::any::Any;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::ops::DerefMut;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 
-use rand::rngs::StdRng;
-use welle_graph::{Graph, NodeId, Port};
+use welle_graph::Graph;
 
-use crate::engine::{Engine, EngineConfig, RunOutcome};
-use crate::faults::{CompiledFaultPlan, CompiledFaults, FaultError, FaultPlan};
+use crate::engine::{CallKind, Engine, EngineConfig, PhaseEnv, RunOutcome, Shard};
+use crate::faults::{CompiledFaultPlan, FaultError, FaultPlan};
 use crate::metrics::{Metrics, NoopObserver, TransmitObserver};
-use crate::protocol::{Context, Protocol, Signal};
-use crate::queues::DirBatch;
+use crate::protocol::{Protocol, Signal};
 use crate::telemetry::{SpanStage, TelemetryConfig, TelemetryReport};
 
 /// Worker command: simulate one round (`on_round` phase).
@@ -50,162 +46,12 @@ const CMD_EXIT: u8 = 2;
 /// workers stay parked.
 const INLINE_WORK_PER_SHARD: usize = 64;
 
-/// Round-invariant environment of a protocol phase, shared by every
-/// callback: the network, its size, the CONGEST budget, and the
-/// compiled fault schedule (if any).
-struct PhaseEnv<'a> {
-    graph: &'a Graph,
-    n_total: usize,
-    budget: Option<usize>,
-    faults: Option<&'a CompiledFaults>,
-}
-
-/// One worker's contiguous slice of the network:
-/// nodes `base..base + nodes.len()`.
-struct Shard<P: Protocol> {
-    base: usize,
-    nodes: Vec<P>,
-    rngs: Vec<StdRng>,
-    inboxes: Vec<Vec<(Port, P::Msg)>>,
-    /// Pending wake-ups as `(round, local index)`; exact multiset
-    /// semantics, matching the serial engine's heap.
-    wakeups: BinaryHeap<Reverse<(u64, u32)>>,
-    done_flags: Vec<bool>,
-    done_count: usize,
-    /// Local indices with a nonempty inbox, filled by the merge phase.
-    active: Vec<u32>,
-    /// Membership flags for `active`/`todo` (the serial engine's
-    /// `inbox_flag`): keeps them duplicate-free without a dedup pass.
-    flags: Vec<bool>,
-    /// Sends of the last protocol phase: `(directed_index, msg)`, in
-    /// node (= send) order (struct-of-arrays, like the engine buffers).
-    outbox: DirBatch<P::Msg>,
-    /// Per-node send counts of the last phase, `(local index, count)`.
-    sent_log: Vec<(u32, u32)>,
-    /// Earliest pending wake after the last protocol phase.
-    next_wake: Option<u64>,
-    /// Whether any protocol callback ran in the last phase.
-    ran: bool,
-    todo: Vec<u32>,
-    /// Callbacks run since the counter was last drained (crashed nodes
-    /// excluded) — the shard's share of a telemetry sample's
-    /// `active_nodes`. Drained by the merge phase when telemetry is on.
-    calls: u64,
-    /// Maximum phase tag pulled (via [`Protocol::phase_tag`]) since the
-    /// last drain; merged across shards by the merge phase.
-    phase_seen: Option<u8>,
-}
-
-impl<P: Protocol> Shard<P> {
-    /// Runs the protocol phase of one round on this shard's nodes.
-    fn run_phase(&mut self, env: &PhaseEnv<'_>, starting: bool, round: u64) {
-        debug_assert!(self.outbox.is_empty());
-        if starting {
-            self.ran = !self.nodes.is_empty();
-            for local in 0..self.nodes.len() {
-                self.call(env, round, local, true);
-            }
-        } else {
-            let mut todo = std::mem::take(&mut self.todo);
-            todo.clear();
-            todo.append(&mut self.active);
-            while let Some(&Reverse((r, local))) = self.wakeups.peek() {
-                if r <= round {
-                    self.wakeups.pop();
-                    if !self.flags[local as usize] {
-                        self.flags[local as usize] = true;
-                        todo.push(local);
-                    }
-                } else {
-                    break;
-                }
-            }
-            // Deterministic local order: linear flag scan when dense,
-            // sort when sparse (mirrors the serial engine).
-            if todo.len() >= self.nodes.len() / 8 {
-                todo.clear();
-                for (local, flag) in self.flags.iter().enumerate() {
-                    if *flag {
-                        todo.push(crate::idx32(local));
-                    }
-                }
-            } else {
-                todo.sort_unstable();
-            }
-            self.ran = !todo.is_empty();
-            for &local in &todo {
-                self.flags[local as usize] = false;
-                self.call(env, round, local as usize, false);
-            }
-            self.todo = todo;
-        }
-        self.next_wake = self.wakeups.peek().map(|&Reverse((r, _))| r);
-    }
-
-    fn call(&mut self, env: &PhaseEnv<'_>, round: u64, local: usize, starting: bool) {
-        if let Some(c) = env.faults {
-            if c.is_crashed(self.base + local, round) {
-                // Crash-stop, mirroring the serial engine exactly: no
-                // callback, no sends, and the pending inbox is lost.
-                self.inboxes[local].clear();
-                return;
-            }
-        }
-        self.calls += 1;
-        let u = NodeId::new(self.base + local);
-        let mut wake = None;
-        let sent;
-        {
-            let mut ctx = Context {
-                round,
-                n: env.n_total,
-                degree: env.graph.degree(u),
-                dir_base: crate::idx32(env.graph.directed_base(u)),
-                budget: env.budget,
-                sent: 0,
-                rng: &mut self.rngs[local],
-                sends: &mut self.outbox,
-                wake: &mut wake,
-            };
-            if starting {
-                self.nodes[local].on_start(&mut ctx);
-            } else {
-                let mut inbox = std::mem::take(&mut self.inboxes[local]);
-                self.nodes[local].on_round(&mut ctx, &mut inbox);
-                inbox.clear();
-                self.inboxes[local] = inbox; // recycle the allocation
-            }
-            sent = ctx.sent;
-        }
-        if sent > 0 {
-            self.sent_log.push((crate::idx32(local), sent));
-        }
-        if let Some(r) = wake {
-            self.wakeups
-                .push(Reverse((r.max(round + 1), crate::idx32(local))));
-        }
-        let done_now = self.nodes[local].is_done();
-        if done_now != self.done_flags[local] {
-            self.done_flags[local] = done_now;
-            if done_now {
-                self.done_count += 1;
-            } else {
-                self.done_count -= 1;
-            }
-        }
-        // The phase-observer pull, mirroring the serial engine's
-        // `run_callback` (max-merge: order-free across shards too).
-        if let Some(tag) = self.nodes[local].phase_tag() {
-            self.phase_seen = Some(match self.phase_seen {
-                Some(cur) => cur.max(tag),
-                None => tag,
-            });
-        }
-    }
-}
-
-/// Aggregates the driving thread reads back after each merge phase.
+/// Aggregates the driving thread reads from the shards before each
+/// round.
 struct RoundAgg {
+    /// Whether every shard is idle (see [`Shard::idle`]).
+    idle: bool,
+    /// Nodes with a nonempty inbox, across shards.
     inbox_total: usize,
     done_total: usize,
     min_wake: Option<u64>,
@@ -213,24 +59,31 @@ struct RoundAgg {
     wake_entries: usize,
 }
 
-/// The executor-specific delivery sink for the inner engine's wire: routes a
-/// delivered message to the owning shard's inbox and maintains the
-/// shard's active list (and the driver's nonempty-inbox count).
-fn shard_sink<'v, 's, P: Protocol>(
-    views: &'v mut [&'s mut Shard<P>],
-    shard_len: usize,
-    inbox_total: &'v mut usize,
-) -> impl FnMut(NodeId, Port, P::Msg) + use<'v, 's, P> {
-    move |v, q, msg| {
-        let shard = &mut *views[v.index() / shard_len];
-        let local = v.index() - shard.base;
-        shard.inboxes[local].push((q, msg));
-        if !shard.flags[local] {
-            shard.flags[local] = true;
-            shard.active.push(crate::idx32(local));
-            *inbox_total += 1;
+impl RoundAgg {
+    fn of<'a, P: Protocol + 'a>(shards: impl IntoIterator<Item = &'a Shard<P>>) -> Self {
+        let mut agg = RoundAgg {
+            idle: true,
+            inbox_total: 0,
+            done_total: 0,
+            min_wake: None,
+            wake_entries: 0,
+        };
+        for s in shards {
+            agg.idle &= s.idle();
+            agg.inbox_total += s.active.len();
+            agg.done_total += s.done_count;
+            agg.min_wake = agg.min_wake.into_iter().chain(s.next_wake()).min();
+            agg.wake_entries += s.wakeups.len();
         }
+        agg
     }
+}
+
+/// Locks a shard, recovering from poison: a worker panic is already
+/// captured and re-raised on the driving thread, so the flag adds
+/// nothing.
+fn lock<T>(cell: &Mutex<T>) -> MutexGuard<'_, T> {
+    cell.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Releases barrier-parked workers if the driving thread unwinds
@@ -406,10 +259,9 @@ impl<P: Protocol> ThreadedEngine<P> {
     }
 
     /// The run loop. Whole-run-inline mode delegates to the serial
-    /// engine (same state, same algorithm); otherwise per-node state is
-    /// split into shards, workers are spawned once, and rounds are
-    /// driven over the barrier until the run ends and state is
-    /// reassembled.
+    /// engine (same state, same algorithm); otherwise the engine's shard
+    /// is split, workers are spawned once, and rounds are driven over
+    /// the barrier until the run ends and the shards are joined back.
     fn run_core<O: TransmitObserver + ?Sized>(
         &mut self,
         round_limit: u64,
@@ -418,26 +270,15 @@ impl<P: Protocol> ThreadedEngine<P> {
         if self.threads == 1 || self.inline_cutoff == usize::MAX {
             return self.inner.run_core(round_limit, obs, |_| false);
         }
-        let n = self.inner.graph.n();
-        let shard_len = n.div_ceil(self.threads).max(1);
-        let shards = self.take_shards(shard_len);
-        let agg = RoundAgg {
-            inbox_total: shards.iter().map(|s| s.active.len()).sum(),
-            done_total: shards.iter().map(|s| s.done_count).sum(),
-            min_wake: shards.iter().filter_map(|s| s.next_wake).min(),
-            wake_entries: shards.iter().map(|s| s.wakeups.len()).sum(),
-        };
+        let shard_len = self.inner.graph.n().div_ceil(self.threads).max(1);
+        let shards = std::mem::take(&mut self.inner.shard).split(shard_len);
+        let agg = RoundAgg::of(&shards);
         let cells: Vec<Mutex<Shard<P>>> = shards.into_iter().map(Mutex::new).collect();
         let outcome = self.run_sharded(&cells, round_limit, obs, agg);
-        self.restore_shards(
-            cells
-                .into_iter()
-                .map(|c| match c.into_inner() {
-                    Ok(s) => s,
-                    Err(poisoned) => poisoned.into_inner(),
-                })
-                .collect(),
-        );
+        let shards = cells
+            .into_iter()
+            .map(|c| c.into_inner().unwrap_or_else(PoisonError::into_inner));
+        self.inner.shard = Shard::join(shards.collect());
         outcome
     }
 
@@ -450,7 +291,6 @@ impl<P: Protocol> ThreadedEngine<P> {
         mut agg: RoundAgg,
     ) -> RunOutcome {
         let n = self.inner.graph.n();
-        let budget = self.inner.cfg.bandwidth_bits;
         let barrier = Barrier::new(cells.len() + 1);
         let cmd = AtomicU8::new(CMD_ROUND);
         let round_now = AtomicU64::new(self.inner.round);
@@ -461,15 +301,16 @@ impl<P: Protocol> ThreadedEngine<P> {
         let panicked: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
         let graph = Arc::clone(&self.inner.graph);
         let compiled = self.inner.compiled_faults();
+        let env = PhaseEnv {
+            graph: &graph,
+            budget: self.inner.cfg.bandwidth_bits,
+            faults: compiled.as_deref(),
+        };
 
         std::thread::scope(|scope| {
             for cell in cells {
-                let barrier = &barrier;
-                let cmd = &cmd;
-                let round_now = &round_now;
-                let panicked = &panicked;
-                let graph = &graph;
-                let compiled = &compiled;
+                let (barrier, cmd, round_now, panicked, env) =
+                    (&barrier, &cmd, &round_now, &panicked, &env);
                 scope.spawn(move || loop {
                     barrier.wait();
                     let c = cmd.load(Ordering::SeqCst);
@@ -477,25 +318,16 @@ impl<P: Protocol> ThreadedEngine<P> {
                         break;
                     }
                     let r = round_now.load(Ordering::SeqCst);
+                    let kind = if c == CMD_START {
+                        CallKind::Start
+                    } else {
+                        CallKind::Round
+                    };
                     let result = catch_unwind(AssertUnwindSafe(|| {
-                        let env = PhaseEnv {
-                            graph,
-                            n_total: n,
-                            budget,
-                            faults: compiled.as_deref(),
-                        };
-                        // Poison recovery: a prior panic is already
-                        // captured in `panicked` and re-raised by the
-                        // coordinator, so the flag adds nothing here.
-                        let mut shard = cell
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        shard.run_phase(&env, c == CMD_START, r);
+                        lock(cell).run_phase(env, r, kind);
                     }));
                     if let Err(payload) = result {
-                        *panicked
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(payload);
+                        *lock(panicked) = Some(payload);
                     }
                     barrier.wait();
                 });
@@ -509,12 +341,12 @@ impl<P: Protocol> ThreadedEngine<P> {
                 barrier: &barrier,
             };
             loop {
-                let (idle, done, wake) = (agg.inbox_total == 0, agg.done_total, agg.min_wake);
+                let (idle, done, wake) = (agg.idle, agg.done_total, agg.min_wake);
                 if let Some(out) = self.inner.check_stop(idle, done, wake, round_limit) {
                     break out;
                 }
-                let starting = !self.inner.started;
-                self.inner.started = true;
+                let kind = self.inner.next_phase();
+                let starting = matches!(kind, CallKind::Start);
                 let t_round = self
                     .inner
                     .telemetry
@@ -544,179 +376,68 @@ impl<P: Protocol> ThreadedEngine<P> {
                     round_now.store(self.inner.round, Ordering::SeqCst);
                     barrier.wait(); // workers run the protocol phase
                     barrier.wait(); // workers finished
-                    let payload = panicked
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .take();
-                    if let Some(payload) = payload {
+                    if let Some(payload) = lock(&panicked).take() {
                         resume_unwind(payload);
                     }
                 }
-                let mut guards: Vec<_> = cells
-                    .iter()
-                    .map(|c| c.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
-                    .collect();
+                let mut guards: Vec<_> = cells.iter().map(lock).collect();
                 if inline {
                     // Sparse round: run the phase inline, workers stay
                     // parked on the barrier. Same code path, same order.
-                    let env = PhaseEnv {
-                        graph: &graph,
-                        n_total: n,
-                        budget,
-                        faults: compiled.as_deref(),
-                    };
                     for guard in guards.iter_mut() {
-                        guard.run_phase(&env, starting, self.inner.round);
+                        guard.run_phase(&env, self.inner.round, kind);
                     }
                 }
-                let mut callbacks_run = 0u64;
-                if self.inner.telemetry.is_some() {
-                    for guard in guards.iter_mut() {
-                        callbacks_run += guard.calls;
-                        guard.calls = 0;
-                    }
-                    if let Some(t) = self.inner.telemetry.as_deref_mut() {
-                        t.end(SpanStage::Callbacks, t_cb, callbacks_run);
-                    }
-                }
-                agg = self.merge_and_transmit(&mut guards, starting, obs, callbacks_run, t_round);
+                agg = self.merge_and_transmit(&mut guards, obs, t_cb, t_round);
             }
         })
     }
 
-    /// The serial half of a round: fold every shard's bookkeeping into
-    /// the inner engine, transmit through its wire — the backlog, any
-    /// signal sends, then every shard's fresh sends in shard (= node)
-    /// order (determinism) into shard inboxes — close the round, and
-    /// collect the aggregates.
+    /// The serial half of a round: fold every shard's tallies into the
+    /// inner engine, transmit through its wire — the backlog, then
+    /// every shard's sends in shard (= node) order (determinism) into
+    /// shard inboxes — close the round, and collect the aggregates.
     fn merge_and_transmit<O: TransmitObserver + ?Sized>(
         &mut self,
-        shards: &mut [impl DerefMut<Target = Shard<P>>],
-        starting: bool,
+        shards: &mut [MutexGuard<'_, Shard<P>>],
         obs: &mut O,
-        callbacks_run: u64,
+        t_cb: Option<std::time::Instant>,
         t_round: Option<std::time::Instant>,
     ) -> RoundAgg {
-        let shard_len = shards[0].nodes.len().max(1);
-        let mut any_activity = starting;
+        let inner = &mut self.inner;
+        let (mut ran, mut callbacks_run) = (false, 0);
         let mut outboxes = Vec::with_capacity(shards.len());
         for shard in shards.iter_mut() {
-            any_activity |= shard.ran;
-            if let Some(tag) = shard.phase_seen.take() {
-                self.inner.phase_seen = Some(match self.inner.phase_seen {
-                    Some(cur) => cur.max(tag),
-                    None => tag,
-                });
-            }
-            let base = shard.base;
-            while let Some((local, cnt)) = shard.sent_log.pop() {
-                self.inner.metrics.sent_by_node[base + local as usize] += cnt as u64;
-            }
+            let (r, c) = shard.take_tally(&mut inner.metrics.sent_by_node, &mut inner.phase_seen);
+            ran |= r;
+            callbacks_run += c;
             outboxes.push(std::mem::take(&mut shard.outbox));
         }
+        let mut tel = inner.telemetry.take();
+        if let Some(t) = tel.as_deref_mut() {
+            t.end(SpanStage::Callbacks, t_cb, callbacks_run);
+        }
 
-        let mut inbox_total = 0usize;
-        let mut tel = self.inner.telemetry.take();
+        let shard_len = shards[0].nodes.len().max(1);
         let (flow, transmitted) = {
-            let mut views: Vec<&mut Shard<P>> =
-                shards.iter_mut().map(|s| s.deref_mut()).collect();
-            let mut sink = shard_sink(&mut views, shard_len, &mut inbox_total);
-            self.inner.wire.transmit(
-                &self.inner.graph,
-                self.inner.round,
+            let mut views: Vec<&mut Shard<P>> = shards.iter_mut().map(|s| &mut **s).collect();
+            inner.wire.transmit(
+                &inner.graph,
+                inner.round,
                 &mut outboxes,
                 tel.as_deref_mut(),
                 obs,
-                &mut sink,
+                &mut |v, q, msg| {
+                    let shard = &mut *views[v.index() / shard_len];
+                    shard.deliver(v.index() - shard.base, q, msg);
+                },
             )
         };
         for (shard, outbox) in shards.iter_mut().zip(outboxes) {
             shard.outbox = outbox; // recycle the allocation
         }
-        let active = any_activity || transmitted;
-        let inner = &mut self.inner;
-        inner.close_round(tel, active, callbacks_run, &flow, t_round);
-
-        RoundAgg {
-            inbox_total,
-            done_total: shards.iter().map(|s| s.done_count).sum(),
-            min_wake: shards.iter().filter_map(|s| s.next_wake).min(),
-            wake_entries: shards.iter().map(|s| s.wakeups.len()).sum(),
-        }
-    }
-
-    /// Moves the inner engine's per-node state into contiguous shards of
-    /// `shard_len` nodes each.
-    fn take_shards(&mut self, shard_len: usize) -> Vec<Shard<P>> {
-        let inner = &mut self.inner;
-        let n = inner.graph.n();
-        let num_shards = n.div_ceil(shard_len).max(1);
-        let mut nodes = std::mem::take(&mut inner.nodes);
-        let mut rngs = std::mem::take(&mut inner.rngs);
-        let mut inboxes = std::mem::take(&mut inner.inboxes);
-        let mut done_flags = std::mem::take(&mut inner.done_flags);
-        let mut flags = std::mem::take(&mut inner.inbox_flag);
-        let mut shards: Vec<Shard<P>> = Vec::with_capacity(num_shards);
-        // Split from the back so each split_off is O(shard size).
-        for s in (0..num_shards).rev() {
-            let base = s * shard_len;
-            let shard_done = done_flags.split_off(base);
-            let done_count = shard_done.iter().filter(|&&d| d).count();
-            shards.push(Shard {
-                base,
-                nodes: nodes.split_off(base),
-                rngs: rngs.split_off(base),
-                inboxes: inboxes.split_off(base),
-                wakeups: BinaryHeap::new(),
-                done_flags: shard_done,
-                done_count,
-                active: Vec::new(),
-                flags: flags.split_off(base),
-                outbox: DirBatch::new(),
-                sent_log: Vec::new(),
-                next_wake: None,
-                ran: false,
-                todo: Vec::new(),
-                calls: 0,
-                phase_seen: None,
-            });
-        }
-        shards.reverse();
-        for i in std::mem::take(&mut inner.inbox_active) {
-            let s = i as usize / shard_len;
-            let base = crate::idx32(shards[s].base);
-            shards[s].active.push(i - base);
-        }
-        for Reverse((r, i)) in std::mem::take(&mut inner.wakeups) {
-            let s = i as usize / shard_len;
-            let base = crate::idx32(shards[s].base);
-            shards[s].wakeups.push(Reverse((r, i - base)));
-        }
-        for shard in &mut shards {
-            shard.next_wake = shard.wakeups.peek().map(|&Reverse((r, _))| r);
-        }
-        shards
-    }
-
-    /// Moves shard state back into the inner engine after a run.
-    fn restore_shards(&mut self, shards: Vec<Shard<P>>) {
-        let inner = &mut self.inner;
-        inner.done_count = 0;
-        for shard in shards {
-            let base = crate::idx32(shard.base);
-            inner.nodes.extend(shard.nodes);
-            inner.rngs.extend(shard.rngs);
-            inner.inboxes.extend(shard.inboxes);
-            inner.done_flags.extend(shard.done_flags);
-            inner.inbox_flag.extend(shard.flags);
-            inner.done_count += shard.done_count;
-            for &local in &shard.active {
-                inner.inbox_active.push(base + local);
-            }
-            for Reverse((r, local)) in shard.wakeups {
-                inner.wakeups.push(Reverse((r, base + local)));
-            }
-        }
+        inner.close_round(tel, ran || transmitted, callbacks_run, &flow, t_round);
+        RoundAgg::of(shards.iter().map(|s| &**s))
     }
 }
 

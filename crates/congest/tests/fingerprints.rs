@@ -7,16 +7,20 @@
 //! [`Metrics`], the final round, the bits of the virtual time and the
 //! [`TelemetryConfig::full`] sample stream. A refactor of the delivery
 //! path must leave every one of them unchanged.
+//!
+//! A second table pins runs driven the way the adaptive election runner
+//! drives them: run until quiescent, broadcast a signal, and again.
 
 use std::sync::Arc;
 
-use rand::{rngs::StdRng, SeedableRng};
+use rand::{rngs::StdRng, RngExt, SeedableRng};
 use welle_congest::testing::{BfsWave, Echo, FloodMax};
 use welle_congest::{
-    Engine, EngineConfig, Executor, FaultPlan, LatencyModel, Metrics, Protocol, RecordingObserver,
-    RoundSample, TelemetryConfig, TelemetryReport, ThreadedEngine, TransmitEvent,
+    Context, Engine, EngineConfig, Executor, FaultPlan, LatencyModel, Metrics, Protocol,
+    RecordingObserver, RoundSample, RunOutcome, Signal, TelemetryConfig, TelemetryReport,
+    ThreadedEngine, TransmitEvent,
 };
-use welle_graph::{gen, Graph};
+use welle_graph::{gen, Graph, Port};
 
 const ROUND_LIMIT: u64 = 10_000;
 
@@ -143,12 +147,35 @@ fn digest(
     h.0
 }
 
+/// Drives a run the way the adaptive election runner does — run until
+/// quiescent, broadcast a signal, run again — until `signals` signals
+/// have gone out. Every odd-numbered run stops two rounds in, so the
+/// signal after it lands with messages still in inboxes and on the
+/// wire. `signals = 0` is one plain run.
+fn drive<P: Protocol, E: Executor<P>>(e: &mut E, signals: u64, rec: &mut RecordingObserver) {
+    for k in 0..=signals {
+        let cut = k % 2 == 1;
+        let limit = if cut { e.round() + 2 } else { ROUND_LIMIT };
+        let out = e.run_observed(limit, rec);
+        let paused = match out {
+            RunOutcome::Quiescent { .. } => true,
+            RunOutcome::RoundLimit { .. } => cut,
+            _ => false,
+        };
+        if k == signals || !paused {
+            break;
+        }
+        e.signal(k);
+    }
+}
+
 /// Runs one case and hashes it.
 fn fingerprint<P: Protocol>(
     g: &Arc<Graph>,
     seed: u64,
     plan: Option<&FaultPlan>,
     exe: Exe,
+    signals: u64,
     make: impl Fn(usize) -> P,
 ) -> u64 {
     let cfg = EngineConfig {
@@ -163,7 +190,7 @@ fn fingerprint<P: Protocol>(
                 e.set_fault_plan(p).unwrap();
             }
             e.set_telemetry(TelemetryConfig::full());
-            e.run_observed(ROUND_LIMIT, &mut rec);
+            drive(&mut e, signals, &mut rec);
             let t = e.take_telemetry().unwrap();
             digest(
                 &rec.events,
@@ -180,7 +207,7 @@ fn fingerprint<P: Protocol>(
                 e.set_fault_plan(p).unwrap();
             }
             e.set_telemetry(TelemetryConfig::full());
-            e.run_observed(ROUND_LIMIT, &mut rec);
+            drive(&mut e, signals, &mut rec);
             let t = e.take_telemetry().unwrap();
             digest(
                 &rec.events,
@@ -197,7 +224,7 @@ fn fingerprint<P: Protocol>(
                 e.set_fault_plan(p).unwrap();
             }
             e.set_telemetry(TelemetryConfig::full());
-            e.run_observed(ROUND_LIMIT, &mut rec);
+            drive(&mut e, signals, &mut rec);
             let t = e.take_telemetry().unwrap();
             digest(
                 &rec.events,
@@ -812,11 +839,11 @@ fn executions_match_their_pins() {
                 for (slot, (_, exe)) in row.iter_mut().zip(executors()) {
                     let plan = plan.as_ref();
                     *slot = match proto {
-                        "floodmax" => fingerprint(&g, seed, plan, exe, |i| {
+                        "floodmax" => fingerprint(&g, seed, plan, exe, 0, |i| {
                             FloodMax::new((i as u64).wrapping_mul(131) % 97)
                         }),
-                        "echo" => fingerprint(&g, seed, plan, exe, |i| Echo::new(i % 3 == 0)),
-                        _ => fingerprint(&g, seed, plan, exe, |i| BfsWave::new(i == 0)),
+                        "echo" => fingerprint(&g, seed, plan, exe, 0, |i| Echo::new(i % 3 == 0)),
+                        _ => fingerprint(&g, seed, plan, exe, 0, |i| BfsWave::new(i == 0)),
                     };
                 }
                 got.push((proto, gname, fname, row));
@@ -843,5 +870,345 @@ fn executions_match_their_pins() {
     assert!(
         drifted.is_empty(),
         "executions drifted from their pins: {drifted:?}\nactual table:\n{table}"
+    );
+}
+
+/// Signals each [`signalled_executions_match_their_pins`] run receives.
+const SIGNALS: u64 = 4;
+
+/// A protocol that moves only when signalled. Each signal draws from
+/// the node's RNG, may start a flood of a fresh value (so signal sends
+/// cross the wire and count in `sent_by_node`) and may ask for a wake-up
+/// at the current round (which the engine clamps to the next one).
+/// Floods spread the largest value seen; a woken node re-sends it on
+/// port 0. The phase tag is the number of signals seen, so each
+/// signal's tag must land in the sample of the round after it.
+struct Beacon {
+    id: u64,
+    best: u64,
+    signals: u8,
+    wake: Option<u64>,
+}
+
+impl Beacon {
+    fn new(i: usize) -> Self {
+        Beacon {
+            id: (i as u64).wrapping_mul(37) % 101,
+            best: 0,
+            signals: 0,
+            wake: None,
+        }
+    }
+
+    fn flood(&self, ctx: &mut Context<'_, u64>) {
+        for p in 0..ctx.degree() {
+            ctx.send(Port::new(p), self.best);
+        }
+    }
+}
+
+impl Protocol for Beacon {
+    type Msg = u64;
+
+    fn on_round(&mut self, ctx: &mut Context<'_, u64>, inbox: &mut Vec<(Port, u64)>) {
+        let before = self.best;
+        for (_, v) in inbox.drain(..) {
+            self.best = self.best.max(v);
+        }
+        if self.best > before {
+            self.flood(ctx);
+        }
+        if self.wake.is_some_and(|w| ctx.round() > w) && ctx.degree() > 0 {
+            self.wake = None;
+            ctx.send(Port::new(0), self.best);
+        }
+    }
+
+    fn on_signal(&mut self, ctx: &mut Context<'_, u64>, signal: Signal) {
+        self.signals += 1;
+        let coin: u64 = ctx.rng().random::<u64>() % 6;
+        if coin < 3 {
+            self.best = self.best.max(((signal + 1) << 16) | (self.id << 4) | coin);
+            self.flood(ctx);
+        }
+        if coin.is_multiple_of(2) {
+            self.wake = Some(ctx.round());
+            ctx.wake_at(ctx.round());
+        }
+    }
+
+    fn phase_tag(&self) -> Option<u8> {
+        Some(self.signals)
+    }
+}
+
+/// The fault settings of [`signalled_executions_match_their_pins`]:
+/// those of [`fault_settings`], plus one whose crashes are sure to land
+/// among the signals (the fractional crashes of "delay-crash" pick no
+/// node of these graphs).
+fn signal_fault_settings() -> impl Iterator<Item = (&'static str, Option<FaultPlan>)> {
+    let crash = FaultPlan::new(45).crash(3, 4).crash(7, 12);
+    fault_settings().into_iter().chain([("crash", Some(crash))])
+}
+
+/// Pins as `(graph, fault setting, one hash per executor in the order
+/// of [`executors`])` for [`Beacon`] runs given [`SIGNALS`] signals,
+/// captured before the protocol phase was shared between executors.
+const SIGNAL_PINS: [(&str, &str, [u64; 6]); 18] = [
+    (
+        "ring12",
+        "none",
+        [
+            0x6dabfc1dffd0cbd4,
+            0x6dabfc1dffd0cbd4,
+            0x6dabfc1dffd0cbd4,
+            0x83143c2362b39227,
+            0x15ea8dbda92131c2,
+            0xf825ebf7f4f0d4c0,
+        ],
+    ),
+    (
+        "ring12",
+        "drop",
+        [
+            0xa99ec115ebb8ad01,
+            0xa99ec115ebb8ad01,
+            0xa99ec115ebb8ad01,
+            0x4c1babdd985b2b8f,
+            0xc408294b8d6c97fd,
+            0xdc4e5ce35620509c,
+        ],
+    ),
+    (
+        "ring12",
+        "delay",
+        [
+            0x0aaf14965efa9dae,
+            0x0aaf14965efa9dae,
+            0x0aaf14965efa9dae,
+            0x2f69fe0b539aa844,
+            0xfd77eb78f8b98a08,
+            0xea4287b2b3642409,
+        ],
+    ),
+    (
+        "ring12",
+        "delay-crash",
+        [
+            0x7afb4c0d4a91d6a2,
+            0x7afb4c0d4a91d6a2,
+            0x7afb4c0d4a91d6a2,
+            0xc27d7f5a81cdc9ca,
+            0x79a29156e1ef781c,
+            0x65ef98b3f1d3c697,
+        ],
+    ),
+    (
+        "ring12",
+        "cut",
+        [
+            0x2f4ed8e5515d8e71,
+            0x2f4ed8e5515d8e71,
+            0x2f4ed8e5515d8e71,
+            0xbc69b7ba271b8f5f,
+            0xe25ede3ddce72c73,
+            0x7def51be3f28d159,
+        ],
+    ),
+    (
+        "ring12",
+        "crash",
+        [
+            0x4e77f6923f938ebf,
+            0x4e77f6923f938ebf,
+            0x4e77f6923f938ebf,
+            0x6e8fb8c61b60716b,
+            0xd11ff73c08b30c5f,
+            0x3ad272379ae6340f,
+        ],
+    ),
+    (
+        "torus4x5",
+        "none",
+        [
+            0x5ec6e8da48453b1f,
+            0x5ec6e8da48453b1f,
+            0x5ec6e8da48453b1f,
+            0xf3667efc6cbe213e,
+            0x2229631f91017e29,
+            0x56fc1dc01caa1d31,
+        ],
+    ),
+    (
+        "torus4x5",
+        "drop",
+        [
+            0x210d15d63ee85718,
+            0x210d15d63ee85718,
+            0x210d15d63ee85718,
+            0xb556ba8bb64ab735,
+            0x17b212ec6bc7c073,
+            0xd7fa9725465e1dbb,
+        ],
+    ),
+    (
+        "torus4x5",
+        "delay",
+        [
+            0xa442a3a7c998ae49,
+            0xa442a3a7c998ae49,
+            0xa442a3a7c998ae49,
+            0x83c447dc0f5c5b42,
+            0xd80b4b4d7d77f10f,
+            0x60c3e7a5f368dbd3,
+        ],
+    ),
+    (
+        "torus4x5",
+        "delay-crash",
+        [
+            0x85826e62f17e3a45,
+            0x85826e62f17e3a45,
+            0x85826e62f17e3a45,
+            0x84a41614f3d69847,
+            0x7be5b548f8e41c29,
+            0xa4ac916eda370021,
+        ],
+    ),
+    (
+        "torus4x5",
+        "cut",
+        [
+            0xd530b29dfda473e1,
+            0xd530b29dfda473e1,
+            0xd530b29dfda473e1,
+            0x9205cfd7938bcfb8,
+            0x21ea375dbaafd440,
+            0x1e001d93f0c7bc1b,
+        ],
+    ),
+    (
+        "torus4x5",
+        "crash",
+        [
+            0x1e5a191bcd282e91,
+            0x1e5a191bcd282e91,
+            0x1e5a191bcd282e91,
+            0x42ef702c7f868bb5,
+            0xaa46078ff844a7c2,
+            0x2b1415eba06d5e35,
+        ],
+    ),
+    (
+        "regular24",
+        "none",
+        [
+            0x9ed1eba7466f77ae,
+            0x9ed1eba7466f77ae,
+            0x9ed1eba7466f77ae,
+            0xeb68e4e29e595ec0,
+            0x101d588f3d63b8e8,
+            0xc7dc16f9fc16e6d9,
+        ],
+    ),
+    (
+        "regular24",
+        "drop",
+        [
+            0x4e355b31b3eb2410,
+            0x4e355b31b3eb2410,
+            0x4e355b31b3eb2410,
+            0x3ab020732b59fc0e,
+            0xa96151e5b5c19dbc,
+            0x1880984bd5d1ec82,
+        ],
+    ),
+    (
+        "regular24",
+        "delay",
+        [
+            0xc9bbd7d30706fa41,
+            0xc9bbd7d30706fa41,
+            0xc9bbd7d30706fa41,
+            0x5a091a47bffbf7c3,
+            0x4666a8f084f8d3a1,
+            0x79ac2963e9996309,
+        ],
+    ),
+    (
+        "regular24",
+        "delay-crash",
+        [
+            0xb665461458c54db8,
+            0xb665461458c54db8,
+            0xb665461458c54db8,
+            0xc1b9deac39b4986b,
+            0x618bf7bb16f04acf,
+            0x510f73189db9e973,
+        ],
+    ),
+    (
+        "regular24",
+        "cut",
+        [
+            0xee64ec4af7512572,
+            0xee64ec4af7512572,
+            0xee64ec4af7512572,
+            0xfb494c5365063325,
+            0x17110fe17b636e21,
+            0x34594e77b7a61f8e,
+        ],
+    ),
+    (
+        "regular24",
+        "crash",
+        [
+            0x3320274c608d8659,
+            0x3320274c608d8659,
+            0x3320274c608d8659,
+            0xafdd840454a5ab1c,
+            0x0ba1ee6858159093,
+            0xc923e66c2014bbb7,
+        ],
+    ),
+];
+
+#[test]
+fn signalled_executions_match_their_pins() {
+    let mut got = Vec::new();
+    for (gi, (gname, g)) in graphs().into_iter().enumerate() {
+        for (fi, (fname, plan)) in signal_fault_settings().enumerate() {
+            let seed = 0x516 ^ ((gi * 10 + fi) as u64);
+            let mut row = [0u64; 6];
+            for (slot, (_, exe)) in row.iter_mut().zip(executors()) {
+                *slot = fingerprint(&g, seed, plan.as_ref(), exe, SIGNALS, Beacon::new);
+            }
+            got.push((gname, fname, row));
+        }
+    }
+    let table: String = got
+        .iter()
+        .map(|(g, f, row)| {
+            let hashes: Vec<String> = row.iter().map(|h| format!("0x{h:016x}")).collect();
+            format!("    ({g:?}, {f:?}, [{}]),\n", hashes.join(", "))
+        })
+        .collect();
+    assert_eq!(
+        got.len(),
+        SIGNAL_PINS.len(),
+        "case count; actual table:\n{table}"
+    );
+    let mut drifted = Vec::new();
+    for (pin, (g, f, row)) in SIGNAL_PINS.iter().zip(&got) {
+        assert_eq!((pin.0, pin.1), (*g, *f), "case order");
+        for (k, (want, have)) in pin.2.iter().zip(row).enumerate() {
+            if want != have {
+                drifted.push(format!("{g}/{f} on {}", executors()[k].0));
+            }
+        }
+    }
+    assert!(
+        drifted.is_empty(),
+        "signalled executions drifted from their pins: {drifted:?}\nactual table:\n{table}"
     );
 }

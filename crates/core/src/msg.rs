@@ -10,8 +10,9 @@
 //! layout is chosen to make the common case allocation-free:
 //!
 //! * `meta` packs `tag(4) | epoch(6) | aux(32) | cnt(22)`. `aux` is the
-//!   walk's `remaining` counter or the reverse-routing `step`; `cnt` is
-//!   the walk multiplicity, the proxy count, or an id-set length.
+//!   walk's `remaining` counter (zero on routed units, which find their
+//!   way from each relay's trail alone); `cnt` is the walk
+//!   multiplicity, the proxy count, or an id-set length.
 //!   `epoch ≤ 33` always (guess-and-double caps at `2^e ≥ 4n²`) and the
 //!   walk count `K = ⌈c2·√n·ln n⌉` stays below `2²²` for every
 //!   `u32`-representable `n` at the default `c2`; both bounds are
@@ -41,7 +42,6 @@ const EPOCH_SHIFT: u32 = 54;
 const AUX_SHIFT: u32 = 22;
 const EPOCH_MAX: u64 = (1 << 6) - 1;
 const CNT_MAX: u64 = (1 << 22) - 1;
-const AUX_MASK: u64 = 0xFFFF_FFFF << AUX_SHIFT;
 
 const TAG_WALK: u64 = 1;
 const TAG_REV_PROXY: u64 = 2;
@@ -102,25 +102,21 @@ pub enum MsgView<'a> {
         /// Number of parallel walks bundled here.
         count: u32,
     },
-    /// Reverse-routed unit; `step` is the walk step *at the receiver*.
+    /// Reverse-routed unit.
     Rev {
         /// Walk origin whose trail is followed.
         origin: u64,
         /// Epoch of that trail.
         epoch: u32,
-        /// Step index at the receiving node.
-        step: u32,
         /// Payload.
         item: RevItem<'a>,
     },
-    /// Forward-routed unit; `step` is the walk step *at the receiver*.
+    /// Forward-routed unit.
     Fwd {
         /// Walk origin whose trail is followed.
         origin: u64,
         /// Epoch of that trail.
         epoch: u32,
-        /// Step index at the receiving node.
-        step: u32,
         /// Payload.
         item: FwdItem,
     },
@@ -187,64 +183,62 @@ impl ElectionMsg {
         }
     }
 
-    /// A reverse-routed unit addressed at walk step `step`.
-    pub fn rev(origin: u64, epoch: u32, step: u32, item: RevItem<'_>) -> Self {
+    /// A reverse-routed unit.
+    pub fn rev(origin: u64, epoch: u32, item: RevItem<'_>) -> Self {
         match item {
             RevItem::ProxyInfo { proxy_id, count } => ElectionMsg {
                 origin,
                 word: proxy_id,
-                meta: pack(TAG_REV_PROXY, epoch, step, u64::from(count)),
+                meta: pack(TAG_REV_PROXY, epoch, 0, u64::from(count)),
                 run: None,
             },
-            RevItem::KnownContenders { ids } => {
-                Self::with_ids(TAG_REV_KNOWN, origin, epoch, step, ids)
-            }
-            RevItem::I3Max { id } => Self::with_word(TAG_REV_I3_MAX, origin, epoch, step, id),
-            RevItem::Winner { id } => Self::with_word(TAG_REV_WINNER, origin, epoch, step, id),
+            RevItem::KnownContenders { ids } => Self::with_ids(TAG_REV_KNOWN, origin, epoch, ids),
+            RevItem::I3Max { id } => Self::with_word(TAG_REV_I3_MAX, origin, epoch, id),
+            RevItem::Winner { id } => Self::with_word(TAG_REV_WINNER, origin, epoch, id),
         }
     }
 
-    /// A forward-routed unit (the protocol always originates these with
-    /// `step == 0`; the parameter exists for size-accounting tests).
-    pub fn fwd(origin: u64, epoch: u32, step: u32, item: FwdItem) -> Self {
+    /// A forward-routed unit.
+    pub fn fwd(origin: u64, epoch: u32, item: FwdItem) -> Self {
         match item {
-            FwdItem::I2Max { id } => Self::with_word(TAG_FWD_I2_MAX, origin, epoch, step, id),
-            FwdItem::StopMark => Self::with_word(TAG_FWD_STOP, origin, epoch, step, 0),
-            FwdItem::Winner { id } => Self::with_word(TAG_FWD_WINNER, origin, epoch, step, id),
+            FwdItem::I2Max { id } => Self::with_word(TAG_FWD_I2_MAX, origin, epoch, id),
+            FwdItem::StopMark => Self::with_word(TAG_FWD_STOP, origin, epoch, 0),
+            FwdItem::Winner { id } => Self::with_word(TAG_FWD_WINNER, origin, epoch, id),
         }
     }
 
     /// A unit whose whole payload is the single `word`.
-    fn with_word(tag: u64, origin: u64, epoch: u32, aux: u32, word: u64) -> Self {
+    fn with_word(tag: u64, origin: u64, epoch: u32, word: u64) -> Self {
         ElectionMsg {
             origin,
             word,
-            meta: pack(tag, epoch, aux, 0),
+            meta: pack(tag, epoch, 0, 0),
             run: None,
         }
     }
 
     /// Canonical id-set encoding: empty sets carry nothing, single ids
-    /// inline in `word`, longer runs intern once in an `Arc`. Derived
-    /// equality is therefore structural *and* logical.
-    fn with_ids(tag: u64, origin: u64, epoch: u32, aux: u32, ids: &[u64]) -> Self {
+    /// inline in `word`, longer runs intern once in an `Arc` (shared by
+    /// every relayed copy). Derived equality is therefore structural
+    /// *and* logical.
+    fn with_ids(tag: u64, origin: u64, epoch: u32, ids: &[u64]) -> Self {
         match ids {
             [] => ElectionMsg {
                 origin,
                 word: 0,
-                meta: pack(tag, epoch, aux, 0),
+                meta: pack(tag, epoch, 0, 0),
                 run: None,
             },
             [id] => ElectionMsg {
                 origin,
                 word: *id,
-                meta: pack(tag, epoch, aux, 1),
+                meta: pack(tag, epoch, 0, 1),
                 run: None,
             },
             many => ElectionMsg {
                 origin,
                 word: 0,
-                meta: pack(tag, epoch, aux, many.len() as u64),
+                meta: pack(tag, epoch, 0, many.len() as u64),
                 run: Some(Arc::new(many.to_vec())),
             },
         }
@@ -260,22 +254,14 @@ impl ElectionMsg {
         ((self.meta >> EPOCH_SHIFT) & EPOCH_MAX) as u32
     }
 
-    /// The routing-step field (`remaining` for walk tokens).
-    pub fn step(&self) -> u32 {
+    /// The packed `aux` field: `remaining` for walk tokens.
+    fn aux(&self) -> u32 {
         ((self.meta >> AUX_SHIFT) & 0xFFFF_FFFF) as u32
     }
 
     /// Whether this is a reverse-routed unit.
     pub fn is_rev(&self) -> bool {
         matches!(self.tag(), TAG_REV_PROXY..=TAG_REV_WINNER)
-    }
-
-    /// A copy of this message re-addressed to `step`, sharing any
-    /// interned id run with the original (no id cloning on relay hops).
-    pub fn with_step(&self, step: u32) -> Self {
-        let mut m = self.clone();
-        m.meta = (m.meta & !AUX_MASK) | (u64::from(step) << AUX_SHIFT);
-        m
     }
 
     fn tag(&self) -> u64 {
@@ -299,18 +285,16 @@ impl ElectionMsg {
     pub fn view(&self) -> MsgView<'_> {
         let origin = self.origin;
         let epoch = self.epoch();
-        let aux = self.step();
         match self.tag() {
             TAG_WALK => MsgView::Walk {
                 origin,
                 epoch,
-                remaining: aux,
+                remaining: self.aux(),
                 count: self.cnt() as u32,
             },
             TAG_REV_PROXY => MsgView::Rev {
                 origin,
                 epoch,
-                step: aux,
                 item: RevItem::ProxyInfo {
                     proxy_id: self.word,
                     count: self.cnt() as u32,
@@ -319,37 +303,31 @@ impl ElectionMsg {
             TAG_REV_KNOWN => MsgView::Rev {
                 origin,
                 epoch,
-                step: aux,
                 item: RevItem::KnownContenders { ids: self.ids() },
             },
             TAG_REV_I3_MAX => MsgView::Rev {
                 origin,
                 epoch,
-                step: aux,
                 item: RevItem::I3Max { id: self.word },
             },
             TAG_REV_WINNER => MsgView::Rev {
                 origin,
                 epoch,
-                step: aux,
                 item: RevItem::Winner { id: self.word },
             },
             TAG_FWD_I2_MAX => MsgView::Fwd {
                 origin,
                 epoch,
-                step: aux,
                 item: FwdItem::I2Max { id: self.word },
             },
             TAG_FWD_STOP => MsgView::Fwd {
                 origin,
                 epoch,
-                step: aux,
                 item: FwdItem::StopMark,
             },
             TAG_FWD_WINNER => MsgView::Fwd {
                 origin,
                 epoch,
-                step: aux,
                 item: FwdItem::Winner { id: self.word },
             },
             _ => MsgView::Void,
@@ -403,11 +381,14 @@ impl FwdItem {
 impl Payload for ElectionMsg {
     fn bit_size(&self) -> usize {
         let head = TAG_BITS + bits_for(self.origin) + bits_for(u64::from(self.epoch()) + 1);
-        let route = bits_for(u64::from(self.step()) + 1);
         match self.view() {
-            MsgView::Walk { count, .. } => head + route + bits_for(u64::from(count)),
-            MsgView::Rev { item, .. } => head + route + item.payload_bits(),
-            MsgView::Fwd { item, .. } => head + route + item.payload_bits(),
+            MsgView::Walk {
+                remaining, count, ..
+            } => head + bits_for(u64::from(remaining) + 1) + bits_for(u64::from(count)),
+            // Routed units carry no route: each relay's trail names the
+            // next hop.
+            MsgView::Rev { item, .. } => head + item.payload_bits(),
+            MsgView::Fwd { item, .. } => head + item.payload_bits(),
             // Void messages only fill recycled arena slots; they are
             // never transmitted, so they occupy no wire budget.
             MsgView::Void => 0,
@@ -443,22 +424,17 @@ mod tests {
 
     #[test]
     fn congest_fragments_fit_small_budget() {
-        let m = ElectionMsg::rev(
-            u64::MAX,
-            30,
-            1 << 20,
-            RevItem::KnownContenders { ids: &[u64::MAX] },
-        );
-        // Even with worst-case ids: 3 + 64 + 5 + 21 + 64 = 157 bits.
-        assert!(m.bit_size() <= 4 * 64 + 96);
+        let m = ElectionMsg::rev(u64::MAX, 30, RevItem::KnownContenders { ids: &[u64::MAX] });
+        // Even with worst-case ids: 3 + 64 + 5 + 64 = 136 bits, and no
+        // route field however long the walk was.
+        assert_eq!(m.bit_size(), 3 + 64 + 5 + 64);
     }
 
     #[test]
     fn large_sets_scale_with_content() {
-        let small = ElectionMsg::rev(7, 0, 0, RevItem::KnownContenders { ids: &[1] });
+        let small = ElectionMsg::rev(7, 0, RevItem::KnownContenders { ids: &[1] });
         let big = ElectionMsg::rev(
             7,
-            0,
             0,
             RevItem::KnownContenders {
                 ids: &[u64::MAX; 20],
@@ -470,9 +446,9 @@ mod tests {
     #[test]
     fn maxima_are_one_inline_id() {
         let id = (1u64 << 40) - 1;
-        let fwd = ElectionMsg::fwd(7, 0, 3, FwdItem::I2Max { id });
-        let rev = ElectionMsg::rev(7, 0, 3, RevItem::I3Max { id });
-        let one = ElectionMsg::rev(7, 0, 3, RevItem::KnownContenders { ids: &[id] });
+        let fwd = ElectionMsg::fwd(7, 0, FwdItem::I2Max { id });
+        let rev = ElectionMsg::rev(7, 0, RevItem::I3Max { id });
+        let one = ElectionMsg::rev(7, 0, RevItem::KnownContenders { ids: &[id] });
         assert!(fwd.run.is_none() && rev.run.is_none());
         assert_eq!(fwd.bit_size(), one.bit_size());
         assert_eq!(rev.bit_size(), one.bit_size());
@@ -503,8 +479,9 @@ mod tests {
 
     #[test]
     fn stopmark_is_tiny() {
-        let m = ElectionMsg::fwd(5, 1, 2, FwdItem::StopMark);
-        assert!(m.bit_size() < 20);
+        let m = ElectionMsg::fwd(5, 1, FwdItem::StopMark);
+        // Tag, origin, epoch and the one-bit mark: 3 + 3 + 2 + 1.
+        assert_eq!(m.bit_size(), 9);
     }
 
     #[test]
@@ -512,7 +489,6 @@ mod tests {
         let m = ElectionMsg::rev(
             0xDEAD_BEEF,
             33,
-            u32::MAX,
             RevItem::ProxyInfo {
                 proxy_id: 42,
                 count: (CNT_MAX) as u32,
@@ -520,8 +496,17 @@ mod tests {
         );
         assert_eq!(m.origin(), 0xDEAD_BEEF);
         assert_eq!(m.epoch(), 33);
-        assert_eq!(m.step(), u32::MAX);
         assert!(m.is_rev());
+        let walk = ElectionMsg::walk(0xDEAD_BEEF, 33, u32::MAX, CNT_MAX as u32);
+        assert_eq!(
+            walk.view(),
+            MsgView::Walk {
+                origin: 0xDEAD_BEEF,
+                epoch: 33,
+                remaining: u32::MAX,
+                count: CNT_MAX as u32
+            }
+        );
         let MsgView::Rev { item, .. } = m.view() else {
             panic!("decoded as non-Rev");
         };
@@ -536,18 +521,17 @@ mod tests {
 
     #[test]
     fn single_ids_inline_and_runs_intern() {
-        let one = ElectionMsg::rev(1, 0, 7, RevItem::KnownContenders { ids: &[99] });
+        let one = ElectionMsg::rev(1, 0, RevItem::KnownContenders { ids: &[99] });
         assert!(one.run.is_none(), "single id must not allocate");
         assert_eq!(
             one.view(),
             MsgView::Rev {
                 origin: 1,
                 epoch: 0,
-                step: 7,
                 item: RevItem::KnownContenders { ids: &[99] }
             }
         );
-        let many = ElectionMsg::rev(1, 0, 0, RevItem::KnownContenders { ids: &[5, 6, 7] });
+        let many = ElectionMsg::rev(1, 0, RevItem::KnownContenders { ids: &[5, 6, 7] });
         let MsgView::Rev {
             item: RevItem::KnownContenders { ids },
             ..
@@ -556,21 +540,20 @@ mod tests {
             panic!("decoded as non-Rev");
         };
         assert_eq!(ids, &[5, 6, 7]);
-        // Re-addressing shares the interned run instead of cloning it.
-        let relayed = many.with_step(3);
-        assert_eq!(relayed.step(), 3);
+        // A relayed copy shares the interned run instead of cloning it.
+        let relayed = many.clone();
+        assert_eq!(relayed, many);
         assert!(Arc::ptr_eq(
             many.run.as_ref().unwrap(),
             relayed.run.as_ref().unwrap()
         ));
-        let none = ElectionMsg::rev(1, 0, 7, RevItem::KnownContenders { ids: &[] });
+        let none = ElectionMsg::rev(1, 0, RevItem::KnownContenders { ids: &[] });
         assert!(none.run.is_none());
         assert_eq!(
             none.view(),
             MsgView::Rev {
                 origin: 1,
                 epoch: 0,
-                step: 7,
                 item: RevItem::KnownContenders { ids: &[] }
             }
         );

@@ -236,18 +236,17 @@ impl ElectionNode {
         // Proxies answer the *current-epoch* contenders (stopped
         // contenders no longer evaluate properties, so no reply needed;
         // their ids still flow inside I1).
-        let emissions: Vec<(u64, u32, u32)> = self
+        let emissions: Vec<(u64, u32)> = self
             .proxies
             .iter()
             .filter(|(_, r)| r.epoch == epoch && !r.finalized)
-            .map(|(&o, r)| (o, r.walk_len, r.count))
+            .map(|(&o, r)| (o, r.count))
             .collect();
-        for (origin, walk_len, count) in emissions {
+        for (origin, count) in emissions {
             self.send_reverse(
                 ctx,
                 origin,
                 epoch,
-                walk_len,
                 RevItem::ProxyInfo {
                     proxy_id: self.id,
                     count,
@@ -260,16 +259,10 @@ impl ElectionNode {
                 .map(|(&o2, _)| o2)
                 .collect();
             for chunk in i1.chunks(self.params.frag) {
-                self.send_reverse(
-                    ctx,
-                    origin,
-                    epoch,
-                    walk_len,
-                    RevItem::KnownContenders { ids: chunk },
-                );
+                self.send_reverse(ctx, origin, epoch, RevItem::KnownContenders { ids: chunk });
             }
             if let Some(w) = self.winner_heard {
-                self.send_reverse(ctx, origin, epoch, walk_len, RevItem::Winner { id: w });
+                self.send_reverse(ctx, origin, epoch, RevItem::Winner { id: w });
             }
         }
     }
@@ -283,7 +276,7 @@ impl ElectionNode {
             Some(c) if c.active => c.i2.last().map_or(self.id, |&m| m.max(self.id)),
             _ => return,
         };
-        let m = ElectionMsg::fwd(self.id, epoch, 0, FwdItem::I2Max { id });
+        let m = ElectionMsg::fwd(self.id, epoch, FwdItem::I2Max { id });
         self.process_forward(ctx, m);
     }
 
@@ -291,14 +284,14 @@ impl ElectionNode {
         let Some(id) = self.i3_max else {
             return;
         };
-        let emissions: Vec<(u64, u32)> = self
+        let origins: Vec<u64> = self
             .proxies
             .iter()
             .filter(|(_, r)| r.epoch == epoch && !r.finalized)
-            .map(|(&o, r)| (o, r.walk_len))
+            .map(|(&o, _)| o)
             .collect();
-        for (origin, walk_len) in emissions {
-            self.send_reverse(ctx, origin, epoch, walk_len, RevItem::I3Max { id });
+        for origin in origins {
+            self.send_reverse(ctx, origin, epoch, RevItem::I3Max { id });
         }
     }
 
@@ -346,11 +339,11 @@ impl ElectionNode {
             self.decided_round = Some(ctx.round());
             // Commit: proxies and trail nodes keep serving this epoch's
             // records (Fidelity note 5).
-            let stop = ElectionMsg::fwd(self.id, epoch, 0, FwdItem::StopMark);
+            let stop = ElectionMsg::fwd(self.id, epoch, FwdItem::StopMark);
             self.process_forward(ctx, stop);
             if wins {
                 self.winner_heard = Some(self.id);
-                let win = ElectionMsg::fwd(self.id, epoch, 0, FwdItem::Winner { id: self.id });
+                let win = ElectionMsg::fwd(self.id, epoch, FwdItem::Winner { id: self.id });
                 self.process_forward(ctx, win);
             }
         }
@@ -370,9 +363,8 @@ impl ElectionNode {
         count: u32,
         via: Hop,
     ) {
-        let walk_len = self.params.walk_len(epoch);
-        let step = walk_len.saturating_sub(remaining);
-        let Some(trail) = self.trails.enter_epoch(origin, epoch, walk_len) else {
+        let step = self.params.walk_len(epoch).saturating_sub(remaining);
+        let Some(trail) = self.trails.enter_epoch(origin, epoch) else {
             self.stats.dropped_tokens += count as u64;
             return;
         };
@@ -380,7 +372,6 @@ impl ElectionNode {
         if remaining == 0 {
             let rec = self.proxies.entry(origin).or_insert(ProxyRecord {
                 epoch,
-                walk_len,
                 count: 0,
                 finalized: false,
             });
@@ -392,7 +383,6 @@ impl ElectionNode {
                 }
                 *rec = ProxyRecord {
                     epoch,
-                    walk_len,
                     count: 0,
                     finalized: false,
                 };
@@ -422,15 +412,14 @@ impl ElectionNode {
         ctx: &mut Context<'_, ElectionMsg>,
         origin: u64,
         epoch: u32,
-        step: u32,
         item: RevItem<'_>,
     ) {
-        self.route_reverse(ctx, ElectionMsg::rev(origin, epoch, step, item));
+        self.route_reverse(ctx, ElectionMsg::rev(origin, epoch, item));
     }
 
-    /// Routes a reverse unit one hop: deliver at the origin, relay along
-    /// the trail (re-addressed, sharing any interned id run) if the
-    /// contender can still use it, or drop.
+    /// Routes a reverse unit one hop: deliver at the origin, relay it
+    /// unchanged along the trail if the contender can still use it, or
+    /// drop.
     fn route_reverse(&mut self, ctx: &mut Context<'_, ElectionMsg>, msg: ElectionMsg) {
         let MsgView::Rev {
             origin,
@@ -453,9 +442,9 @@ impl ElectionNode {
                     self.stats.broken_routes += 1;
                 }
             }
-            ReverseRoute::Forward(port, next_step) => {
+            ReverseRoute::Forward(port) => {
                 if self.relayed.entry(origin).or_default().admit(epoch, &item) {
-                    ctx.send(port, msg.with_step(next_step));
+                    ctx.send(port, msg);
                 }
             }
             ReverseRoute::Broken => self.stats.broken_routes += 1,
@@ -504,7 +493,7 @@ impl ElectionNode {
         if self.contender.is_some() {
             if let Some(trail) = self.trails.current(self.id) {
                 let epoch = trail.epoch();
-                let m = ElectionMsg::fwd(self.id, epoch, 0, FwdItem::Winner { id: winner });
+                let m = ElectionMsg::fwd(self.id, epoch, FwdItem::Winner { id: winner });
                 self.process_forward(ctx, m);
             }
         }
@@ -533,9 +522,7 @@ impl ElectionNode {
             .get(&origin)
             .is_some_and(|r| r.epoch == epoch);
         for &port in trail.distinct_out_ports() {
-            // Re-address to step 0 for the next hop; interned id runs
-            // are shared, not re-cloned per edge.
-            ctx.send(port, msg.with_step(0));
+            ctx.send(port, msg.clone());
         }
         match msg.view() {
             MsgView::Fwd {
@@ -575,17 +562,17 @@ impl ElectionNode {
             return;
         }
         self.winner_relayed_as_proxy = true;
-        let targets: Vec<(u64, u32, u32)> = self
+        let targets: Vec<(u64, u32)> = self
             .proxies
             .iter()
             .filter(|(_, r)| r.valid_at(self.cur_epoch))
-            .map(|(&o, r)| (o, r.epoch, r.walk_len))
+            .map(|(&o, r)| (o, r.epoch))
             .collect();
-        for (origin, epoch, walk_len) in targets {
+        for (origin, epoch) in targets {
             if origin == self.id {
                 continue;
             }
-            self.send_reverse(ctx, origin, epoch, walk_len, RevItem::Winner { id: winner });
+            self.send_reverse(ctx, origin, epoch, RevItem::Winner { id: winner });
         }
     }
 

@@ -20,8 +20,6 @@ pub enum Decision {
 pub struct ProxyRecord {
     /// Epoch of the walks that ended here.
     pub epoch: u32,
-    /// Walk length of that epoch (the reverse route starts at this step).
-    pub walk_len: u32,
     /// How many of the origin's walks ended here (`count == 1` ⇔ this is
     /// a *distinct* proxy in the Distinctness Property).
     pub count: u32,
@@ -117,7 +115,6 @@ mod tests {
     fn proxy_record_validity() {
         let tentative = ProxyRecord {
             epoch: 3,
-            walk_len: 8,
             count: 2,
             finalized: false,
         };

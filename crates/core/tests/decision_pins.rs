@@ -10,12 +10,14 @@
 //! value here.
 //!
 //! The pins cover 16 seeds in Adaptive mode, the same 16 in FixedT
-//! mode, and 8 seeds with large messages.
+//! mode, and 8 seeds with large messages. Every history hash must also
+//! come out of the sharded engine with every round through its worker
+//! barrier.
 
 use std::sync::Arc;
 
 use rand::{rngs::StdRng, SeedableRng};
-use welle_congest::{Engine, EngineConfig, RunOutcome};
+use welle_congest::{Engine, EngineConfig, Executor, RunOutcome, ThreadedEngine};
 use welle_core::{
     Election, ElectionConfig, ElectionNode, EpochRecord, MsgSizeMode, Params, SyncMode,
     SIGNAL_ADVANCE,
@@ -66,19 +68,34 @@ impl Fnv {
     }
 }
 
-/// Runs the election on a bare engine, driven the way the runner
+/// The serial engine over `g`, one election node per vertex.
+fn serial(g: &Arc<Graph>, params: &Arc<Params>, seed: u64) -> Engine<ElectionNode> {
+    Engine::from_fn(Arc::clone(g), engine_config(params, seed), |_| {
+        ElectionNode::new(Arc::clone(params))
+    })
+}
+
+/// The sharded engine with 3 workers, every round through the barrier.
+fn barrier(g: &Arc<Graph>, params: &Arc<Params>, seed: u64) -> ThreadedEngine<ElectionNode> {
+    let mut e = ThreadedEngine::from_fn(Arc::clone(g), engine_config(params, seed), 3, |_| {
+        ElectionNode::new(Arc::clone(params))
+    });
+    e.set_inline_cutoff(0);
+    e
+}
+
+/// The engine settings the runner derives from `params`.
+fn engine_config(params: &Params, seed: u64) -> EngineConfig {
+    EngineConfig {
+        seed,
+        bandwidth_bits: params.bandwidth_bits,
+    }
+}
+
+/// Runs the election on a bare executor, driven the way the runner
 /// drives it, and hashes every contender's epoch history in node order.
-fn history_hash(g: &Arc<Graph>, cfg: ElectionConfig, seed: u64) -> u64 {
-    let params = Arc::new(Params::derive(g.n(), cfg));
-    let mut engine = Engine::from_fn(
-        Arc::clone(g),
-        EngineConfig {
-            seed,
-            bandwidth_bits: params.bandwidth_bits,
-        },
-        |_| ElectionNode::new(Arc::clone(&params)),
-    );
-    match cfg.sync {
+fn history_hash<E: Executor<ElectionNode>>(mut engine: E, params: &Params) -> u64 {
+    match params.cfg.sync {
         SyncMode::FixedT => {
             engine.run(params.round_limit());
         }
@@ -109,6 +126,7 @@ fn history_hash(g: &Arc<Graph>, cfg: ElectionConfig, seed: u64) -> u64 {
 /// One case as a line: the decision columns, then the history hash.
 fn pin_line(g: &Arc<Graph>, mode: &str, seed: u64) -> String {
     let cfg = config(mode);
+    let params = derive(g, cfg);
     let r = Election::on(g).config(cfg).seed(seed).run().unwrap();
     format!(
         "{mode} seed={seed} contenders={} leaders={:?} leader_id={:?} final_walk_len={} \
@@ -120,8 +138,13 @@ fn pin_line(g: &Arc<Graph>, mode: &str, seed: u64) -> String {
         r.epochs_used,
         r.gave_up,
         r.is_success(),
-        history_hash(g, cfg, seed),
+        history_hash(serial(g, &params, seed), &params),
     )
+}
+
+/// The election parameters every node of `g` shares.
+fn derive(g: &Graph, cfg: ElectionConfig) -> Arc<Params> {
+    Arc::new(Params::derive(g.n(), cfg))
 }
 
 /// Every case, in the order of [`PINS`].
@@ -187,5 +210,20 @@ fn decisions_match_their_pins() {
     assert_eq!(got.len(), PINS.len(), "one pin per case");
     for (got, pin) in got.iter().zip(PINS) {
         assert_eq!(got, pin, "decision drifted from its pin");
+    }
+}
+
+#[test]
+fn barrier_path_matches_the_history_pins() {
+    let g = cli_expander();
+    for ((mode, seed), pin) in cases().zip(PINS) {
+        let params = derive(&g, config(mode));
+        let hash = history_hash(barrier(&g, &params, seed), &params);
+        let want = pin.rsplit("history=").next().unwrap_or_default();
+        assert_eq!(
+            format!("{hash:016x}"),
+            want,
+            "{mode} seed={seed}: the barrier path drifted from the pin"
+        );
     }
 }

@@ -57,14 +57,15 @@ fn election<'g>(g: &'g Arc<Graph>, seed: u64, setting: &str) -> Election<'g, 'st
 /// is `graph seed ^ 0x5EED`. Re-captured when reverse units began
 /// leaving every relay by its earliest recorded visit: latency samples
 /// and drop coins are keyed on the round a message crosses, so these
-/// executions change with the routes.
+/// executions change with the routes. The `bits` column alone was
+/// re-captured when routed units stopped carrying a route step.
 const PINS: [(usize, usize, u64, &str, &str); 6] = [
-    (48, 40, 11, "lognormal", "48,84,12,1,4862562,11839,524271,681,704,32,6,0,0,0,704,210,219,107,74,89,3195,4947,1602,699,1396,true"),
-    (48, 40, 11, "drop", "48,84,12,0,,16041,667375,453,466,64,7,8,869,0,466,173,159,60,37,37,6832,4239,2908,750,1312,false"),
-    (48, 40, 11, "delay-crash", "48,84,12,0,,11489,474272,571,591,64,7,9,792,5,591,259,141,94,68,26,5354,2446,2336,598,755,false"),
-    (40, 24, 7, "lognormal", "40,63,16,1,2304460,13889,588297,980,1007,64,7,0,0,0,1007,361,280,141,86,119,3926,5835,1749,709,1670,true"),
-    (40, 24, 7, "drop", "40,63,16,0,,20168,822697,565,581,64,7,13,1099,0,581,213,223,71,41,33,8197,5966,3727,914,1364,false"),
-    (40, 24, 7, "delay-crash", "40,63,16,1,2304460,14813,623365,747,766,64,7,2,37,1,766,270,249,95,61,89,4593,6116,1927,718,1459,true"),
+    (48, 40, 11, "lognormal", "48,84,12,1,4862562,11839,507316,681,704,32,6,0,0,0,704,210,219,107,74,89,3195,4947,1602,699,1396,true"),
+    (48, 40, 11, "drop", "48,84,12,0,,16041,651485,453,466,64,7,8,869,0,466,173,159,60,37,37,6832,4239,2908,750,1312,false"),
+    (48, 40, 11, "delay-crash", "48,84,12,0,,11489,464379,571,591,64,7,9,792,5,591,259,141,94,68,26,5354,2446,2336,598,755,false"),
+    (40, 24, 7, "lognormal", "40,63,16,1,2304460,13889,569204,980,1007,64,7,0,0,0,1007,361,280,141,86,119,3926,5835,1749,709,1670,true"),
+    (40, 24, 7, "drop", "40,63,16,0,,20168,801827,565,581,64,7,13,1099,0,581,213,223,71,41,33,8197,5966,3727,914,1364,false"),
+    (40, 24, 7, "delay-crash", "40,63,16,1,2304460,14813,604324,747,766,64,7,2,37,1,766,270,249,95,61,89,4593,6116,1927,718,1459,true"),
 ];
 
 #[test]

@@ -91,13 +91,15 @@ fn assert_golden(label: &str, got: &str, history: &[&str]) {
 /// replacements reproduced them byte for byte. Sending one maximum id
 /// per round-2 and round-3 unit instead of whole id sets gave the second
 /// rows; routing reverse units by each relay's earliest visit, with
-/// relays dropping units the contender cannot use, gave the third. Each
-/// step moved only [`COUNT_COLUMNS`].
+/// relays dropping units the contender cannot use, gave the third.
+/// Dropping the route step that routed units carried unread gave the
+/// fourth, which moved `bits` alone. Each step moved only
+/// [`COUNT_COLUMNS`].
 #[test]
 fn pinned_reports_unchanged_by_hash_state_fix() {
     // The ten zero columns are the per-phase breakdown added with the
     // telemetry layer — all zero here because these runs record none.
-    let cases: [(usize, usize, u64, [&str; 3]); 3] = [
+    let cases: [(usize, usize, u64, [&str; 4]); 3] = [
         (
             48,
             40,
@@ -106,6 +108,7 @@ fn pinned_reports_unchanged_by_hash_state_fix() {
                 "48,84,12,1,4862562,55049,2724113,1279,1317,16,5,0,0,0,1317,0,0,0,0,0,0,0,0,0,0,true",
                 "48,84,12,1,4862562,18415,880066,470,508,16,5,0,0,0,508,0,0,0,0,0,0,0,0,0,0,true",
                 "48,84,12,1,4862562,11126,497616,256,277,16,5,0,0,0,277,0,0,0,0,0,0,0,0,0,0,true",
+                "48,84,12,1,4862562,11126,481892,256,277,16,5,0,0,0,277,0,0,0,0,0,0,0,0,0,0,true",
             ],
         ),
         (
@@ -116,6 +119,7 @@ fn pinned_reports_unchanged_by_hash_state_fix() {
                 "40,63,16,1,2304460,100023,4761748,2957,2966,64,7,1,0,0,2966,0,0,0,0,0,0,0,0,0,0,true",
                 "40,63,16,1,2304460,31744,1473041,1163,1172,64,7,1,0,0,1172,0,0,0,0,0,0,0,0,0,0,true",
                 "40,63,16,1,2304460,15427,650831,554,563,64,7,1,0,0,563,0,0,0,0,0,0,0,0,0,0,true",
+                "40,63,16,1,2304460,15427,629819,554,563,64,7,1,0,0,563,0,0,0,0,0,0,0,0,0,0,true",
             ],
         ),
         (
@@ -126,6 +130,7 @@ fn pinned_reports_unchanged_by_hash_state_fix() {
                 "56,113,19,1,9178418,147863,7624009,2860,2868,32,6,0,0,0,2868,0,0,0,0,0,0,0,0,0,0,true",
                 "56,113,19,1,9178418,40162,2010076,959,967,32,6,0,0,0,967,0,0,0,0,0,0,0,0,0,0,true",
                 "56,113,19,1,9178418,21997,1026200,470,478,32,6,0,0,0,478,0,0,0,0,0,0,0,0,0,0,true",
+                "56,113,19,1,9178418,21997,993928,470,478,32,6,0,0,0,478,0,0,0,0,0,0,0,0,0,0,true",
             ],
         ),
     ];

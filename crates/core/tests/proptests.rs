@@ -86,18 +86,18 @@ proptest! {
     }
 
     #[test]
-    fn congest_messages_fit_the_bandwidth_cap(n in 8usize..4_000, id in 1u64..u64::MAX, epoch in 0u32..30, step in 0u32..1_000_000) {
+    fn congest_messages_fit_the_bandwidth_cap(n in 8usize..4_000, id in 1u64..u64::MAX, epoch in 0u32..30, remaining in 0u32..1_000_000) {
         let p = Params::derive(n, ElectionConfig::default());
         let cap = p.bandwidth_bits.unwrap();
         let id = id % p.id_max + 1;
         let msgs = [
-            ElectionMsg::walk(id, epoch, step, p.walks_per_contender),
-            ElectionMsg::rev(id, epoch, step, RevItem::ProxyInfo { proxy_id: id, count: 1_000 }),
-            ElectionMsg::rev(id, epoch, step, RevItem::KnownContenders { ids: &[p.id_max] }),
-            ElectionMsg::rev(id, epoch, step, RevItem::Winner { id: p.id_max }),
-            ElectionMsg::fwd(id, epoch, step, FwdItem::I2Max { id: p.id_max }),
-            ElectionMsg::rev(id, epoch, step, RevItem::I3Max { id: p.id_max }),
-            ElectionMsg::fwd(id, epoch, step, FwdItem::StopMark),
+            ElectionMsg::walk(id, epoch, remaining, p.walks_per_contender),
+            ElectionMsg::rev(id, epoch, RevItem::ProxyInfo { proxy_id: id, count: 1_000 }),
+            ElectionMsg::rev(id, epoch, RevItem::KnownContenders { ids: &[p.id_max] }),
+            ElectionMsg::rev(id, epoch, RevItem::Winner { id: p.id_max }),
+            ElectionMsg::fwd(id, epoch, FwdItem::I2Max { id: p.id_max }),
+            ElectionMsg::rev(id, epoch, RevItem::I3Max { id: p.id_max }),
+            ElectionMsg::fwd(id, epoch, FwdItem::StopMark),
         ];
         for m in msgs {
             prop_assert!(m.bit_size() <= cap, "{m:?}: {} > {cap}", m.bit_size());
@@ -110,12 +110,7 @@ proptest! {
         let p = Params::derive(n, cfg);
         let cap = p.bandwidth_bits.unwrap();
         let ids = vec![p.id_max; p.frag];
-        let m = ElectionMsg::rev(
-            p.id_max,
-            30,
-            1 << 20,
-            RevItem::KnownContenders { ids: &ids },
-        );
+        let m = ElectionMsg::rev(p.id_max, 30, RevItem::KnownContenders { ids: &ids });
         prop_assert!(m.bit_size() <= cap, "{} > {cap}", m.bit_size());
     }
 

@@ -116,8 +116,8 @@ impl WalkFleetNode {
         let step = self.walk_len - remaining;
         let trail = self
             .trails
-            .enter_epoch(ORIGIN_KEY, 0, self.walk_len)
-            // welle-lint: allow(no-lib-unwrap) — invariant: this protocol only ever runs epoch 0 with one fixed walk_len
+            .enter_epoch(ORIGIN_KEY, 0)
+            // welle-lint: allow(no-lib-unwrap) — invariant: this protocol only ever runs epoch 0
             .expect("single epoch");
         trail.record_in(step, via);
         if remaining == 0 {
@@ -142,24 +142,22 @@ impl WalkFleetNode {
         }
     }
 
+    /// Routes a report that may be at most `step` steps from the origin
+    /// (the sender's earliest step less one).
     fn route_report(&mut self, ctx: &mut Context<'_, FleetMsg>, step: u32, count: u32) {
-        let route = match self.trails.at_epoch(ORIGIN_KEY, 0) {
-            Some(t) => {
-                // The earliest step falls at every hop of a route.
-                debug_assert!(t.earliest().is_some_and(|(s, _)| s <= step));
-                t.reverse_route()
-            }
-            None => ReverseRoute::Broken,
-        };
-        match route {
+        let trail = self.trails.at_epoch(ORIGIN_KEY, 0);
+        let earliest = trail.and_then(|t| t.earliest()).map(|(s, _)| s);
+        // The earliest step falls at every hop of a route.
+        debug_assert!(earliest.is_some_and(|s| s <= step));
+        match trail.map_or(ReverseRoute::Broken, |t| t.reverse_route()) {
             ReverseRoute::AtOrigin => {
                 debug_assert!(self.is_origin, "reports must land at the origin");
                 self.reported += count;
             }
-            ReverseRoute::Forward(port, next_step) => ctx.send(
+            ReverseRoute::Forward(port) => ctx.send(
                 port,
                 FleetMsg::Report {
-                    step: next_step,
+                    step: earliest.map_or(0, |s| s - 1),
                     count,
                 },
             ),

@@ -49,7 +49,6 @@ pub enum Hop {
 #[derive(Clone, Debug)]
 pub struct Trail {
     epoch: u32,
-    len: u32,
     finalized: bool,
     /// The earliest recorded arrival `(step, hop)`: lowest step, first
     /// recorded on a tie.
@@ -59,10 +58,9 @@ pub struct Trail {
 }
 
 impl Trail {
-    fn new(epoch: u32, len: u32) -> Self {
+    fn new(epoch: u32) -> Self {
         Trail {
             epoch,
-            len,
             finalized: false,
             earliest: None,
             out_ports: Vec::new(),
@@ -72,11 +70,6 @@ impl Trail {
     /// Epoch this trail belongs to.
     pub fn epoch(&self) -> u32 {
         self.epoch
-    }
-
-    /// Walk length of that epoch.
-    pub fn len(&self) -> u32 {
-        self.len
     }
 
     /// Whether the trail has no recorded hops at all.
@@ -117,7 +110,7 @@ impl Trail {
             Some((_, Hop::Origin)) => ReverseRoute::AtOrigin,
             Some((step, Hop::Via(p))) => {
                 debug_assert!(step > 0, "in-edge recorded at step 0");
-                ReverseRoute::Forward(p, step - 1)
+                ReverseRoute::Forward(p)
             }
             // A stay needs an earlier visit; only a trail rebuilt from
             // a stale token can start with one.
@@ -140,9 +133,9 @@ impl Trail {
 pub enum ReverseRoute {
     /// This node *is* the origin: deliver locally.
     AtOrigin,
-    /// Send over the port; the receiver's earliest step is at most the
-    /// given one.
-    Forward(Port, u32),
+    /// Send over the port; the receiver's earliest step is below this
+    /// node's.
+    Forward(Port),
     /// No usable trail information (protocol bug or stale GC) — callers
     /// treat this as a dropped reply.
     Broken,
@@ -183,7 +176,7 @@ impl TrailStore {
     /// stored trail is finalized with a different epoch (walks of a
     /// stopped contender cannot restart) or newer than `epoch` (stale
     /// token arriving late — dropped).
-    pub fn enter_epoch(&mut self, origin: u64, epoch: u32, len: u32) -> Option<&mut Trail> {
+    pub fn enter_epoch(&mut self, origin: u64, epoch: u32) -> Option<&mut Trail> {
         match self.trails.get(&origin) {
             Some(t) if t.finalized => {
                 if t.epoch == epoch {
@@ -195,7 +188,7 @@ impl TrailStore {
             Some(t) if t.epoch == epoch => return self.trails.get_mut(&origin),
             _ => {}
         }
-        self.trails.insert(origin, Trail::new(epoch, len));
+        self.trails.insert(origin, Trail::new(epoch));
         self.trails.get_mut(&origin)
     }
 
@@ -238,7 +231,7 @@ mod tests {
 
     #[test]
     fn record_and_dedup() {
-        let mut t = Trail::new(2, 4);
+        let mut t = Trail::new(2);
         t.record_in(3, Hop::Via(Port::new(0)));
         t.record_in(1, Hop::Via(Port::new(2)));
         // A tie keeps the first recorded hop; later steps never replace.
@@ -254,27 +247,26 @@ mod tests {
     #[test]
     fn no_preallocation_for_long_walks() {
         let mut store = TrailStore::new();
-        let t = store.enter_epoch(1, 20, 1 << 20).unwrap();
+        let t = store.enter_epoch(1, 20).unwrap();
         assert!(t.is_empty());
         assert!(t.distinct_out_ports().is_empty());
-        assert_eq!(t.len(), 1 << 20);
     }
 
     #[test]
     fn reverse_route_skips_stays() {
-        let mut t = Trail::new(0, 5);
+        let mut t = Trail::new(0);
         // Tokens arrived at step 1 via port 3, stayed for steps 2 and
         // 3, and came back at step 4 via port 0.
         t.record_in(1, Hop::Via(Port::new(3)));
         t.record_in(2, Hop::Stay);
         t.record_in(3, Hop::Stay);
         t.record_in(4, Hop::Via(Port::new(0)));
-        assert_eq!(t.reverse_route(), ReverseRoute::Forward(Port::new(3), 0));
+        assert_eq!(t.reverse_route(), ReverseRoute::Forward(Port::new(3)));
     }
 
     #[test]
     fn reverse_route_at_origin() {
-        let mut t = Trail::new(0, 2);
+        let mut t = Trail::new(0);
         t.record_in(0, Hop::Origin);
         t.record_in(1, Hop::Stay);
         t.record_in(2, Hop::Via(Port::new(1)));
@@ -283,7 +275,7 @@ mod tests {
 
     #[test]
     fn reverse_route_broken_without_records() {
-        let mut t = Trail::new(0, 3);
+        let mut t = Trail::new(0);
         assert_eq!(t.reverse_route(), ReverseRoute::Broken);
         t.record_in(2, Hop::Stay);
         assert_eq!(t.reverse_route(), ReverseRoute::Broken);
@@ -292,29 +284,29 @@ mod tests {
     #[test]
     fn epoch_replacement_rules() {
         let mut store = TrailStore::new();
-        store.enter_epoch(7, 0, 1).unwrap().record_in(0, Hop::Origin);
+        store.enter_epoch(7, 0).unwrap().record_in(0, Hop::Origin);
         // Same epoch: same trail.
         assert_eq!(
-            store.enter_epoch(7, 0, 1).unwrap().earliest(),
+            store.enter_epoch(7, 0).unwrap().earliest(),
             Some((0, Hop::Origin))
         );
         // Newer epoch replaces a non-finalized trail.
-        let t = store.enter_epoch(7, 1, 2).unwrap();
+        let t = store.enter_epoch(7, 1).unwrap();
         assert!(t.is_empty());
         assert_eq!(t.epoch(), 1);
         // Stale (older-epoch) token is rejected.
-        assert!(store.enter_epoch(7, 0, 1).is_none());
+        assert!(store.enter_epoch(7, 0).is_none());
     }
 
     #[test]
     fn finalized_trails_are_immutable_across_epochs() {
         let mut store = TrailStore::new();
-        store.enter_epoch(9, 2, 4).unwrap();
+        store.enter_epoch(9, 2).unwrap();
         store.finalize(9, 2);
         assert!(store.current(9).unwrap().is_finalized());
         // A finalized trail refuses other epochs but accepts its own.
-        assert!(store.enter_epoch(9, 3, 8).is_none());
-        assert!(store.enter_epoch(9, 2, 4).is_some());
+        assert!(store.enter_epoch(9, 3).is_none());
+        assert!(store.enter_epoch(9, 2).is_some());
         // GC keeps finalized trails forever.
         store.gc(10);
         assert!(store.current(9).is_some());
@@ -323,8 +315,8 @@ mod tests {
     #[test]
     fn gc_drops_stale_unfinalized() {
         let mut store = TrailStore::new();
-        store.enter_epoch(1, 0, 1);
-        store.enter_epoch(2, 5, 32);
+        store.enter_epoch(1, 0);
+        store.enter_epoch(2, 5);
         store.gc(3);
         assert!(store.current(1).is_none());
         assert!(store.current(2).is_some());
@@ -334,7 +326,7 @@ mod tests {
     #[test]
     fn finalize_wrong_epoch_is_ignored() {
         let mut store = TrailStore::new();
-        store.enter_epoch(4, 1, 2);
+        store.enter_epoch(4, 1);
         store.finalize(4, 0);
         assert!(!store.current(4).unwrap().is_finalized());
     }

@@ -25,7 +25,7 @@ fn simulate_trails(
     let mut trails: Vec<TrailStore> = (0..g.n()).map(|_| TrailStore::new()).collect();
     let record = |trails: &mut [TrailStore], v: NodeId, step: u32, hop: Hop| {
         trails[v.index()]
-            .enter_epoch(ORIGIN, 0, len)
+            .enter_epoch(ORIGIN, 0)
             .expect("one epoch")
             .record_in(step, hop);
     };
@@ -43,7 +43,7 @@ fn simulate_trails(
             }
             for (port, moved) in split.moves {
                 trails[u.index()]
-                    .enter_epoch(ORIGIN, 0, len)
+                    .enter_epoch(ORIGIN, 0)
                     .expect("one epoch")
                     .record_out(port);
                 let v = g.neighbor(u, port);
@@ -122,7 +122,7 @@ proptest! {
                         prop_assert_eq!(at.index(), origin, "only the origin answers AtOrigin");
                         break;
                     }
-                    ReverseRoute::Forward(port, bound) => {
+                    ReverseRoute::Forward(port) => {
                         at = g.neighbor(at, port);
                         hops += 1;
                         prop_assert!(hops <= len, "route from {} is longer than the walk", start);
@@ -132,7 +132,7 @@ proptest! {
                             .at_epoch(ORIGIN, 0)
                             .and_then(|t| t.earliest())
                             .map(|(s, _)| s);
-                        prop_assert!(next.is_some_and(|s| s <= bound && s < step),
+                        prop_assert!(next.is_some_and(|s| s < step),
                             "earliest step did not fall: {} then {:?}", step, next);
                         step = next.unwrap_or(0);
                     }
