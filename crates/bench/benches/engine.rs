@@ -12,7 +12,7 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{rngs::StdRng, SeedableRng};
 use welle_congest::testing::FloodMax;
-use welle_congest::{Engine, EngineConfig, LatencyModel, TelemetryConfig, ThreadedEngine};
+use welle_congest::{Engine, EngineConfig, LatencyModel, TelemetryConfig};
 use welle_graph::gen;
 
 fn bench_flood(c: &mut Criterion) {
@@ -32,8 +32,8 @@ fn bench_flood(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("threaded4", n), &n, |b, _| {
             b.iter(|| {
                 let nodes = (0..n).map(|i| FloodMax::new(i as u64)).collect();
-                let mut e =
-                    ThreadedEngine::new(Arc::clone(&g), nodes, EngineConfig::default(), 4);
+                let mut e = Engine::new(Arc::clone(&g), nodes, EngineConfig::default());
+                e.set_threads(4);
                 black_box(e.run(100_000));
                 black_box(e.metrics().messages)
             })

@@ -1,5 +1,5 @@
-//! The event-driven round engine (the default executor), with its
-//! optional fault and latency layers.
+//! The event-driven round engine, with its optional fault and latency
+//! layers. Its sharded run loop lives in `threaded.rs`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -95,7 +95,9 @@ impl RunOutcome {
 /// checked once per round: a [`FaultPlan`] (see
 /// [`Engine::set_fault_plan`]) and a [`LatencyModel`] (see
 /// [`Engine::set_latency`]), which makes the engine the asynchronous
-/// executor of [`crate::Exec::Async`].
+/// executor of [`crate::Exec::Async`]. [`Engine::set_threads`] runs the
+/// protocol phase of each round on worker threads, with bit-identical
+/// results.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -126,8 +128,13 @@ pub struct Engine<P: Protocol> {
     /// callbacks of the round in progress, and by any signal since the
     /// last one; drained into the telemetry sample at round end.
     pub(crate) phase_seen: Option<u8>,
-    /// Every node's protocol state, as one shard with base 0. The
-    /// sharded executor splits it for a run and joins it back after.
+    /// Worker threads of a run; see [`Engine::set_threads`].
+    pub(crate) threads: usize,
+    /// See [`Engine::set_inline_cutoff`]; `None` picks the default when
+    /// a run starts.
+    pub(crate) inline_cutoff: Option<usize>,
+    /// Every node's protocol state, as one shard with base 0. A run on
+    /// several threads splits it and joins it back after.
     ///
     /// Declared last, with the outbox last in [`Shard`], so a dropped
     /// engine frees its largest batch last: `perfbench/`'s heap counter
@@ -157,6 +164,8 @@ impl<P: Protocol> Engine<P> {
             wire: Wire::new(graph.directed_edge_count()),
             telemetry: None,
             phase_seen: None,
+            threads: 1,
+            inline_cutoff: None,
             graph,
             cfg,
         }
@@ -205,7 +214,7 @@ impl<P: Protocol> Engine<P> {
         self.wire.faults = Some(Arc::clone(&plan.0));
     }
 
-    /// The compiled fault schedule, for executors that share it with
+    /// The compiled fault schedule, for a sharded run to share with its
     /// worker threads.
     pub(crate) fn compiled_faults(&self) -> Option<Arc<CompiledFaults>> {
         self.wire.faults.clone()
@@ -312,7 +321,8 @@ impl<P: Protocol> Engine<P> {
     /// allocation-free.
     ///
     /// A reset engine is bit-identical to a fresh one: the only
-    /// difference is where its buffers' memory came from.
+    /// difference is where its buffers' memory came from. It also runs
+    /// on one thread with the default inline cutoff again.
     pub fn reset_with(
         &mut self,
         graph: Arc<Graph>,
@@ -327,6 +337,8 @@ impl<P: Protocol> Engine<P> {
         self.wire.reset(directed_edges);
         self.telemetry = None;
         self.phase_seen = None;
+        self.threads = 1;
+        self.inline_cutoff = None;
         self.graph = graph;
         self.cfg = cfg;
     }
@@ -406,7 +418,8 @@ impl<P: Protocol> Engine<P> {
     }
 
     /// Runs until [`RunOutcome::Done`], [`RunOutcome::Quiescent`], or the
-    /// round limit (with a latency model, a bound on *virtual* rounds).
+    /// round limit (with a latency model, a bound on *virtual* rounds),
+    /// on the threads set by [`Engine::set_threads`].
     ///
     /// ```
     /// use std::sync::Arc;
@@ -425,7 +438,7 @@ impl<P: Protocol> Engine<P> {
     pub fn run(&mut self, round_limit: u64) -> RunOutcome {
         // Concrete `NoopObserver` so the per-message observer call (and
         // the `TransmitEvent` it would be fed) compiles away entirely.
-        self.run_core(round_limit, &mut NoopObserver, |_| false)
+        self.run_core(round_limit, &mut NoopObserver)
     }
 
     /// Like [`Engine::run`] but notifying `obs` of every transmission.
@@ -434,33 +447,25 @@ impl<P: Protocol> Engine<P> {
         round_limit: u64,
         obs: &mut dyn TransmitObserver,
     ) -> RunOutcome {
-        self.run_core(round_limit, obs, |_| false)
+        self.run_core(round_limit, obs)
     }
 
     /// Runs until done/quiescent/limit or until `stop` returns true
-    /// (checked after every simulated round).
+    /// (checked after every simulated round). Runs inline on the calling
+    /// thread whatever [`Engine::set_threads`] says, since `stop` reads
+    /// the whole engine between rounds.
     pub fn run_until(
         &mut self,
         round_limit: u64,
         stop: impl FnMut(&Engine<P>) -> bool,
     ) -> RunOutcome {
-        self.run_core(round_limit, &mut NoopObserver, stop)
+        self.run_inline(round_limit, &mut NoopObserver, stop)
     }
 
-    /// The most general run loop: observer plus stop predicate.
-    pub fn run_until_observed(
-        &mut self,
-        round_limit: u64,
-        obs: &mut dyn TransmitObserver,
-        stop: impl FnMut(&Engine<P>) -> bool,
-    ) -> RunOutcome {
-        self.run_core(round_limit, obs, stop)
-    }
-
-    /// Monomorphic run loop; `O = NoopObserver` specializes to zero
-    /// observer overhead, `O = dyn TransmitObserver` serves the public
-    /// observed entry points.
-    pub(crate) fn run_core<O: TransmitObserver + ?Sized>(
+    /// The run loop on the calling thread. Monomorphic: `O =
+    /// NoopObserver` specializes to zero observer overhead, `O = dyn
+    /// TransmitObserver` serves the observed entry points.
+    pub(crate) fn run_inline<O: TransmitObserver + ?Sized>(
         &mut self,
         round_limit: u64,
         obs: &mut O,
@@ -479,8 +484,8 @@ impl<P: Protocol> Engine<P> {
         }
     }
 
-    /// The pre-round check of every run loop, given the executor's view
-    /// of its shards (all idle: no inbox holds a message and no send
+    /// The pre-round check of both run loops, given the loop's view of
+    /// its shards (all idle: no inbox holds a message and no send
     /// awaits transmission?), its done nodes and its earliest wake-up.
     /// When nothing is in transit it ends a finished or quiescent run,
     /// or skips the idle stretch in `O(1)` to the earlier of the next
@@ -513,17 +518,13 @@ impl<P: Protocol> Engine<P> {
         None
     }
 
-    /// Simulates exactly one round (start-up on the first call).
+    /// Simulates exactly one round (start-up on the first call), inline.
     pub fn step(&mut self) {
         self.step_core(&mut NoopObserver);
     }
 
-    /// One round with an observer.
-    pub fn step_observed(&mut self, obs: &mut dyn TransmitObserver) {
-        self.step_core(obs);
-    }
-
-    /// Monomorphic single-round step (see [`Engine::run_core`] for why).
+    /// Monomorphic single-round step (see [`Engine::run_inline`] for
+    /// why).
     fn step_core<O: TransmitObserver + ?Sized>(&mut self, obs: &mut O) {
         // Telemetry mirrors the wire's layers: taken once per round, so
         // a run without it pays exactly one null check and nothing else.
@@ -575,7 +576,7 @@ impl<P: Protocol> Engine<P> {
             .take_tally(&mut self.metrics.sent_by_node, &mut self.phase_seen)
     }
 
-    /// Closes the round an executor just simulated: folds its flow into
+    /// Closes the round a run loop just simulated: folds its flow into
     /// the metrics, counts it as active when a callback ran or a message
     /// moved (recording its telemetry sample), ends its span, restores
     /// the telemetry layer and advances the clock.
@@ -614,8 +615,8 @@ impl<P: Protocol> Engine<P> {
     }
 
     /// Broadcasts a control signal to every node (see
-    /// [`Protocol::on_signal`]); resulting sends are transmitted starting
-    /// with the next round. Signal callbacks count in no round's
+    /// [`Protocol::on_signal`]), inline; resulting sends are transmitted
+    /// starting with the next round. Signal callbacks count in no round's
     /// `active_nodes`; their sends count in `sent_by_node`, and their
     /// phase tag lands in the next recorded sample.
     pub fn signal(&mut self, signal: Signal) {
@@ -648,9 +649,9 @@ pub(crate) struct PhaseEnv<'a> {
 /// reads or writes for them: protocol instances, RNGs, inboxes, the
 /// active list, wake-ups, done flags, the sends awaiting transmission,
 /// and the tallies of the last phase. [`Engine`] keeps every node in one
-/// shard with base 0; [`crate::ThreadedEngine`] splits it into one
-/// shard per worker for a run and joins them back after, so both
-/// executors run every callback through [`Shard::run_phase`].
+/// shard with base 0; a run on several threads splits it into one shard
+/// per worker and joins them back after, so both run loops run every
+/// callback through [`Shard::run_phase`].
 #[derive(Debug)]
 pub(crate) struct Shard<P: Protocol> {
     /// Global index of the shard's first node.
@@ -966,10 +967,9 @@ pub(crate) const TRANSMIT_CHUNK: usize = 4096;
 
 /// Everything between a shard's outbox and an inbox: the per-edge
 /// backlog, the CONGEST one-message-per-directed-edge stamps, and the
-/// optional fault and latency layers. Both executors own one (the
-/// sharded engine through its inner [`Engine`]) and drive it through
-/// [`Wire::transmit`], so they cannot drift apart on delivery (their
-/// executions must stay bit-identical).
+/// optional fault and latency layers. The engine owns one, and both run
+/// loops drive it through [`Wire::transmit`], so they cannot drift apart
+/// on delivery (their executions must stay bit-identical).
 #[derive(Debug)]
 pub(crate) struct Wire<M> {
     /// Backlogged messages, one FIFO per directed edge.
@@ -1015,8 +1015,8 @@ impl<M: Payload> Wire<M> {
         self.latency = None;
     }
 
-    /// The transmission phase of `round`, written once for every
-    /// executor: one message per active directed edge. Messages parked
+    /// The transmission phase of `round`, written once for both run
+    /// loops: one message per active directed edge. Messages parked
     /// on the latency heap and due by the round's end arrive first, then
     /// backlogged edges deliver their queue head (pumped in bounded
     /// chunks through the recycled scratch), then the sends of each
@@ -1188,8 +1188,8 @@ impl<M> Crossing<M> for Latent<'_, M> {
 /// One round's transmission discipline: the CONGEST
 /// one-message-per-directed-edge rule (`last_carried` round stamps), the
 /// backlog arena, the crossing policy `X`, and per-message
-/// metrics/observer events. Executor-specific delivery — which inbox
-/// structure receives the message — is injected as the `sink` argument.
+/// metrics/observer events. Delivery — which shard's inbox receives the
+/// message — is injected as the `sink` argument.
 struct Transmitter<'a, M, X> {
     graph: &'a Graph,
     queues: &'a mut EdgeQueues<M>,

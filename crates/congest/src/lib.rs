@@ -19,18 +19,19 @@
 //! cuts/partitions — without giving up replayability (see [`faults`
 //! module docs](FaultPlan)).
 //!
-//! Two executors share these semantics behind the [`Executor`] trait:
-//! the event-driven [`Engine`] (skips idle rounds in `O(1)` — essential
-//! for the paper's fixed-`T` schedules) and the sharded multi-threaded
-//! [`ThreadedEngine`]. The engine also runs the asynchronous model: an
-//! optional latency layer ([`Engine::set_latency`]) replaces the
-//! constant one-round hop with a seeded [`LatencyModel`] (fixed,
+//! One executor runs these semantics: the event-driven [`Engine`]
+//! (skips idle rounds in `O(1)` — essential for the paper's fixed-`T`
+//! schedules), whose protocol phase can run on worker threads
+//! ([`Engine::set_threads`]). The engine also runs the asynchronous
+//! model: an optional latency layer ([`Engine::set_latency`]) replaces
+//! the constant one-round hop with a seeded [`LatencyModel`] (fixed,
 //! uniform, or log-normal per-crossing latency plus per-edge
 //! service-rate queueing). Synchronous executions are bit-identical
-//! across engines and thread counts for protocols honouring the
-//! [`Protocol`] no-op contract, and a latent run rejoins them bit for
-//! bit under [`LatencyModel::zero`] — so drivers choose executors on
-//! performance, and latency models on what they want to study.
+//! across thread counts for protocols honouring the [`Protocol`] no-op
+//! contract, and a latent run rejoins them bit for bit under
+//! [`LatencyModel::zero`] — so drivers choose a thread count on
+//! performance ([`Exec`]), and latency models on what they want to
+//! study.
 //!
 //! # Example: flooding the maximum id
 //!
@@ -80,7 +81,7 @@ pub(crate) fn idx32(i: usize) -> u32 {
     i as u32
 }
 pub use engine::{Engine, EngineConfig, RunOutcome};
-pub use exec::{Exec, Executor};
+pub use exec::Exec;
 pub use faults::{CompiledFaultPlan, FaultError, FaultPlan};
 pub use latency::{LatencyDist, LatencyError, LatencyModel};
 pub use message::{bits_for, id_bits, Payload};
@@ -90,5 +91,4 @@ pub use telemetry::{
     PhaseTotals, Retention, RoundSample, SpanStage, SpanStats, TelemetryConfig, TelemetryReport,
     SPAN_STAGES,
 };
-pub use threaded::ThreadedEngine;
 pub use trace::Trace;

@@ -29,9 +29,8 @@ pub type Signal = u64;
 ///
 /// `on_round` **must** be a no-op — in particular it must not draw from
 /// [`Context::rng`] — when the inbox is empty and the node has no due
-/// wake-up. Engines are allowed to skip such calls (the event-driven
-/// [`crate::Engine`] does; the dense [`crate::ThreadedEngine`] does not),
-/// and the two must produce identical executions.
+/// wake-up. [`crate::Engine`] skips such calls on every thread count,
+/// and an execution must not depend on whether they happen.
 ///
 /// Nodes are anonymous: the context deliberately exposes no node index.
 /// Identity must come from randomness (e.g. the paper's ids in `[1, n⁴]`),

@@ -13,11 +13,10 @@ use crate::latency::LatencyModel;
 use crate::metrics::Metrics;
 use crate::protocol::{Context, Protocol};
 use crate::telemetry::{TelemetryConfig, TelemetryReport};
-use crate::threaded::ThreadedEngine;
 
 /// Every concrete executor choice a cross-executor equivalence check
 /// should cover, labelled for assertion messages: the serial engine
-/// (the oracle), the sharded engine at one and several workers, and
+/// (the oracle), the engine on one and on several worker threads, and
 /// the engine under the zero latency model (which contracts to be
 /// bit-identical to serial). Suites that iterate this list pick up
 /// new executors automatically instead of enumerating them by hand.
@@ -45,8 +44,8 @@ pub struct ExecRun {
 
 /// Runs `make`-built protocols on every executor of [`all_execs`] under
 /// the same `(graph, cfg, faults, telemetry)` and collects each run's
-/// outcome, final [`Metrics`], and [`TelemetryReport`]. Multi-worker
-/// thread pools are forced through the sharded barrier path
+/// outcome, final [`Metrics`], and [`TelemetryReport`]. Runs on several
+/// worker threads are forced through the sharded barrier path
 /// (`inline_cutoff = 0`) so the check exercises the real parallel code
 /// even on single-core CI hosts.
 pub fn run_everywhere<P: Protocol>(
@@ -59,46 +58,32 @@ pub fn run_everywhere<P: Protocol>(
 ) -> Vec<ExecRun> {
     let mut runs = Vec::new();
     for (name, exec) in all_execs() {
-        let nodes: Vec<P> = (0..graph.n()).map(&make).collect();
-        let (outcome, metrics, report) = match exec {
-            Exec::Serial | Exec::Async(_) => {
-                let mut e = Engine::new(Arc::clone(graph), nodes, cfg);
-                if let Exec::Async(model) = exec {
-                    // welle-lint: allow(no-lib-unwrap) — test-support harness: all_execs lists only valid models
-                    e.set_latency(model).expect("latency model is valid");
-                }
-                if let Some(plan) = faults {
-                    // welle-lint: allow(no-lib-unwrap) — test-support harness: a misfitting plan is a broken test, and panicking is its assertion mechanism
-                    e.set_fault_plan(plan).expect("fault plan fits the graph");
-                }
-                if let Some(tcfg) = telemetry {
-                    e.set_telemetry(tcfg);
-                }
-                let out = e.run(round_limit);
-                (out, e.metrics().clone(), e.take_telemetry())
-            }
+        let mut e = Engine::from_fn(Arc::clone(graph), cfg, &make);
+        match exec {
+            Exec::Serial => {}
             Exec::Threaded(k) => {
-                let mut e = ThreadedEngine::new(Arc::clone(graph), nodes, cfg, k);
-                if k > 1 {
-                    e.set_inline_cutoff(0);
-                }
-                if let Some(plan) = faults {
-                    // welle-lint: allow(no-lib-unwrap) — test-support harness: a misfitting plan is a broken test, and panicking is its assertion mechanism
-                    e.set_fault_plan(plan).expect("fault plan fits the graph");
-                }
-                if let Some(tcfg) = telemetry {
-                    e.set_telemetry(tcfg);
-                }
-                let out = e.run(round_limit);
-                (out, e.metrics().clone(), e.take_telemetry())
+                e.set_threads(k);
+                e.set_inline_cutoff(0);
+            }
+            Exec::Async(model) => {
+                // welle-lint: allow(no-lib-unwrap) — test-support harness: all_execs lists only valid models
+                e.set_latency(model).expect("latency model is valid");
             }
             Exec::Auto => unreachable!("all_execs never yields Auto"),
-        };
+        }
+        if let Some(plan) = faults {
+            // welle-lint: allow(no-lib-unwrap) — test-support harness: a misfitting plan is a broken test, and panicking is its assertion mechanism
+            e.set_fault_plan(plan).expect("fault plan fits the graph");
+        }
+        if let Some(tcfg) = telemetry {
+            e.set_telemetry(tcfg);
+        }
+        let outcome = e.run(round_limit);
         runs.push(ExecRun {
             name,
             outcome,
-            metrics,
-            telemetry: report,
+            metrics: e.metrics().clone(),
+            telemetry: e.take_telemetry(),
         });
     }
     runs

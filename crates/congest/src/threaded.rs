@@ -1,22 +1,20 @@
-//! Sharded, multi-threaded executor with identical semantics to
-//! [`crate::Engine`].
+//! The sharded run loop of [`Engine`]: each round's protocol phase on
+//! worker threads, with results bit-identical to the inline loop.
 //!
-//! [`ThreadedEngine`] wraps an inner [`Engine`] and adds a parallel
-//! execution layer: for each run, the engine's one shard of per-node
-//! state is split into contiguous node shards, one per worker thread,
-//! and joined back when the run ends. Workers are spawned **once per
-//! run** and parked on a shared round barrier. Each parallel round costs
-//! two barrier crossings — the engine's own protocol phase, run on every
-//! shard at once, then a serial merge + transmit phase on the driving
-//! thread.
+//! A run on more than one thread (see [`Engine::set_threads`]) splits
+//! the engine's one shard of per-node state into contiguous node shards,
+//! one per worker thread, and joins them back when the run ends. Workers
+//! are spawned **once per run** and parked on a shared round barrier.
+//! Each parallel round costs two barrier crossings — the engine's own
+//! protocol phase, run on every shard at once, then a serial merge +
+//! transmit phase on the driving thread.
 //!
 //! Rounds whose protocol phase is too sparse to amortize a barrier
 //! crossing run inline on the driving thread (see
-//! [`ThreadedEngine::set_inline_cutoff`]); on single-core hosts, where
-//! the barrier can never pay off, the engine delegates whole runs to
-//! the inner serial engine. All paths execute the same algorithm in
-//! the same order: leader identities, message counts, and metrics are
-//! bit-identical across thread counts and to the serial engine, for
+//! [`Engine::set_inline_cutoff`]); on single-core hosts, where the
+//! barrier can never pay off, whole runs stay inline. All paths execute
+//! the same algorithm in the same order: leader identities, message
+//! counts, and metrics are bit-identical across thread counts, for
 //! protocols that honour the [`crate::Protocol`] no-op contract.
 
 use std::any::Any;
@@ -24,13 +22,10 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 
-use welle_graph::Graph;
-
-use crate::engine::{CallKind, Engine, EngineConfig, PhaseEnv, RunOutcome, Shard};
-use crate::faults::{CompiledFaultPlan, FaultError, FaultPlan};
-use crate::metrics::{Metrics, NoopObserver, TransmitObserver};
-use crate::protocol::{Protocol, Signal};
-use crate::telemetry::{SpanStage, TelemetryConfig, TelemetryReport};
+use crate::engine::{CallKind, Engine, PhaseEnv, RunOutcome, Shard};
+use crate::metrics::TransmitObserver;
+use crate::protocol::Protocol;
+use crate::telemetry::SpanStage;
 
 /// Worker command: simulate one round (`on_round` phase).
 const CMD_ROUND: u8 = 0;
@@ -45,6 +40,17 @@ const CMD_EXIT: u8 = 2;
 /// rounds (drain tails, wake-up ticks) skip the hand-off and the
 /// workers stay parked.
 const INLINE_WORK_PER_SHARD: usize = 64;
+
+/// The inline cutoff of a run on several threads when none was set.
+/// A machine with a single hardware thread gains nothing from handing
+/// work to workers, so whole runs stay inline there. Only a run asks
+/// the host, so building or resetting an engine never does.
+fn default_inline_cutoff() -> usize {
+    match std::thread::available_parallelism() {
+        Ok(p) if p.get() > 1 => INLINE_WORK_PER_SHARD,
+        _ => usize::MAX,
+    }
+}
 
 /// Aggregates the driving thread reads from the shards before each
 /// round.
@@ -102,80 +108,21 @@ impl Drop for ExitGuard<'_> {
     }
 }
 
-/// Sharded multi-threaded executor. See the module docs for the
-/// trade-offs versus [`crate::Engine`].
-#[derive(Debug)]
-pub struct ThreadedEngine<P: Protocol> {
-    inner: Engine<P>,
-    threads: usize,
-    /// See [`ThreadedEngine::set_inline_cutoff`].
-    inline_cutoff: usize,
-}
-
-impl<P: Protocol> ThreadedEngine<P> {
-    /// Creates a threaded engine with `threads` worker threads
-    /// (`threads = 1` delegates runs to the serial engine inline).
-    ///
-    /// Node RNGs are derived once here — not per round — so repeated
-    /// `run` calls continue the same random streams.
+impl<P: Protocol> Engine<P> {
+    /// Runs the protocol phase of later [`Engine::run`] and
+    /// [`Engine::run_observed`] calls on `threads` worker threads
+    /// (default 1: inline on the calling thread). A run splits the nodes
+    /// into `threads` contiguous shards, one per worker; transmission
+    /// stays on the calling thread. Results are bit-identical for every
+    /// count, so this is purely a scheduling knob. Signals,
+    /// [`Engine::step`] and [`Engine::run_until`] always run inline.
     ///
     /// # Panics
     ///
-    /// Panics if `nodes.len() != graph.n()` or `threads == 0`.
-    pub fn new(graph: Arc<Graph>, nodes: Vec<P>, cfg: EngineConfig, threads: usize) -> Self {
+    /// Panics if `threads == 0`.
+    pub fn set_threads(&mut self, threads: usize) {
         assert!(threads > 0, "need at least one worker thread");
-        ThreadedEngine {
-            inner: Engine::new(graph, nodes, cfg),
-            threads,
-            // A machine with a single hardware thread gains nothing from
-            // handing work to workers — run everything inline there.
-            inline_cutoff: match std::thread::available_parallelism() {
-                Ok(p) if p.get() > 1 => INLINE_WORK_PER_SHARD,
-                _ => usize::MAX,
-            },
-        }
-    }
-
-    /// Creates a threaded engine with protocols built per node index.
-    pub fn from_fn(
-        graph: Arc<Graph>,
-        cfg: EngineConfig,
-        threads: usize,
-        mut make: impl FnMut(usize) -> P,
-    ) -> Self {
-        let nodes = (0..graph.n()).map(&mut make).collect();
-        ThreadedEngine::new(graph, nodes, cfg, threads)
-    }
-
-    /// Installs adversarial network conditions; see
-    /// [`Engine::set_fault_plan`]. The schedule is shared with the
-    /// worker threads, and execution stays bit-identical to the serial
-    /// engine under the same plan.
-    ///
-    /// # Errors
-    ///
-    /// A [`FaultError`] when the plan does not fit the graph.
-    pub fn set_fault_plan(&mut self, plan: &FaultPlan) -> Result<(), FaultError> {
-        self.inner.set_fault_plan(plan)
-    }
-
-    /// Installs an already-compiled fault plan in `O(1)`; see
-    /// [`Engine::set_compiled_faults`].
-    pub fn set_compiled_faults(&mut self, plan: &CompiledFaultPlan) {
-        self.inner.set_compiled_faults(plan)
-    }
-
-    /// Installs the telemetry layer; see [`Engine::set_telemetry`]. The
-    /// recorded sample stream is bit-identical to the serial engine's
-    /// for any thread count or inline cutoff.
-    pub fn set_telemetry(&mut self, cfg: TelemetryConfig) {
-        self.inner.set_telemetry(cfg)
-    }
-
-    /// Removes the telemetry layer and returns everything it recorded;
-    /// see [`Engine::take_telemetry`].
-    pub fn take_telemetry(&mut self) -> Option<TelemetryReport> {
-        self.inner.take_telemetry()
+        self.threads = threads;
     }
 
     /// Overrides the per-shard callback-count cutoff below which a
@@ -186,124 +133,63 @@ impl<P: Protocol> ThreadedEngine<P> {
     /// where the barrier can never pay off). Execution results are
     /// identical either way — this is purely a scheduling knob.
     pub fn set_inline_cutoff(&mut self, per_shard: usize) {
-        self.inline_cutoff = per_shard;
+        self.inline_cutoff = Some(per_shard);
     }
 
-    /// Current round.
-    pub fn round(&self) -> u64 {
-        self.inner.round()
-    }
-
-    /// The simulated network.
-    pub fn graph(&self) -> &Arc<Graph> {
-        self.inner.graph()
-    }
-
-    /// Traffic metrics accumulated so far.
-    pub fn metrics(&self) -> &Metrics {
-        self.inner.metrics()
-    }
-
-    /// Messages queued for transmission, not yet delivered.
-    pub fn in_flight(&self) -> u64 {
-        self.inner.in_flight()
-    }
-
-    /// Peak queued-message population; see [`Engine::peak_arena_slots`].
-    pub fn peak_arena_slots(&self) -> u64 {
-        self.inner.peak_arena_slots()
-    }
-
-    /// Caps the transmission scratch of the serial merge phase; see
-    /// [`Engine::set_transmit_chunk`].
-    pub fn set_transmit_chunk(&mut self, limit: usize) {
-        self.inner.set_transmit_chunk(limit);
-    }
-
-    /// Immutable view of the protocol instances.
-    pub fn nodes(&self) -> &[P] {
-        self.inner.nodes()
-    }
-
-    /// The protocol instance at node `i`.
-    pub fn node(&self, i: usize) -> &P {
-        self.inner.node(i)
-    }
-
-    /// Consumes the engine, returning the protocol instances.
-    pub fn into_nodes(self) -> Vec<P> {
-        self.inner.into_nodes()
-    }
-
-    /// Broadcasts a control signal to every node (see
-    /// [`crate::Protocol::on_signal`]); resulting sends are transmitted
-    /// starting with the next round. Runs inline — callers signal
-    /// between `run` calls, never during one.
-    pub fn signal(&mut self, signal: Signal) {
-        self.inner.signal(signal);
-    }
-
-    /// Runs until done/quiescent or the round limit; see
-    /// [`crate::Engine::run`] for the semantics.
-    pub fn run(&mut self, round_limit: u64) -> RunOutcome {
-        self.run_core(round_limit, &mut NoopObserver)
-    }
-
-    /// Like [`ThreadedEngine::run`] with a transmission observer.
-    pub fn run_observed(
-        &mut self,
-        round_limit: u64,
-        obs: &mut dyn TransmitObserver,
-    ) -> RunOutcome {
-        self.run_core(round_limit, obs)
-    }
-
-    /// The run loop. Whole-run-inline mode delegates to the serial
-    /// engine (same state, same algorithm); otherwise the engine's shard
+    /// The run loop of [`Engine::run`] and [`Engine::run_observed`]. A
+    /// run on one thread, or with whole runs kept inline, is the inline
+    /// loop (same state, same algorithm); otherwise the engine's shard
     /// is split, workers are spawned once, and rounds are driven over
     /// the barrier until the run ends and the shards are joined back.
-    fn run_core<O: TransmitObserver + ?Sized>(
+    pub(crate) fn run_core<O: TransmitObserver + ?Sized>(
         &mut self,
         round_limit: u64,
         obs: &mut O,
     ) -> RunOutcome {
-        if self.threads == 1 || self.inline_cutoff == usize::MAX {
-            return self.inner.run_core(round_limit, obs, |_| false);
+        let cutoff = if self.threads == 1 {
+            usize::MAX
+        } else {
+            self.inline_cutoff.unwrap_or_else(default_inline_cutoff)
+        };
+        if cutoff == usize::MAX {
+            return self.run_inline(round_limit, obs, |_| false);
         }
-        let shard_len = self.inner.graph.n().div_ceil(self.threads).max(1);
-        let shards = std::mem::take(&mut self.inner.shard).split(shard_len);
+        let shard_len = self.graph.n().div_ceil(self.threads).max(1);
+        let shards = std::mem::take(&mut self.shard).split(shard_len);
         let agg = RoundAgg::of(&shards);
         let cells: Vec<Mutex<Shard<P>>> = shards.into_iter().map(Mutex::new).collect();
-        let outcome = self.run_sharded(&cells, round_limit, obs, agg);
+        let outcome = self.run_sharded(&cells, round_limit, obs, agg, cutoff);
         let shards = cells
             .into_iter()
             .map(|c| c.into_inner().unwrap_or_else(PoisonError::into_inner));
-        self.inner.shard = Shard::join(shards.collect());
+        self.shard = Shard::join(shards.collect());
         outcome
     }
 
-    /// Barrier-driven run loop over the shards.
+    /// Barrier-driven run loop over the shards, with the inline cutoff
+    /// of [`Engine::set_inline_cutoff`].
     fn run_sharded<O: TransmitObserver + ?Sized>(
         &mut self,
         cells: &[Mutex<Shard<P>>],
         round_limit: u64,
         obs: &mut O,
         mut agg: RoundAgg,
+        cutoff: usize,
     ) -> RunOutcome {
-        let n = self.inner.graph.n();
+        let n = self.graph.n();
         let barrier = Barrier::new(cells.len() + 1);
         let cmd = AtomicU8::new(CMD_ROUND);
-        let round_now = AtomicU64::new(self.inner.round);
+        let round_now = AtomicU64::new(self.round);
         // A worker panic is caught so the barrier protocol stays intact,
         // its payload parked here, and re-raised on the driving thread —
         // the original message (e.g. a CONGEST-budget assert from
         // `Context::send`) must not be lost.
         let panicked: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
-        let graph = Arc::clone(&self.inner.graph);
-        let compiled = self.inner.compiled_faults();
+        let graph = Arc::clone(&self.graph);
+        let compiled = self.compiled_faults();
         let env = PhaseEnv {
             graph: &graph,
-            budget: self.inner.cfg.bandwidth_bits,
+            budget: self.cfg.bandwidth_bits,
             faults: compiled.as_deref(),
         };
 
@@ -342,20 +228,18 @@ impl<P: Protocol> ThreadedEngine<P> {
             };
             loop {
                 let (idle, done, wake) = (agg.idle, agg.done_total, agg.min_wake);
-                if let Some(out) = self.inner.check_stop(idle, done, wake, round_limit) {
+                if let Some(out) = self.check_stop(idle, done, wake, round_limit) {
                     break out;
                 }
-                let kind = self.inner.next_phase();
+                let kind = self.next_phase();
                 let starting = matches!(kind, CallKind::Start);
                 let t_round = self
-                    .inner
                     .telemetry
                     .as_deref_mut()
                     .and_then(|t| t.begin(SpanStage::Round));
                 // From the coordinator's view the callback span covers
                 // the whole protocol phase — barrier crossings included.
                 let t_cb = self
-                    .inner
                     .telemetry
                     .as_deref_mut()
                     .and_then(|t| t.begin(SpanStage::Callbacks));
@@ -364,16 +248,16 @@ impl<P: Protocol> ThreadedEngine<P> {
                     n
                 } else {
                     agg.inbox_total
-                        + if agg.min_wake.is_some_and(|r| r <= self.inner.round) {
+                        + if agg.min_wake.is_some_and(|r| r <= self.round) {
                             agg.wake_entries
                         } else {
                             0
                         }
                 };
-                let inline = work <= self.inline_cutoff.saturating_mul(cells.len());
+                let inline = work <= cutoff.saturating_mul(cells.len());
                 if !inline {
                     cmd.store(if starting { CMD_START } else { CMD_ROUND }, Ordering::SeqCst);
-                    round_now.store(self.inner.round, Ordering::SeqCst);
+                    round_now.store(self.round, Ordering::SeqCst);
                     barrier.wait(); // workers run the protocol phase
                     barrier.wait(); // workers finished
                     if let Some(payload) = lock(&panicked).take() {
@@ -385,7 +269,7 @@ impl<P: Protocol> ThreadedEngine<P> {
                     // Sparse round: run the phase inline, workers stay
                     // parked on the barrier. Same code path, same order.
                     for guard in guards.iter_mut() {
-                        guard.run_phase(&env, self.inner.round, kind);
+                        guard.run_phase(&env, self.round, kind);
                     }
                 }
                 agg = self.merge_and_transmit(&mut guards, obs, t_cb, t_round);
@@ -394,9 +278,9 @@ impl<P: Protocol> ThreadedEngine<P> {
     }
 
     /// The serial half of a round: fold every shard's tallies into the
-    /// inner engine, transmit through its wire — the backlog, then
-    /// every shard's sends in shard (= node) order (determinism) into
-    /// shard inboxes — close the round, and collect the aggregates.
+    /// engine, transmit through its wire — the backlog, then every
+    /// shard's sends in shard (= node) order (determinism) into shard
+    /// inboxes — close the round, and collect the aggregates.
     fn merge_and_transmit<O: TransmitObserver + ?Sized>(
         &mut self,
         shards: &mut [MutexGuard<'_, Shard<P>>],
@@ -404,16 +288,15 @@ impl<P: Protocol> ThreadedEngine<P> {
         t_cb: Option<std::time::Instant>,
         t_round: Option<std::time::Instant>,
     ) -> RoundAgg {
-        let inner = &mut self.inner;
         let (mut ran, mut callbacks_run) = (false, 0);
         let mut outboxes = Vec::with_capacity(shards.len());
         for shard in shards.iter_mut() {
-            let (r, c) = shard.take_tally(&mut inner.metrics.sent_by_node, &mut inner.phase_seen);
+            let (r, c) = shard.take_tally(&mut self.metrics.sent_by_node, &mut self.phase_seen);
             ran |= r;
             callbacks_run += c;
             outboxes.push(std::mem::take(&mut shard.outbox));
         }
-        let mut tel = inner.telemetry.take();
+        let mut tel = self.telemetry.take();
         if let Some(t) = tel.as_deref_mut() {
             t.end(SpanStage::Callbacks, t_cb, callbacks_run);
         }
@@ -421,9 +304,9 @@ impl<P: Protocol> ThreadedEngine<P> {
         let shard_len = shards[0].nodes.len().max(1);
         let (flow, transmitted) = {
             let mut views: Vec<&mut Shard<P>> = shards.iter_mut().map(|s| &mut **s).collect();
-            inner.wire.transmit(
-                &inner.graph,
-                inner.round,
+            self.wire.transmit(
+                &self.graph,
+                self.round,
                 &mut outboxes,
                 tel.as_deref_mut(),
                 obs,
@@ -436,7 +319,7 @@ impl<P: Protocol> ThreadedEngine<P> {
         for (shard, outbox) in shards.iter_mut().zip(outboxes) {
             shard.outbox = outbox; // recycle the allocation
         }
-        inner.close_round(tel, ran || transmitted, callbacks_run, &flow, t_round);
+        self.close_round(tel, ran || transmitted, callbacks_run, &flow, t_round);
         RoundAgg::of(shards.iter().map(|s| &**s))
     }
 }
@@ -444,14 +327,30 @@ impl<P: Protocol> ThreadedEngine<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EngineConfig;
+    use crate::faults::FaultPlan;
+    use crate::latency::LatencyModel;
+    use crate::metrics::RecordingObserver;
     use crate::testing::FloodMax;
-    use welle_graph::gen;
+    use rand::SeedableRng;
+    use welle_graph::{gen, Graph};
 
     fn graph() -> Arc<Graph> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         Arc::new(gen::random_regular(48, 4, &mut rng).unwrap())
     }
-    use rand::SeedableRng;
+
+    /// An engine over `nodes` that runs on `threads` worker threads.
+    fn sharded<P: Protocol>(
+        g: &Arc<Graph>,
+        nodes: Vec<P>,
+        cfg: EngineConfig,
+        threads: usize,
+    ) -> Engine<P> {
+        let mut e = Engine::new(Arc::clone(g), nodes, cfg);
+        e.set_threads(threads);
+        e
+    }
 
     #[test]
     fn matches_serial_engine_exactly() {
@@ -467,7 +366,7 @@ mod tests {
         let serial_out = serial.run(100_000);
 
         for threads in [1usize, 3, 8] {
-            let mut par = ThreadedEngine::new(Arc::clone(&g), mk(0), cfg, threads);
+            let mut par = sharded(&g, mk(0), cfg, threads);
             let par_out = par.run(100_000);
             assert_eq!(serial_out.is_done(), par_out.is_done());
             assert_eq!(serial.metrics().messages, par.metrics().messages);
@@ -482,7 +381,7 @@ mod tests {
     fn flood_converges_with_threads() {
         let g = graph();
         let nodes = (0..g.n()).map(|i| FloodMax::new(i as u64)).collect();
-        let mut e = ThreadedEngine::new(g, nodes, EngineConfig::default(), 4);
+        let mut e = sharded(&g, nodes, EngineConfig::default(), 4);
         let out = e.run(10_000);
         assert!(out.is_done());
         assert!(e.nodes().iter().all(|n| n.best() == 47));
@@ -492,18 +391,9 @@ mod tests {
     fn single_thread_equals_multi() {
         let g = graph();
         let cfg = EngineConfig::default();
-        let mut one = ThreadedEngine::new(
-            Arc::clone(&g),
-            (0..g.n()).map(|i| FloodMax::new(i as u64)).collect(),
-            cfg,
-            1,
-        );
-        let mut many = ThreadedEngine::new(
-            Arc::clone(&g),
-            (0..g.n()).map(|i| FloodMax::new(i as u64)).collect(),
-            cfg,
-            6,
-        );
+        let mk = || (0..g.n()).map(|i| FloodMax::new(i as u64)).collect();
+        let mut one = sharded(&g, mk(), cfg, 1);
+        let mut many = sharded(&g, mk(), cfg, 6);
         one.run(10_000);
         many.run(10_000);
         assert_eq!(one.metrics().messages, many.metrics().messages);
@@ -523,7 +413,7 @@ mod tests {
         let mut serial = Engine::new(Arc::clone(&g), mk(), cfg);
         serial.run(100_000);
         for threads in [2usize, 5] {
-            let mut par = ThreadedEngine::new(Arc::clone(&g), mk(), cfg, threads);
+            let mut par = sharded(&g, mk(), cfg, threads);
             par.set_inline_cutoff(0);
             let out = par.run(100_000);
             assert!(out.is_done());
@@ -551,15 +441,11 @@ mod tests {
             }
         }
         let g = graph();
-        let mut e = ThreadedEngine::new(
-            Arc::clone(&g),
-            (0..g.n()).map(|_| Oversized).collect(),
-            EngineConfig {
-                seed: 0,
-                bandwidth_bits: Some(32),
-            },
-            2,
-        );
+        let cfg = EngineConfig {
+            seed: 0,
+            bandwidth_bits: Some(32),
+        };
+        let mut e = sharded(&g, (0..g.n()).map(|_| Oversized).collect(), cfg, 2);
         e.set_inline_cutoff(0); // force the barrier path
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
             e.run(10);
@@ -580,8 +466,8 @@ mod tests {
     fn faulty_runs_are_bit_identical_across_executors() {
         // Drops, crashes, delays, and cuts all live in shared engine
         // state or stateless hashes, so a faulted execution must agree
-        // across executors and thread counts exactly like a clean one —
-        // including down the forced barrier path.
+        // across thread counts exactly like a clean one — including
+        // down the forced barrier path.
         let g = graph();
         let cfg = EngineConfig {
             seed: 4,
@@ -599,7 +485,7 @@ mod tests {
         serial.set_fault_plan(&plan).unwrap();
         let serial_out = serial.run(100_000);
         for threads in [1usize, 3, 8] {
-            let mut par = ThreadedEngine::new(Arc::clone(&g), mk(), cfg, threads);
+            let mut par = sharded(&g, mk(), cfg, threads);
             par.set_fault_plan(&plan).unwrap();
             par.set_inline_cutoff(0); // force the barrier path
             let par_out = par.run(100_000);
@@ -624,8 +510,8 @@ mod tests {
     #[test]
     fn delay_skip_matches_serial_engine() {
         use crate::testing::Echo;
-        // The only-parked-messages idle skip must agree across
-        // executors: same final round, same active-round count.
+        // The only-parked-messages idle skip must agree across run
+        // loops: same final round, same active-round count.
         let g = Arc::new(gen::path(2).unwrap());
         let cfg = EngineConfig::default();
         let plan = FaultPlan::new(0).delay_all(700);
@@ -633,7 +519,7 @@ mod tests {
         let mut serial = Engine::new(Arc::clone(&g), mk(), cfg);
         serial.set_fault_plan(&plan).unwrap();
         let serial_out = serial.run(100_000);
-        let mut par = ThreadedEngine::new(Arc::clone(&g), mk(), cfg, 2);
+        let mut par = sharded(&g, mk(), cfg, 2);
         par.set_fault_plan(&plan).unwrap();
         par.set_inline_cutoff(0); // force the barrier path
         let par_out = par.run(100_000);
@@ -651,10 +537,10 @@ mod tests {
         let g = graph();
         let cfg = EngineConfig::default();
         let mk = || (0..g.n()).map(|i| FloodMax::new(i as u64)).collect::<Vec<_>>();
-        let mut whole = ThreadedEngine::new(Arc::clone(&g), mk(), cfg, 3);
+        let mut whole = sharded(&g, mk(), cfg, 3);
         whole.set_inline_cutoff(0);
         let out_whole = whole.run(10_000);
-        let mut pieces = ThreadedEngine::new(Arc::clone(&g), mk(), cfg, 3);
+        let mut pieces = sharded(&g, mk(), cfg, 3);
         pieces.set_inline_cutoff(0);
         let mut out = pieces.run(2);
         assert!(matches!(out, RunOutcome::RoundLimit { .. }));
@@ -664,6 +550,49 @@ mod tests {
         assert_eq!(whole.round(), pieces.round());
         for (a, b) in whole.nodes().iter().zip(pieces.nodes()) {
             assert_eq!(a.best(), b.best());
+        }
+    }
+
+    #[test]
+    fn latent_runs_match_the_inline_loop() {
+        // The latency heap lives on the wire, which both run loops drive
+        // from the calling thread, so a latent run down the forced
+        // barrier path must equal the one-thread run bit for bit, with
+        // or without faults.
+        let g = graph();
+        let cfg = EngineConfig {
+            seed: 21,
+            bandwidth_bits: None,
+        };
+        let plan = FaultPlan::new(43)
+            .random_delays(3)
+            .crash(3, 2)
+            .drop_rate(0.1);
+        let models = [
+            LatencyModel::log_normal(0.3, 0.6).seed(17),
+            LatencyModel::uniform(0.5, 2.0).seed(29).service_rate(0.5),
+        ];
+        for model in models {
+            for plan in [None, Some(&plan)] {
+                let run = |threads: usize| {
+                    let nodes = (0..g.n()).map(|i| FloodMax::new(i as u64)).collect();
+                    let mut e = sharded(&g, nodes, cfg, threads);
+                    e.set_inline_cutoff(0);
+                    e.set_latency(model).unwrap();
+                    if let Some(p) = plan {
+                        e.set_fault_plan(p).unwrap();
+                    }
+                    let mut rec = RecordingObserver::default();
+                    let out = e.run_observed(100_000, &mut rec);
+                    let vt = e.virtual_time().to_bits();
+                    (out, rec.events, e.metrics().clone(), e.round(), vt)
+                };
+                let one = run(1);
+                assert_eq!(one, run(3), "{model:?}, faults: {}", plan.is_some());
+                if plan.is_some() {
+                    assert!(one.2.dropped_messages > 0, "the plan must bite");
+                }
+            }
         }
     }
 }

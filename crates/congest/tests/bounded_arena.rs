@@ -3,8 +3,9 @@
 //! The engines drain each round's sends through a recycling slot arena
 //! in fixed-size chunks ([`Engine::set_transmit_chunk`]). The contract:
 //! the chunk limit bounds *memory*, never *behaviour* — at any setting,
-//! on any graph, seed, and fault plan, every executor replays the exact
-//! same transmission stream, metrics, and outcome as the unchunked run.
+//! on any graph, seed, and fault plan, every thread count and latency
+//! layer replays the exact same transmission stream, metrics, and
+//! outcome as the unchunked run.
 //!
 //! This file is the CI fence for the bounded-arena engine rework (see
 //! `.github/workflows/ci.yml`).
@@ -15,8 +16,7 @@ use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use welle_congest::testing::FloodMax;
 use welle_congest::{
-    Engine, EngineConfig, FaultPlan, LatencyModel, Metrics, RecordingObserver,
-    ThreadedEngine, TransmitEvent,
+    Engine, EngineConfig, FaultPlan, LatencyModel, Metrics, RecordingObserver, TransmitEvent,
 };
 use welle_graph::Graph;
 
@@ -97,7 +97,8 @@ fn run_threaded(
         seed,
         bandwidth_bits: None,
     };
-    let mut e = ThreadedEngine::new(Arc::clone(g), nodes, cfg, workers);
+    let mut e = Engine::new(Arc::clone(g), nodes, cfg);
+    e.set_threads(workers);
     if let Some(c) = chunk {
         e.set_transmit_chunk(c);
     }

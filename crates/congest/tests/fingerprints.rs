@@ -16,9 +16,8 @@ use std::sync::Arc;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 use welle_congest::testing::{BfsWave, Echo, FloodMax};
 use welle_congest::{
-    Context, Engine, EngineConfig, Executor, FaultPlan, LatencyModel, Metrics, Protocol,
-    RecordingObserver, RoundSample, RunOutcome, Signal, TelemetryConfig, TelemetryReport,
-    ThreadedEngine, TransmitEvent,
+    Context, Engine, EngineConfig, FaultPlan, LatencyModel, Metrics, Protocol, RecordingObserver,
+    RoundSample, RunOutcome, Signal, TelemetryConfig, TelemetryReport, TransmitEvent,
 };
 use welle_graph::{gen, Graph, Port};
 
@@ -78,7 +77,7 @@ impl Fnv {
 #[derive(Clone, Copy)]
 enum Exe {
     Serial,
-    /// The sharded engine, 3 workers, every round through the barrier.
+    /// The engine on 3 worker threads, every round through the barrier.
     Threaded,
     Latent(LatencyModel),
 }
@@ -100,16 +99,25 @@ fn executors() -> [(&'static str, Exe); 6] {
     ]
 }
 
-fn fault_settings() -> [(&'static str, Option<FaultPlan>); 5] {
+fn fault_settings() -> [(&'static str, Option<FaultPlan>); 6] {
     [
         ("none", None),
         ("drop", Some(FaultPlan::new(41).drop_rate(0.15))),
         ("delay", Some(FaultPlan::new(42).delay_all(2))),
+        // Seed 43's crash draw selects no node of these graphs, so this
+        // setting tests the random delays alone; "crash-early" crashes.
         (
             "delay-crash",
             Some(FaultPlan::new(43).random_delays(3).crash_fraction(0.1, 3)),
         ),
         ("cut", Some(FaultPlan::new(44).cut_fraction(0.05, 2))),
+        // Nodes 7 and 3 crash at rounds 1 and 2, while every protocol
+        // here is still sending, so these rows pin the crash-stop skip
+        // of the protocol phase.
+        (
+            "crash-early",
+            Some(FaultPlan::new(46).crash(3, 2).crash(7, 1)),
+        ),
     ]
 }
 
@@ -152,7 +160,7 @@ fn digest(
 /// have gone out. Every odd-numbered run stops two rounds in, so the
 /// signal after it lands with messages still in inboxes and on the
 /// wire. `signals = 0` is one plain run.
-fn drive<P: Protocol, E: Executor<P>>(e: &mut E, signals: u64, rec: &mut RecordingObserver) {
+fn drive<P: Protocol>(e: &mut Engine<P>, signals: u64, rec: &mut RecordingObserver) {
     for k in 0..=signals {
         let cut = k % 2 == 1;
         let limit = if cut { e.round() + 2 } else { ROUND_LIMIT };
@@ -183,64 +191,28 @@ fn fingerprint<P: Protocol>(
         bandwidth_bits: None,
     };
     let mut rec = RecordingObserver::default();
+    let mut e = Engine::from_fn(Arc::clone(g), cfg, make);
     match exe {
-        Exe::Serial => {
-            let mut e = Engine::from_fn(Arc::clone(g), cfg, make);
-            if let Some(p) = plan {
-                e.set_fault_plan(p).unwrap();
-            }
-            e.set_telemetry(TelemetryConfig::full());
-            drive(&mut e, signals, &mut rec);
-            let t = e.take_telemetry().unwrap();
-            digest(
-                &rec.events,
-                e.metrics(),
-                e.round(),
-                Executor::virtual_time(&e),
-                &t,
-            )
-        }
+        Exe::Serial => {}
         Exe::Threaded => {
-            let mut e = ThreadedEngine::from_fn(Arc::clone(g), cfg, 3, make);
+            e.set_threads(3);
             e.set_inline_cutoff(0);
-            if let Some(p) = plan {
-                e.set_fault_plan(p).unwrap();
-            }
-            e.set_telemetry(TelemetryConfig::full());
-            drive(&mut e, signals, &mut rec);
-            let t = e.take_telemetry().unwrap();
-            digest(
-                &rec.events,
-                e.metrics(),
-                e.round(),
-                Executor::virtual_time(&e),
-                &t,
-            )
         }
-        Exe::Latent(model) => {
-            let mut e = Engine::from_fn(Arc::clone(g), cfg, make);
-            e.set_latency(model).unwrap();
-            if let Some(p) = plan {
-                e.set_fault_plan(p).unwrap();
-            }
-            e.set_telemetry(TelemetryConfig::full());
-            drive(&mut e, signals, &mut rec);
-            let t = e.take_telemetry().unwrap();
-            digest(
-                &rec.events,
-                e.metrics(),
-                e.round(),
-                Executor::virtual_time(&e),
-                &t,
-            )
-        }
+        Exe::Latent(model) => e.set_latency(model).unwrap(),
     }
+    if let Some(p) = plan {
+        e.set_fault_plan(p).unwrap();
+    }
+    e.set_telemetry(TelemetryConfig::full());
+    drive(&mut e, signals, &mut rec);
+    let t = e.take_telemetry().unwrap();
+    digest(&rec.events, e.metrics(), e.round(), e.virtual_time(), &t)
 }
 
 /// Pins as `(protocol, graph, fault setting, one hash per executor in
 /// the order of [`executors`])`, captured before the latency layer was
 /// folded into `Engine`.
-const PINS: [(&str, &str, &str, [u64; 6]); 45] = [
+const PINS: [(&str, &str, &str, [u64; 6]); 54] = [
     (
         "floodmax",
         "ring12",
@@ -304,6 +276,19 @@ const PINS: [(&str, &str, &str, [u64; 6]); 45] = [
             0x98d520bf1e4398ba,
             0x67067c0dd5dc8823,
             0x234fcf04f1db0fb9,
+        ],
+    ),
+    (
+        "floodmax",
+        "ring12",
+        "crash-early",
+        [
+            0x4162e15c5c4c1142,
+            0x4162e15c5c4c1142,
+            0x4162e15c5c4c1142,
+            0x3e0ae3274e537131,
+            0xc370a44323e8a42c,
+            0x79f11c353d5fcf9c,
         ],
     ),
     (
@@ -373,6 +358,19 @@ const PINS: [(&str, &str, &str, [u64; 6]); 45] = [
     ),
     (
         "floodmax",
+        "torus4x5",
+        "crash-early",
+        [
+            0xe852311ff8f5d368,
+            0xe852311ff8f5d368,
+            0xe852311ff8f5d368,
+            0x7a2a95b884001f0f,
+            0xa6298f0e142a1186,
+            0x906a85c019b48f8c,
+        ],
+    ),
+    (
+        "floodmax",
         "regular24",
         "none",
         [
@@ -434,6 +432,19 @@ const PINS: [(&str, &str, &str, [u64; 6]); 45] = [
             0x4243a459b5d07cb2,
             0x23a8057c1390ebc2,
             0x4fe3361beadce257,
+        ],
+    ),
+    (
+        "floodmax",
+        "regular24",
+        "crash-early",
+        [
+            0x432cf9a476dd37d4,
+            0x432cf9a476dd37d4,
+            0x432cf9a476dd37d4,
+            0xacbfc06e7fe74597,
+            0xf55488cffbba0753,
+            0x16aecd5c7d04ea2f,
         ],
     ),
     (
@@ -503,6 +514,19 @@ const PINS: [(&str, &str, &str, [u64; 6]); 45] = [
     ),
     (
         "echo",
+        "ring12",
+        "crash-early",
+        [
+            0x05dd1e3103fb1154,
+            0x05dd1e3103fb1154,
+            0x05dd1e3103fb1154,
+            0xfa3c20cfd848c297,
+            0x02fab37d9509438b,
+            0xc949f1cf31be6b8e,
+        ],
+    ),
+    (
+        "echo",
         "torus4x5",
         "none",
         [
@@ -568,6 +592,19 @@ const PINS: [(&str, &str, &str, [u64; 6]); 45] = [
     ),
     (
         "echo",
+        "torus4x5",
+        "crash-early",
+        [
+            0x6bcbe0c281fee41b,
+            0x6bcbe0c281fee41b,
+            0x6bcbe0c281fee41b,
+            0x805a5465ef41892e,
+            0x99ae29b4f1f6338a,
+            0xf4e91afcf78a1cf5,
+        ],
+    ),
+    (
+        "echo",
         "regular24",
         "none",
         [
@@ -629,6 +666,19 @@ const PINS: [(&str, &str, &str, [u64; 6]); 45] = [
             0x00e0db14aac203da,
             0x62a6de554f3d5c2c,
             0x4c91a01bbd1b7108,
+        ],
+    ),
+    (
+        "echo",
+        "regular24",
+        "crash-early",
+        [
+            0x322ba4c80dab5d32,
+            0x322ba4c80dab5d32,
+            0x322ba4c80dab5d32,
+            0xf0ad8f00c8a19c83,
+            0x5621a6b8ee4ad60b,
+            0x0b83c84e94dd5a06,
         ],
     ),
     (
@@ -698,6 +748,19 @@ const PINS: [(&str, &str, &str, [u64; 6]); 45] = [
     ),
     (
         "bfswave",
+        "ring12",
+        "crash-early",
+        [
+            0x1a9bc41bddd3b463,
+            0x1a9bc41bddd3b463,
+            0x1a9bc41bddd3b463,
+            0x2c9f3de764060893,
+            0x275aa87d53e8b7da,
+            0xe5e615990880fd4f,
+        ],
+    ),
+    (
+        "bfswave",
         "torus4x5",
         "none",
         [
@@ -763,6 +826,19 @@ const PINS: [(&str, &str, &str, [u64; 6]); 45] = [
     ),
     (
         "bfswave",
+        "torus4x5",
+        "crash-early",
+        [
+            0x3e7e533bd3bdb9ec,
+            0x3e7e533bd3bdb9ec,
+            0x3e7e533bd3bdb9ec,
+            0x87e3060827c21513,
+            0xa53314a5d03b3917,
+            0x507cd5f34d06d562,
+        ],
+    ),
+    (
+        "bfswave",
         "regular24",
         "none",
         [
@@ -824,6 +900,19 @@ const PINS: [(&str, &str, &str, [u64; 6]); 45] = [
             0xec90591a0c68e0eb,
             0x25bc4a12de38c68e,
             0x08d2fc2d93656279,
+        ],
+    ),
+    (
+        "bfswave",
+        "regular24",
+        "crash-early",
+        [
+            0x156bc24dd4b9f01c,
+            0x156bc24dd4b9f01c,
+            0x156bc24dd4b9f01c,
+            0xa76c5103e73cdbee,
+            0x59931fccefceff19,
+            0x202ec8733af78f39,
         ],
     ),
 ];
@@ -943,12 +1032,15 @@ impl Protocol for Beacon {
 }
 
 /// The fault settings of [`signalled_executions_match_their_pins`]:
-/// those of [`fault_settings`], plus one whose crashes are sure to land
-/// among the signals (the fractional crashes of "delay-crash" pick no
-/// node of these graphs).
+/// those of [`fault_settings`] but "crash-early", plus one whose
+/// crashes are sure to land among the signals (the fractional crashes
+/// of "delay-crash" pick no node of these graphs).
 fn signal_fault_settings() -> impl Iterator<Item = (&'static str, Option<FaultPlan>)> {
     let crash = FaultPlan::new(45).crash(3, 4).crash(7, 12);
-    fault_settings().into_iter().chain([("crash", Some(crash))])
+    fault_settings()
+        .into_iter()
+        .filter(|(name, _)| *name != "crash-early")
+        .chain([("crash", Some(crash))])
 }
 
 /// Pins as `(graph, fault setting, one hash per executor in the order

@@ -5,9 +5,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use welle_congest::testing::FloodMax;
-use welle_congest::{
-    Context, Engine, EngineConfig, Protocol, RecordingObserver, ThreadedEngine,
-};
+use welle_congest::{Context, Engine, EngineConfig, Protocol, RecordingObserver};
 use welle_graph::{gen, Graph, Port};
 
 fn random_connected_graph(n: usize, extra: usize, seed: u64) -> Arc<Graph> {
@@ -87,7 +85,8 @@ proptest! {
         let cfg = EngineConfig { seed: seed ^ 1, bandwidth_bits: None };
         let mk = || (0..n).map(|i| FloodMax::new((i as u64 * 7) % 13)).collect::<Vec<_>>();
         let mut serial = Engine::new(Arc::clone(&g), mk(), cfg);
-        let mut par = ThreadedEngine::new(Arc::clone(&g), mk(), cfg, threads);
+        let mut par = Engine::new(Arc::clone(&g), mk(), cfg);
+        par.set_threads(threads);
         serial.run(100_000);
         par.run(100_000);
         prop_assert_eq!(serial.metrics().messages, par.metrics().messages);

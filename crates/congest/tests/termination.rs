@@ -1,13 +1,11 @@
 //! Engine termination edge cases: `Done` vs `Quiescent` vs `RoundLimit`,
-//! asserted on a 2-node path and on a graph with an isolated node, for
-//! both executors.
+//! asserted on a 2-node path and on a graph with an isolated node,
+//! inline and on worker threads.
 
 use std::sync::Arc;
 
 use welle_congest::testing::{Echo, FloodMax};
-use welle_congest::{
-    Context, Engine, EngineConfig, Protocol, RunOutcome, ThreadedEngine,
-};
+use welle_congest::{Context, Engine, EngineConfig, Protocol, RunOutcome};
 use welle_graph::{from_edges, gen, Graph, Port};
 
 /// Sends one message per round through port 0, forever; never done.
@@ -35,6 +33,13 @@ fn path2() -> Arc<Graph> {
 /// Node 2 is isolated: degree 0, no way to ever receive anything.
 fn with_isolated_node() -> Arc<Graph> {
     Arc::new(from_edges(3, &[(0, 1)]).unwrap())
+}
+
+/// An engine over `nodes` that runs on `threads` worker threads.
+fn on_threads<P: Protocol>(g: Arc<Graph>, nodes: Vec<P>, threads: usize) -> Engine<P> {
+    let mut e = Engine::new(g, nodes, EngineConfig::default());
+    e.set_threads(threads);
+    e
 }
 
 #[test]
@@ -133,10 +138,9 @@ fn idle_skip_past_round_limit_stops_before_the_wake() {
     assert!(serial.nodes().iter().all(|n| !n.fired));
 
     for threads in [1usize, 2] {
-        let mut par = ThreadedEngine::new(
+        let mut par = on_threads(
             path2(),
             vec![LateSleeper { fired: false }, LateSleeper { fired: false }],
-            EngineConfig::default(),
             threads,
         );
         par.set_inline_cutoff(0); // force the sharded loop's bookkeeping
@@ -150,28 +154,17 @@ fn idle_skip_past_round_limit_stops_before_the_wake() {
 #[test]
 fn threaded_engine_agrees_on_all_three_outcomes() {
     for threads in [1usize, 2] {
-        let mut done = ThreadedEngine::new(
-            path2(),
-            vec![FloodMax::new(3), FloodMax::new(9)],
-            EngineConfig::default(),
-            threads,
-        );
+        let mut done = on_threads(path2(), vec![FloodMax::new(3), FloodMax::new(9)], threads);
         assert!(matches!(done.run(1_000), RunOutcome::Done { .. }));
 
-        let mut quiescent = ThreadedEngine::new(
+        let mut quiescent = on_threads(
             with_isolated_node(),
             (0..3).map(|i| welle_congest::testing::BfsWave::new(i == 0)).collect(),
-            EngineConfig::default(),
             threads,
         );
         assert!(matches!(quiescent.run(1_000), RunOutcome::Quiescent { .. }));
 
-        let mut limited = ThreadedEngine::new(
-            path2(),
-            vec![Chatter, Chatter],
-            EngineConfig::default(),
-            threads,
-        );
+        let mut limited = on_threads(path2(), vec![Chatter, Chatter], threads);
         assert!(matches!(limited.run(50), RunOutcome::RoundLimit { round: 50 }));
     }
 }

@@ -275,8 +275,8 @@ pub struct CampaignReport {
     /// [`welle_congest::Engine::reset_with`]), so a campaign mixing a
     /// giant scenario with small ones does not hold the giant's memory
     /// for the rest of the sweep — still without raising this count.
-    /// Trials forced onto an explicit [`Exec::Threaded`] engine are not
-    /// pooled and not counted.
+    /// Trials on an explicit [`Exec::Threaded`] or [`Exec::Async`] plan
+    /// share the pooled engine too.
     pub engines_built: usize,
     /// Trials recovered from the resume manifest instead of re-run
     /// (always a prefix of the campaign's trial order).
@@ -450,7 +450,7 @@ impl<'o> Campaign<'o> {
     /// pool owns the host's cores, so [`Exec::Auto`] resolves to
     /// [`Exec::Serial`] for every trial — engines are never nested
     /// inside trial workers (an explicit [`Exec::Threaded`] is still
-    /// honored, unpooled).
+    /// honored).
     pub fn trial_threads(mut self, k: usize) -> Self {
         self.trial_threads = Some(k);
         self

@@ -4,12 +4,12 @@
 use std::sync::Arc;
 
 use welle_congest::{
-    CompiledFaultPlan, Engine, EngineConfig, Exec, Executor, LatencyModel, RunOutcome,
-    TelemetryConfig, TelemetryReport, ThreadedEngine, TransmitObserver,
+    CompiledFaultPlan, Engine, EngineConfig, Exec, LatencyModel, RunOutcome, TelemetryConfig,
+    TelemetryReport, TransmitObserver,
 };
 use welle_graph::Graph;
 
-use crate::config::{ElectionConfig, Params, Phase, SyncMode};
+use crate::config::{Params, Phase, SyncMode};
 use crate::error::ConfigError;
 use crate::protocol::{ElectionNode, SIGNAL_ADVANCE};
 use crate::state::Decision;
@@ -21,7 +21,7 @@ use crate::state::Decision;
 pub(crate) enum ExecPlan {
     /// The serial event-driven engine.
     Serial,
-    /// The sharded engine with this many workers (≥ 1).
+    /// The engine on this many worker threads (≥ 1).
     Threaded(usize),
     /// The serial engine with its latency layer under this (validated)
     /// model.
@@ -96,14 +96,14 @@ pub struct ElectionReport {
     /// Diagnostic: routing lookups that found no trail.
     pub broken_routes: u64,
     /// Virtual time spanned, in rounds (see
-    /// [`Executor::virtual_time`]): equal to `engine_rounds` on the
+    /// [`Engine::virtual_time`]): equal to `engine_rounds` on the
     /// synchronous executors and under the zero-latency async model;
     /// stretched past it when deliveries complete late.
     pub virtual_time: f64,
     /// High-water mark of simultaneously queued messages in the
     /// engine's recycling message arena — the run's peak memory
     /// footprint in messages (see
-    /// [`Executor::peak_arena_slots`]). Not a CSV column: the
+    /// [`Engine::peak_arena_slots`]). Not a CSV column: the
     /// on-disk row format is pinned by resume manifests.
     pub peak_arena_slots: u64,
     /// Active rounds attributed to each election phase (indexed by
@@ -202,7 +202,7 @@ pub(crate) fn run_resolved(
     PooledEngine::new().run(spec, seed, obs)
 }
 
-/// A round engine (serial or latent) recycled across trials: the
+/// A round engine recycled across trials, whatever their plan: the
 /// campaign scheduler keeps one of these per worker, so a thousand-trial
 /// sweep builds (at most) one engine per worker thread and every later
 /// trial reuses its arenas via [`Engine::reset_with`] instead of
@@ -225,12 +225,11 @@ impl PooledEngine {
         }
     }
 
-    /// Runs one trial: on the pooled engine — built on first use, reset
-    /// afterwards, with the latency layer installed for latent plans —
-    /// or, for [`ExecPlan::Threaded`], on a sharded engine of its own
-    /// that is neither pooled nor counted. A reset engine is
-    /// bit-identical to a fresh one, so the report does not depend on
-    /// which trials the pool ran before.
+    /// Runs one trial on the pooled engine — built on first use, reset
+    /// afterwards — set up for the trial's plan: its worker threads, or
+    /// its latency layer. A reset engine is bit-identical to a fresh
+    /// one, so the report does not depend on which trials the pool ran
+    /// before.
     pub(crate) fn run(
         &mut self,
         spec: &RunSpec<'_>,
@@ -242,24 +241,6 @@ impl PooledEngine {
             bandwidth_bits: spec.params.bandwidth_bits,
         };
         let make = |_| ElectionNode::new(Arc::clone(spec.params));
-        let cfg = spec.params.cfg;
-        let latency = match spec.plan {
-            ExecPlan::Threaded(k) => {
-                let mut engine =
-                    ThreadedEngine::from_fn(Arc::clone(spec.graph), engine_cfg, k, make);
-                if let Some(plan) = spec.faults {
-                    engine.set_compiled_faults(plan);
-                }
-                if let Some(tcfg) = spec.telem {
-                    engine.set_telemetry(tcfg);
-                }
-                let outcome = drive(&mut engine, spec.params, &cfg, obs);
-                let recorded = engine.take_telemetry();
-                return summarize(&engine, outcome, recorded);
-            }
-            ExecPlan::Serial => None,
-            ExecPlan::Async(model) => Some(model),
-        };
         let engine = match self.engine.as_mut() {
             Some(e) => {
                 e.reset_with(Arc::clone(spec.graph), engine_cfg, make);
@@ -271,10 +252,14 @@ impl PooledEngine {
                     .insert(Engine::from_fn(Arc::clone(spec.graph), engine_cfg, make))
             }
         };
-        if let Some(model) = latency {
-            let installed = engine.set_latency(model);
-            // welle-lint: allow(no-lib-unwrap) — invariant: plan_for validated the model before building the ExecPlan
-            installed.expect("plan_for validated the model");
+        match spec.plan {
+            ExecPlan::Serial => {}
+            ExecPlan::Threaded(k) => engine.set_threads(k),
+            ExecPlan::Async(model) => {
+                let installed = engine.set_latency(model);
+                // welle-lint: allow(no-lib-unwrap) — invariant: plan_for validated the model before building the ExecPlan
+                installed.expect("plan_for validated the model");
+            }
         }
         if let Some(plan) = spec.faults {
             engine.set_compiled_faults(plan);
@@ -282,7 +267,7 @@ impl PooledEngine {
         if let Some(tcfg) = spec.telem {
             engine.set_telemetry(tcfg);
         }
-        let outcome = drive(engine, spec.params, &cfg, obs);
+        let outcome = drive(engine, spec.params, obs);
         // Taken unconditionally: a reused engine must never leak one
         // trial's telemetry into the next.
         let recorded = engine.take_telemetry();
@@ -296,15 +281,13 @@ impl PooledEngine {
     }
 }
 
-/// The sync-mode-aware run loop, written once against
-/// [`welle_congest::Executor`] so both engines serve it.
-fn drive<E: Executor<ElectionNode>>(
-    engine: &mut E,
+/// The sync-mode-aware run loop.
+fn drive(
+    engine: &mut Engine<ElectionNode>,
     params: &Params,
-    cfg: &ElectionConfig,
     obs: &mut dyn TransmitObserver,
 ) -> RunOutcome {
-    match cfg.sync {
+    match params.cfg.sync {
         SyncMode::FixedT => engine.run_observed(params.round_limit(), obs),
         SyncMode::Adaptive => {
             let mut signals = 0u64;
@@ -322,8 +305,8 @@ fn drive<E: Executor<ElectionNode>>(
     }
 }
 
-fn summarize<E: Executor<ElectionNode>>(
-    engine: &E,
+fn summarize(
+    engine: &Engine<ElectionNode>,
     outcome: RunOutcome,
     telemetry: Option<TelemetryReport>,
 ) -> ElectionReport {
@@ -414,7 +397,7 @@ fn summarize<E: Executor<ElectionNode>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::MsgSizeMode;
+    use crate::config::{ElectionConfig, MsgSizeMode};
     use crate::election::Election;
     use welle_graph::gen;
 

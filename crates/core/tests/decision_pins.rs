@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use rand::{rngs::StdRng, SeedableRng};
-use welle_congest::{Engine, EngineConfig, Executor, RunOutcome, ThreadedEngine};
+use welle_congest::{Engine, EngineConfig, RunOutcome};
 use welle_core::{
     Election, ElectionConfig, ElectionNode, EpochRecord, MsgSizeMode, Params, SyncMode,
     SIGNAL_ADVANCE,
@@ -75,11 +75,10 @@ fn serial(g: &Arc<Graph>, params: &Arc<Params>, seed: u64) -> Engine<ElectionNod
     })
 }
 
-/// The sharded engine with 3 workers, every round through the barrier.
-fn barrier(g: &Arc<Graph>, params: &Arc<Params>, seed: u64) -> ThreadedEngine<ElectionNode> {
-    let mut e = ThreadedEngine::from_fn(Arc::clone(g), engine_config(params, seed), 3, |_| {
-        ElectionNode::new(Arc::clone(params))
-    });
+/// The engine on 3 worker threads, every round through the barrier.
+fn barrier(g: &Arc<Graph>, params: &Arc<Params>, seed: u64) -> Engine<ElectionNode> {
+    let mut e = serial(g, params, seed);
+    e.set_threads(3);
     e.set_inline_cutoff(0);
     e
 }
@@ -92,9 +91,9 @@ fn engine_config(params: &Params, seed: u64) -> EngineConfig {
     }
 }
 
-/// Runs the election on a bare executor, driven the way the runner
-/// drives it, and hashes every contender's epoch history in node order.
-fn history_hash<E: Executor<ElectionNode>>(mut engine: E, params: &Params) -> u64 {
+/// Runs the election on a bare engine, driven the way the runner drives
+/// it, and hashes every contender's epoch history in node order.
+fn history_hash(mut engine: Engine<ElectionNode>, params: &Params) -> u64 {
     match params.cfg.sync {
         SyncMode::FixedT => {
             engine.run(params.round_limit());

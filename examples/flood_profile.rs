@@ -6,7 +6,7 @@ use std::time::Instant;
 
 use rand::{rngs::StdRng, SeedableRng};
 use welle::congest::testing::FloodMax;
-use welle::congest::{Engine, EngineConfig, ThreadedEngine};
+use welle::congest::{Engine, EngineConfig};
 use welle::graph::gen;
 
 fn main() {
@@ -27,7 +27,8 @@ fn main() {
         let t0 = Instant::now();
         for _ in 0..iters {
             let nodes = (0..n).map(|i| FloodMax::new(i as u64)).collect();
-            let mut e = ThreadedEngine::new(Arc::clone(&g), nodes, EngineConfig::default(), threads);
+            let mut e = Engine::new(Arc::clone(&g), nodes, EngineConfig::default());
+            e.set_threads(threads);
             e.run(100_000);
         }
         println!("threaded{threads}  {:8} ns", t0.elapsed().as_nanos() / iters);

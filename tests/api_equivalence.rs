@@ -178,6 +178,25 @@ fn threaded_campaigns_match_individual_runs() {
 }
 
 #[test]
+fn threaded_trials_share_the_pooled_engine() {
+    // Worker threads are a setting of the one engine, so trials on an
+    // explicit thread count reuse the pooled engine like any other and
+    // stay bit-identical to their solo runs.
+    let g = expander(96, 9);
+    let cfg = ElectionConfig::tuned_for_simulation(96);
+    let outcome = Campaign::new(Election::on(&g).config(cfg).executor(Exec::Threaded(2)))
+        .seeds(30..34)
+        .run()
+        .unwrap();
+    assert_eq!(outcome.trials.len(), 4);
+    assert_eq!(outcome.engines_built, 1);
+    for t in &outcome.trials {
+        let solo = Election::on(&g).config(cfg).seed(t.seed).run().unwrap();
+        assert_identical(&solo, &t.report, &format!("threaded trial seed {}", t.seed));
+    }
+}
+
+#[test]
 fn zero_fault_plan_is_indistinguishable_from_no_plan() {
     let g = expander(96, 12);
     for (name, cfg) in configs() {

@@ -1,6 +1,7 @@
 //! Large-`n` validation of the sublinear-round claims (ROADMAP):
-//! elections at `n = 10⁵` under the sharded [`welle::congest::ThreadedEngine`],
-//! with round budgets derived from the paper's `O(t_mix · log² n)` bound.
+//! elections at `n = 10⁵` on the engine's worker threads
+//! ([`welle::congest::Engine::set_threads`]), with round budgets derived
+//! from the paper's `O(t_mix · log² n)` bound.
 //!
 //! These tests need the optimized build: they are ignored under the
 //! debug profile (`cargo test -q` skips them) and run with

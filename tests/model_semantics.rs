@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use rand::{rngs::StdRng, SeedableRng};
 use welle::congest::testing::{BfsWave, FloodMax};
-use welle::congest::{Engine, EngineConfig, RecordingObserver, ThreadedEngine};
+use welle::congest::{Engine, EngineConfig, RecordingObserver};
 use welle::graph::{analysis, gen, NodeId};
 
 #[test]
@@ -36,7 +36,8 @@ fn serial_and_threaded_engines_agree_on_expanders() {
     };
     let mk = || (0..64).map(|i| FloodMax::new((i * 13 % 64) as u64)).collect::<Vec<_>>();
     let mut serial = Engine::new(Arc::clone(&g), mk(), cfg);
-    let mut threaded = ThreadedEngine::new(Arc::clone(&g), mk(), cfg, 4);
+    let mut threaded = Engine::new(Arc::clone(&g), mk(), cfg);
+    threaded.set_threads(4);
     serial.run(100_000);
     threaded.run(100_000);
     assert_eq!(serial.metrics().messages, threaded.metrics().messages);
