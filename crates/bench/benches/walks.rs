@@ -33,10 +33,16 @@ fn bench_split(c: &mut Criterion) {
     let mut group = c.benchmark_group("split_lazy");
     for (count, degree) in [(500u32, 4usize), (500, 512), (5_000, 4)] {
         let mut rng = StdRng::seed_from_u64(3);
+        let mut counts = vec![0; degree];
         group.bench_with_input(
             BenchmarkId::new("split", format!("c{count}_d{degree}")),
             &count,
-            |b, _| b.iter(|| black_box(split_lazy(count, degree, &mut rng))),
+            |b, _| {
+                b.iter(|| {
+                    counts.fill(0);
+                    black_box(split_lazy(count, &mut rng, &mut counts))
+                })
+            },
         );
     }
     group.finish();

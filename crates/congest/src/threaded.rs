@@ -108,6 +108,34 @@ impl Drop for ExitGuard<'_> {
     }
 }
 
+/// Joins a sharded run's shards back into its engine when the run ends
+/// — normally or by a panic re-raised from a worker or an observer — so
+/// a caught panic does not also lose the nodes.
+struct Rejoin<'a, P: Protocol> {
+    engine: &'a mut Engine<P>,
+    cells: Vec<Mutex<Shard<P>>>,
+}
+
+impl<P: Protocol> Drop for Rejoin<'_, P> {
+    fn drop(&mut self) {
+        let cells = std::mem::take(&mut self.cells);
+        let mut shards: Vec<Shard<P>> = cells
+            .into_iter()
+            .map(|c| c.into_inner().unwrap_or_else(PoisonError::into_inner))
+            .collect();
+        if std::thread::panicking() {
+            // The panic cut a round short: fold what its phase tallied
+            // and drop its untransmitted sends.
+            let engine = &mut *self.engine;
+            for s in &mut shards {
+                s.take_tally(&mut engine.metrics.sent_by_node, &mut engine.phase_seen);
+                s.outbox.clear();
+            }
+        }
+        self.engine.shard = Shard::join(shards);
+    }
+}
+
 impl<P: Protocol> Engine<P> {
     /// Runs the protocol phase of later [`Engine::run`] and
     /// [`Engine::run_observed`] calls on `threads` worker threads
@@ -157,13 +185,13 @@ impl<P: Protocol> Engine<P> {
         let shard_len = self.graph.n().div_ceil(self.threads).max(1);
         let shards = std::mem::take(&mut self.shard).split(shard_len);
         let agg = RoundAgg::of(&shards);
-        let cells: Vec<Mutex<Shard<P>>> = shards.into_iter().map(Mutex::new).collect();
-        let outcome = self.run_sharded(&cells, round_limit, obs, agg, cutoff);
-        let shards = cells
-            .into_iter()
-            .map(|c| c.into_inner().unwrap_or_else(PoisonError::into_inner));
-        self.shard = Shard::join(shards.collect());
-        outcome
+        let cells = shards.into_iter().map(Mutex::new).collect();
+        let run = Rejoin {
+            engine: self,
+            cells,
+        };
+        run.engine
+            .run_sharded(&run.cells, round_limit, obs, agg, cutoff)
     }
 
     /// Barrier-driven run loop over the shards, with the inline cutoff
@@ -460,6 +488,7 @@ mod tests {
             msg.contains("CONGEST budget"),
             "original panic message must survive the worker hand-off, got: {msg:?}"
         );
+        assert_eq!(e.nodes().len(), g.n(), "the shards must rejoin the engine");
     }
 
     #[test]

@@ -333,28 +333,6 @@ impl ElectionMsg {
             _ => MsgView::Void,
         }
     }
-
-    /// A collision-resistant-enough key identifying a forward item for
-    /// the per-node "filtering and forwarding" dedup of Lemma 12.
-    pub fn fwd_dedup_key(origin: u64, item: &FwdItem) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ origin;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        };
-        match item {
-            FwdItem::I2Max { id } => {
-                mix(1);
-                mix(*id);
-            }
-            FwdItem::StopMark => mix(2),
-            FwdItem::Winner { id } => {
-                mix(3);
-                mix(*id);
-            }
-        }
-        h
-    }
 }
 
 impl RevItem<'_> {
@@ -460,21 +438,6 @@ mod tests {
         };
         assert_eq!(fwd_item, FwdItem::I2Max { id });
         assert_eq!(rev_item, RevItem::I3Max { id });
-    }
-
-    #[test]
-    fn dedup_keys_separate_items() {
-        let a = ElectionMsg::fwd_dedup_key(1, &FwdItem::StopMark);
-        let b = ElectionMsg::fwd_dedup_key(2, &FwdItem::StopMark);
-        let c = ElectionMsg::fwd_dedup_key(1, &FwdItem::Winner { id: 9 });
-        let d = ElectionMsg::fwd_dedup_key(1, &FwdItem::I2Max { id: 9 });
-        let e = ElectionMsg::fwd_dedup_key(1, &FwdItem::I2Max { id: 10 });
-        let all = [a, b, c, d, e];
-        for i in 0..all.len() {
-            for j in (i + 1)..all.len() {
-                assert_ne!(all[i], all[j], "keys {i} and {j} collide");
-            }
-        }
     }
 
     #[test]

@@ -41,18 +41,27 @@
 //! In a fault-free run whose traffic drains within each segment, the
 //! contender therefore receives the same sets and maxima as without the
 //! filter, and decides the same.
+//!
+//! **Per-origin state.** A node keeps all it knows of one walk origin in
+//! one entry of a table sorted by origin: the trail, the proxy record,
+//! the relay filter and the forward-dedup record. A walk token, a
+//! reverse unit or a forward unit costs one binary search, and entries
+//! iterate in origin order, so sends go out in the same order at every
+//! run. Forward dedup ("filtering and forwarding") is exact: the entry
+//! lists the items it passed on since the epoch began — `I2` maxima and
+//! winner ids by value, and the stop mark. The list carries no epoch, so
+//! a stale unit that repeats an item is dropped too.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use rand::RngExt;
 use welle_congest::{Context, Protocol, Signal};
 use welle_graph::Port;
-use welle_walks::{split_lazy, Hop, ReverseRoute, TrailStore};
+use welle_walks::{split_lazy, with_port_counts, Hop, ReverseRoute, Trail};
 
 use crate::config::{Params, Phase, SyncMode};
 use crate::msg::{ElectionMsg, FwdItem, MsgView, RevItem};
-use crate::state::{ContenderState, Decision, EpochRecord, NodeStats, ProxyRecord};
+use crate::state::{ContenderState, Decision, EpochRecord, NodeStats, Origins, ProxyRecord};
 
 /// The signal value the adaptive driver broadcasts to advance one segment.
 pub const SIGNAL_ADVANCE: Signal = 1;
@@ -62,24 +71,19 @@ pub const SIGNAL_ADVANCE: Signal = 1;
 pub struct ElectionNode {
     params: Arc<Params>,
     id: u64,
-    contender: Option<ContenderState>,
+    /// Boxed: only about `c1·ln n` of the `n` nodes are contenders.
+    contender: Option<Box<ContenderState>>,
     decided: Option<Decision>,
     decided_round: Option<u64>,
-    trails: TrailStore,
-    proxies: BTreeMap<u64, ProxyRecord>,
+    /// Trail, proxy record, relay filter and forward dedup per origin.
+    origins: Origins,
     /// Lazy-step holdovers: `(origin, epoch, remaining, count)` to process
-    /// next round.
+    /// next round. Released whenever a round leaves it empty, so a node
+    /// holds no buffer once its walks have passed.
     pending_stays: Vec<(u64, u32, u32, u32)>,
     /// `max(I3)`: the largest id received this epoch while acting as
     /// proxy.
     i3_max: Option<u64>,
-    /// Per-epoch forward dedup ("filtering and forwarding"). Ordered
-    /// container: seeded-path state must never depend on hash order
-    /// (enforced by `welle-lint`'s `no-hash-iter`).
-    fwd_seen: BTreeSet<u64>,
-    /// Per-origin reverse relay filter (see the module docs), cleared
-    /// with `fwd_seen`.
-    relayed: BTreeMap<u64, Relayed>,
     winner_heard: Option<u64>,
     winner_relayed_as_proxy: bool,
     /// Next unfired global segment index.
@@ -104,12 +108,9 @@ impl ElectionNode {
             contender: None,
             decided: None,
             decided_round: None,
-            trails: TrailStore::new(),
-            proxies: BTreeMap::new(),
+            origins: Origins::default(),
             pending_stays: Vec::new(),
             i3_max: None,
-            fwd_seen: BTreeSet::new(),
-            relayed: BTreeMap::new(),
             winner_heard: None,
             winner_relayed_as_proxy: false,
             seg_idx: 0,
@@ -131,7 +132,7 @@ impl ElectionNode {
 
     /// The contender-side state, if any.
     pub fn contender_state(&self) -> Option<&ContenderState> {
-        self.contender.as_ref()
+        self.contender.as_deref()
     }
 
     /// The node's final decision, once made.
@@ -191,9 +192,9 @@ impl ElectionNode {
                 return true;
             }
         }
-        self.proxies
-            .values()
-            .any(|r| r.epoch == self.cur_epoch && !r.finalized)
+        self.origins
+            .proxies()
+            .any(|(_, r)| r.epoch == self.cur_epoch && !r.finalized)
     }
 
     fn fire_segment(&mut self, ctx: &mut Context<'_, ElectionMsg>, seg: u64) {
@@ -211,12 +212,8 @@ impl ElectionNode {
 
     fn begin_epoch(&mut self, ctx: &mut Context<'_, ElectionMsg>, epoch: u32) {
         // GC: tentative records of older epochs can never be used again.
-        self.trails.gc(epoch);
-        self.proxies
-            .retain(|_, r| r.finalized || r.epoch >= epoch);
+        self.origins.begin_epoch(epoch);
         self.i3_max = None;
-        self.fwd_seen.clear();
-        self.relayed.clear();
 
         let launch = match &mut self.contender {
             Some(c) if c.active => {
@@ -237,10 +234,10 @@ impl ElectionNode {
         // contenders no longer evaluate properties, so no reply needed;
         // their ids still flow inside I1).
         let emissions: Vec<(u64, u32)> = self
-            .proxies
-            .iter()
+            .origins
+            .proxies()
             .filter(|(_, r)| r.epoch == epoch && !r.finalized)
-            .map(|(&o, r)| (o, r.count))
+            .map(|(o, r)| (o, r.count))
             .collect();
         for (origin, count) in emissions {
             self.send_reverse(
@@ -253,10 +250,10 @@ impl ElectionNode {
                 },
             );
             let i1: Vec<u64> = self
-                .proxies
-                .iter()
-                .filter(|(&o2, r2)| o2 != origin && r2.valid_at(epoch))
-                .map(|(&o2, _)| o2)
+                .origins
+                .proxies()
+                .filter(|&(o2, r2)| o2 != origin && r2.valid_at(epoch))
+                .map(|(o2, _)| o2)
                 .collect();
             for chunk in i1.chunks(self.params.frag) {
                 self.send_reverse(ctx, origin, epoch, RevItem::KnownContenders { ids: chunk });
@@ -285,10 +282,10 @@ impl ElectionNode {
             return;
         };
         let origins: Vec<u64> = self
-            .proxies
-            .iter()
+            .origins
+            .proxies()
             .filter(|(_, r)| r.epoch == epoch && !r.finalized)
-            .map(|(&o, _)| o)
+            .map(|(o, _)| o)
             .collect();
         for origin in origins {
             self.send_reverse(ctx, origin, epoch, RevItem::I3Max { id });
@@ -364,43 +361,44 @@ impl ElectionNode {
         via: Hop,
     ) {
         let step = self.params.walk_len(epoch).saturating_sub(remaining);
-        let Some(trail) = self.trails.enter_epoch(origin, epoch) else {
+        let entry = self.origins.entry(origin);
+        let Some(trail) = Trail::enter_epoch(&mut entry.trail, epoch) else {
             self.stats.dropped_tokens += count as u64;
             return;
         };
         trail.record_in(step, via);
         if remaining == 0 {
-            let rec = self.proxies.entry(origin).or_insert(ProxyRecord {
+            let fresh = ProxyRecord {
                 epoch,
                 count: 0,
                 finalized: false,
-            });
+            };
+            let rec = entry.proxy.get_or_insert(fresh);
             if rec.epoch != epoch {
                 if rec.finalized {
                     // A stopped contender cannot generate new walks.
                     self.stats.dropped_tokens += count as u64;
                     return;
                 }
-                *rec = ProxyRecord {
-                    epoch,
-                    count: 0,
-                    finalized: false,
-                };
+                *rec = fresh;
             }
             rec.count += count;
             return;
         }
-        let split = split_lazy(count, ctx.degree(), ctx.rng());
-        if split.stay > 0 {
-            self.pending_stays
-                .push((origin, epoch, remaining - 1, split.stay));
-            let next = ctx.round() + 1;
-            ctx.wake_at(next);
-        }
-        for (port, cnt) in split.moves {
-            trail.record_out(port);
-            ctx.send(port, ElectionMsg::walk(origin, epoch, remaining - 1, cnt));
-        }
+        with_port_counts(ctx.degree(), |counts| {
+            let stay = split_lazy(count, ctx.rng(), counts);
+            if stay > 0 {
+                self.pending_stays
+                    .push((origin, epoch, remaining - 1, stay));
+                let next = ctx.round() + 1;
+                ctx.wake_at(next);
+            }
+            for (port, &cnt) in counts.iter().enumerate().filter(|&(_, &c)| c > 0) {
+                let port = Port::new(port);
+                trail.record_out(port);
+                ctx.send(port, ElectionMsg::walk(origin, epoch, remaining - 1, cnt));
+            }
+        });
     }
 
     // ------------------------------------------------------------------
@@ -430,10 +428,15 @@ impl ElectionNode {
         else {
             return;
         };
-        let route = match self.trails.at_epoch(origin, epoch) {
-            Some(trail) => trail.reverse_route(),
-            None => ReverseRoute::Broken,
+        let Some(entry) = self.origins.get_mut(origin) else {
+            self.stats.broken_routes += 1;
+            return;
         };
+        let route = entry
+            .trail
+            .as_ref()
+            .filter(|t| t.epoch() == epoch)
+            .map_or(ReverseRoute::Broken, Trail::reverse_route);
         match route {
             ReverseRoute::AtOrigin => {
                 if self.id == origin {
@@ -443,7 +446,7 @@ impl ElectionNode {
                 }
             }
             ReverseRoute::Forward(port) => {
-                if self.relayed.entry(origin).or_default().admit(epoch, &item) {
+                if entry.relayed.admit(epoch, &item) {
                     ctx.send(port, msg);
                 }
             }
@@ -491,7 +494,7 @@ impl ElectionNode {
         }
         self.winner_heard = Some(winner);
         if self.contender.is_some() {
-            if let Some(trail) = self.trails.current(self.id) {
+            if let Some(trail) = self.origins.get(self.id).and_then(|e| e.trail.as_ref()) {
                 let epoch = trail.epoch();
                 let m = ElectionMsg::fwd(self.id, epoch, FwdItem::Winner { id: winner });
                 self.process_forward(ctx, m);
@@ -504,48 +507,40 @@ impl ElectionNode {
     // ------------------------------------------------------------------
 
     fn process_forward(&mut self, ctx: &mut Context<'_, ElectionMsg>, msg: ElectionMsg) {
-        let key = match msg.view() {
-            MsgView::Fwd { origin, item, .. } => ElectionMsg::fwd_dedup_key(origin, &item),
-            _ => return,
+        let MsgView::Fwd {
+            origin,
+            epoch,
+            item,
+        } = msg.view()
+        else {
+            return;
         };
-        if !self.fwd_seen.insert(key) {
+        // Dedup before the trail lookup: a repeated unit with no trail
+        // counts one broken route, not two.
+        let entry = self.origins.entry(origin);
+        if !entry.first_forward(item) {
             return;
         }
-        let origin = msg.origin();
-        let epoch = msg.epoch();
-        let Some(trail) = self.trails.at_epoch(origin, epoch) else {
+        let Some(trail) = entry.trail.as_mut().filter(|t| t.epoch() == epoch) else {
             self.stats.broken_routes += 1;
             return;
         };
-        let is_proxy = self
-            .proxies
-            .get(&origin)
-            .is_some_and(|r| r.epoch == epoch);
+        let proxy = entry.proxy.as_mut().filter(|r| r.epoch == epoch);
+        let is_proxy = proxy.is_some();
         for &port in trail.distinct_out_ports() {
             ctx.send(port, msg.clone());
         }
-        match msg.view() {
-            MsgView::Fwd {
-                item: FwdItem::StopMark,
-                ..
-            } => {
-                self.trails.finalize(origin, epoch);
-                if let Some(rec) = self.proxies.get_mut(&origin) {
-                    if rec.epoch == epoch {
-                        rec.finalized = true;
-                    }
+        match item {
+            FwdItem::StopMark => {
+                trail.finalize(epoch);
+                if let Some(rec) = proxy {
+                    rec.finalized = true;
                 }
             }
-            MsgView::Fwd {
-                item: FwdItem::I2Max { id },
-                ..
-            } if is_proxy => {
+            FwdItem::I2Max { id } if is_proxy => {
                 self.i3_max = self.i3_max.max(Some(id));
             }
-            MsgView::Fwd {
-                item: FwdItem::Winner { id },
-                ..
-            } if is_proxy => {
+            FwdItem::Winner { id } if is_proxy => {
                 self.hear_winner_as_proxy(ctx, id);
             }
             _ => {}
@@ -563,10 +558,10 @@ impl ElectionNode {
         }
         self.winner_relayed_as_proxy = true;
         let targets: Vec<(u64, u32)> = self
-            .proxies
-            .iter()
+            .origins
+            .proxies()
             .filter(|(_, r)| r.valid_at(self.cur_epoch))
-            .map(|(&o, r)| (o, r.epoch))
+            .map(|(o, r)| (o, r.epoch))
             .collect();
         for (origin, epoch) in targets {
             if origin == self.id {
@@ -600,53 +595,6 @@ impl ElectionNode {
     }
 }
 
-/// What one relay already sent towards one origin in one epoch: the
-/// reverse-path twin of `fwd_seen` (see the module docs).
-#[derive(Debug, Default)]
-struct Relayed {
-    epoch: u32,
-    /// `I1` ids relayed, sorted.
-    i1: Vec<u64>,
-    /// Largest `I3` maximum relayed.
-    i3_max: Option<u64>,
-    /// Whether a winner notice was relayed.
-    winner: bool,
-}
-
-impl Relayed {
-    /// Whether `item`, of `epoch`, can still change what the contender
-    /// computes; records it if so. A unit of another epoch starts over.
-    fn admit(&mut self, epoch: u32, item: &RevItem<'_>) -> bool {
-        if self.epoch != epoch {
-            *self = Relayed {
-                epoch,
-                ..Relayed::default()
-            };
-        }
-        match *item {
-            RevItem::ProxyInfo { .. } => true,
-            RevItem::KnownContenders { ids } => {
-                let mut fresh = false;
-                for &id in ids {
-                    if let Err(at) = self.i1.binary_search(&id) {
-                        self.i1.insert(at, id);
-                        fresh = true;
-                    }
-                }
-                fresh
-            }
-            RevItem::I3Max { id } => {
-                let fresh = self.i3_max.is_none_or(|m| id > m);
-                if fresh {
-                    self.i3_max = Some(id);
-                }
-                fresh
-            }
-            RevItem::Winner { .. } => !std::mem::replace(&mut self.winner, true),
-        }
-    }
-}
-
 impl Protocol for ElectionNode {
     type Msg = ElectionMsg;
 
@@ -655,7 +603,7 @@ impl Protocol for ElectionNode {
         self.id = ctx.rng().random_range(1..=self.params.id_max);
         let is_contender = ctx.rng().random_bool(self.params.contender_prob);
         if is_contender {
-            self.contender = Some(ContenderState::new());
+            self.contender = Some(Box::new(ContenderState::new()));
         } else {
             // Non-contenders declare non-leader immediately (line 4).
             self.decided = Some(Decision::NonLeader);
@@ -668,13 +616,19 @@ impl Protocol for ElectionNode {
     }
 
     fn on_round(&mut self, ctx: &mut Context<'_, ElectionMsg>, inbox: &mut Vec<(Port, ElectionMsg)>) {
-        // Lazy-step holdovers from last round first.
-        let stays = std::mem::take(&mut self.pending_stays);
-        for (origin, epoch, remaining, count) in stays {
+        // Lazy-step holdovers from last round first; the stays they make
+        // go on the end.
+        let held = self.pending_stays.len();
+        for i in 0..held {
+            let (origin, epoch, remaining, count) = self.pending_stays[i];
             self.handle_walk_tokens(ctx, origin, epoch, remaining, count, Hop::Stay);
         }
+        self.pending_stays.drain(..held);
         for (port, msg) in inbox.drain(..) {
             self.handle_message(ctx, port, msg);
+        }
+        if self.pending_stays.is_empty() {
+            self.pending_stays = Vec::new();
         }
         self.fire_due_segments(ctx);
         self.schedule_next_wake(ctx);
@@ -704,6 +658,13 @@ impl Protocol for ElectionNode {
 mod tests {
     use super::*;
     use crate::config::ElectionConfig;
+
+    #[test]
+    fn node_is_at_most_three_cache_lines() {
+        // Every one of the n nodes carries this inline; contender state
+        // and per-origin records live behind pointers.
+        assert!(std::mem::size_of::<ElectionNode>() <= 192);
+    }
 
     #[test]
     fn node_construction_defaults() {

@@ -1,6 +1,12 @@
-//! Per-node protocol state: roles, proxy records, per-epoch bookkeeping.
+//! Per-node protocol state: roles, proxy records, per-epoch bookkeeping,
+//! and the per-origin table ([`Origins`]) every handled message searches
+//! once.
 
 use std::collections::{BTreeMap, BTreeSet};
+
+use welle_walks::Trail;
+
+use crate::msg::{FwdItem, RevItem};
 
 /// Final verdict of a node (Algorithm 1 line 4 / Algorithm 2 lines 5+9).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -107,6 +113,172 @@ pub struct NodeStats {
     pub broken_routes: u64,
 }
 
+/// Inserts `x` at `at`, growing a full `v` by a quarter of its length
+/// and at least one element. At `n = 10⁶` most nodes hold one or two
+/// origins, and `Vec`'s first allocation of four, or its doubling,
+/// would leave much of the memory unused.
+fn insert_tight<T>(v: &mut Vec<T>, at: usize, x: T) {
+    if v.len() == v.capacity() {
+        v.reserve_exact((v.len() / 4).max(1));
+    }
+    v.insert(at, x);
+}
+
+/// Everything a node keeps about one walk origin, so that a walk token,
+/// a reverse unit or a forward unit costs one search.
+#[derive(Debug)]
+pub(crate) struct OriginEntry {
+    /// The breadcrumb trail of the origin's walks through this node.
+    pub(crate) trail: Option<Trail>,
+    /// This node's record of serving as the origin's proxy.
+    pub(crate) proxy: Option<ProxyRecord>,
+    /// What this node relayed towards the origin (reverse filter).
+    pub(crate) relayed: Relayed,
+    /// The origin's forward items this node has handled since the epoch
+    /// began ("filtering and forwarding"): exact `(origin, item)` keys,
+    /// with no epoch, so a stale unit that repeats an item is dropped.
+    forwarded: Vec<FwdItem>,
+}
+
+impl OriginEntry {
+    /// Records a forward `item`; `false` if it was handled before.
+    pub(crate) fn first_forward(&mut self, item: FwdItem) -> bool {
+        if self.forwarded.contains(&item) {
+            return false;
+        }
+        let end = self.forwarded.len();
+        insert_tight(&mut self.forwarded, end, item);
+        true
+    }
+}
+
+/// A node's per-origin state: the origins' ids, sorted, and at the same
+/// index each one's [`OriginEntry`]. It iterates in origin order, as
+/// ordered maps do, so seeded-path output never depends on hash order
+/// (`welle-lint: no-hash-iter`).
+#[derive(Debug, Default)]
+pub(crate) struct Origins {
+    /// The ids apart from the entries, so a binary search reads
+    /// contiguous ids: probing the 136-byte entries themselves costs a
+    /// cache line per probe, and a node holds a few dozen origins at
+    /// `n = 2·10⁴`.
+    keys: Vec<u64>,
+    entries: Vec<OriginEntry>,
+}
+
+impl Origins {
+    fn search(&self, origin: u64) -> Result<usize, usize> {
+        self.keys.binary_search(&origin)
+    }
+
+    /// The entry of `origin`, if the node holds one.
+    pub(crate) fn get(&self, origin: u64) -> Option<&OriginEntry> {
+        self.search(origin).ok().map(|i| &self.entries[i])
+    }
+
+    /// The entry of `origin`, if the node holds one.
+    pub(crate) fn get_mut(&mut self, origin: u64) -> Option<&mut OriginEntry> {
+        self.search(origin).ok().map(|i| &mut self.entries[i])
+    }
+
+    /// The entry of `origin`, created empty if the node holds none.
+    pub(crate) fn entry(&mut self, origin: u64) -> &mut OriginEntry {
+        let i = match self.search(origin) {
+            Ok(i) => i,
+            Err(at) => {
+                let empty = OriginEntry {
+                    trail: None,
+                    proxy: None,
+                    relayed: Relayed::default(),
+                    forwarded: Vec::new(),
+                };
+                insert_tight(&mut self.keys, at, origin);
+                insert_tight(&mut self.entries, at, empty);
+                at
+            }
+        };
+        &mut self.entries[i]
+    }
+
+    /// `(origin, proxy record)` pairs in origin order.
+    pub(crate) fn proxies(&self) -> impl Iterator<Item = (u64, ProxyRecord)> + '_ {
+        self.keys
+            .iter()
+            .zip(&self.entries)
+            .filter_map(|(&o, e)| Some((o, e.proxy?)))
+    }
+
+    /// The epoch-start rules, field by field: a trail or a proxy record
+    /// is kept if it is finalized or of an epoch `≥ epoch`; the relay
+    /// filter and the forward-dedup record are cleared for every origin.
+    /// An entry goes once both its trail and its proxy record have.
+    pub(crate) fn begin_epoch(&mut self, epoch: u32) {
+        let mut kept = 0;
+        for i in 0..self.entries.len() {
+            let e = &mut self.entries[i];
+            Trail::gc(&mut e.trail, epoch);
+            e.proxy.take_if(|r| !r.finalized && r.epoch < epoch);
+            e.relayed = Relayed::default();
+            e.forwarded = Vec::new();
+            if e.trail.is_some() || e.proxy.is_some() {
+                self.keys.swap(kept, i);
+                self.entries.swap(kept, i);
+                kept += 1;
+            }
+        }
+        self.keys.truncate(kept);
+        self.entries.truncate(kept);
+    }
+}
+
+/// What one relay already sent towards one origin in one epoch: the
+/// reverse-path twin of the forward-dedup record (see the protocol's
+/// module docs).
+#[derive(Debug, Default)]
+pub(crate) struct Relayed {
+    epoch: u32,
+    /// `I1` ids relayed, sorted.
+    i1: Vec<u64>,
+    /// Largest `I3` maximum relayed.
+    i3_max: Option<u64>,
+    /// Whether a winner notice was relayed.
+    winner: bool,
+}
+
+impl Relayed {
+    /// Whether `item`, of `epoch`, can still change what the contender
+    /// computes; records it if so. A unit of another epoch starts over.
+    pub(crate) fn admit(&mut self, epoch: u32, item: &RevItem<'_>) -> bool {
+        if self.epoch != epoch {
+            *self = Relayed {
+                epoch,
+                ..Relayed::default()
+            };
+        }
+        match *item {
+            RevItem::ProxyInfo { .. } => true,
+            RevItem::KnownContenders { ids } => {
+                let mut fresh = false;
+                for &id in ids {
+                    if let Err(at) = self.i1.binary_search(&id) {
+                        self.i1.insert(at, id);
+                        fresh = true;
+                    }
+                }
+                fresh
+            }
+            RevItem::I3Max { id } => {
+                let fresh = self.i3_max.is_none_or(|m| id > m);
+                if fresh {
+                    self.i3_max = Some(id);
+                }
+                fresh
+            }
+            RevItem::Winner { .. } => !std::mem::replace(&mut self.winner, true),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,6 +297,81 @@ mod tests {
             ..tentative
         };
         assert!(final_rec.valid_at(7));
+    }
+
+    fn proxy(epoch: u32, finalized: bool) -> Option<ProxyRecord> {
+        Some(ProxyRecord {
+            epoch,
+            count: 1,
+            finalized,
+        })
+    }
+
+    #[test]
+    fn origins_iterate_in_origin_order_and_grow_one_by_one() {
+        let mut t = Origins::default();
+        for o in [30, 10, 20] {
+            t.entry(o).proxy = proxy(0, false);
+        }
+        let order: Vec<u64> = t.proxies().map(|(o, _)| o).collect();
+        assert_eq!(order, [10, 20, 30]);
+        assert_eq!((t.keys.capacity(), t.entries.capacity()), (3, 3));
+        assert!(t.get(20).is_some() && t.get(25).is_none());
+    }
+
+    #[test]
+    fn begin_epoch_applies_each_rule_to_its_own_field() {
+        let mut t = Origins::default();
+        // Origin 1: stale trail, finalized proxy record.
+        let e = t.entry(1);
+        Trail::enter_epoch(&mut e.trail, 0);
+        e.proxy = proxy(0, true);
+        // Origin 2: stale tentative trail and proxy record.
+        let e = t.entry(2);
+        Trail::enter_epoch(&mut e.trail, 1);
+        e.proxy = proxy(1, false);
+        // Origin 3: current trail, relay and forward records.
+        let e = t.entry(3);
+        Trail::enter_epoch(&mut e.trail, 2);
+        assert!(e.relayed.admit(2, &RevItem::Winner { id: 9 }));
+        assert!(e.first_forward(FwdItem::StopMark));
+        // Origin 4: forward record only.
+        assert!(t.entry(4).first_forward(FwdItem::StopMark));
+
+        t.begin_epoch(2);
+        let e = t.get_mut(1).unwrap();
+        assert!(e.trail.is_none() && e.proxy.is_some());
+        assert!(t.get(2).is_none() && t.get(4).is_none());
+        let e = t.get_mut(3).unwrap();
+        assert!(e.trail.is_some());
+        assert!(
+            e.relayed.admit(2, &RevItem::Winner { id: 9 }),
+            "relay filter cleared"
+        );
+        assert!(e.first_forward(FwdItem::StopMark), "forward record cleared");
+    }
+
+    #[test]
+    fn forward_dedup_is_exact_per_item_without_epoch() {
+        let mut t = Origins::default();
+        let e = t.entry(5);
+        assert!(e.first_forward(FwdItem::I2Max { id: 7 }));
+        assert!(e.first_forward(FwdItem::I2Max { id: 8 }));
+        assert!(e.first_forward(FwdItem::Winner { id: 7 }));
+        assert!(e.first_forward(FwdItem::Winner { id: 8 }));
+        assert!(e.first_forward(FwdItem::StopMark));
+        for item in [
+            FwdItem::I2Max { id: 7 },
+            FwdItem::I2Max { id: 8 },
+            FwdItem::Winner { id: 8 },
+            FwdItem::StopMark,
+        ] {
+            assert!(!e.first_forward(item), "{item:?} repeated");
+        }
+        assert!(
+            t.entry(6).first_forward(FwdItem::StopMark),
+            "keyed per origin"
+        );
     }
 
     #[test]

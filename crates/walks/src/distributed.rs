@@ -10,8 +10,8 @@
 use welle_congest::{bits_for, Context, Payload, Protocol};
 use welle_graph::Port;
 
-use crate::token::split_lazy;
-use crate::trails::{Hop, ReverseRoute, TrailStore};
+use crate::token::{split_lazy, with_port_counts};
+use crate::trails::{Hop, ReverseRoute, Trail};
 
 /// Message of the walk-fleet protocol.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,7 +64,7 @@ pub struct WalkFleetNode {
     is_origin: bool,
     walks: u32,
     walk_len: u32,
-    trails: TrailStore,
+    trail: Option<Trail>,
     pending_stays: Vec<(u32, u32)>,
     /// Walks that ended at this node.
     ended_here: u32,
@@ -77,8 +77,6 @@ pub struct WalkFleetNode {
 /// the driver once the walk traffic has quiesced).
 pub const SIGNAL_REPORT: welle_congest::Signal = 1;
 
-const ORIGIN_KEY: u64 = 1;
-
 impl WalkFleetNode {
     /// Creates a node; the single `origin` node launches `walks` walks of
     /// `walk_len` steps; proxies report when the driver broadcasts
@@ -88,7 +86,7 @@ impl WalkFleetNode {
             is_origin,
             walks,
             walk_len,
-            trails: TrailStore::new(),
+            trail: None,
             pending_stays: Vec::new(),
             ended_here: 0,
             reported: 0,
@@ -114,9 +112,7 @@ impl WalkFleetNode {
         via: Hop,
     ) {
         let step = self.walk_len - remaining;
-        let trail = self
-            .trails
-            .enter_epoch(ORIGIN_KEY, 0)
+        let trail = Trail::enter_epoch(&mut self.trail, 0)
             // welle-lint: allow(no-lib-unwrap) — invariant: this protocol only ever runs epoch 0
             .expect("single epoch");
         trail.record_in(step, via);
@@ -124,28 +120,31 @@ impl WalkFleetNode {
             self.ended_here += count;
             return;
         }
-        let split = split_lazy(count, ctx.degree(), ctx.rng());
-        if split.stay > 0 {
-            self.pending_stays.push((remaining - 1, split.stay));
-            let next = ctx.round() + 1;
-            ctx.wake_at(next);
-        }
-        for (port, cnt) in split.moves {
-            trail.record_out(port);
-            ctx.send(
-                port,
-                FleetMsg::Token {
-                    remaining: remaining - 1,
-                    count: cnt,
-                },
-            );
-        }
+        with_port_counts(ctx.degree(), |counts| {
+            let stay = split_lazy(count, ctx.rng(), counts);
+            if stay > 0 {
+                self.pending_stays.push((remaining - 1, stay));
+                let next = ctx.round() + 1;
+                ctx.wake_at(next);
+            }
+            for (port, &cnt) in counts.iter().enumerate().filter(|&(_, &c)| c > 0) {
+                let port = Port::new(port);
+                trail.record_out(port);
+                ctx.send(
+                    port,
+                    FleetMsg::Token {
+                        remaining: remaining - 1,
+                        count: cnt,
+                    },
+                );
+            }
+        });
     }
 
     /// Routes a report that may be at most `step` steps from the origin
     /// (the sender's earliest step less one).
     fn route_report(&mut self, ctx: &mut Context<'_, FleetMsg>, step: u32, count: u32) {
-        let trail = self.trails.at_epoch(ORIGIN_KEY, 0);
+        let trail = self.trail.as_ref();
         let earliest = trail.and_then(|t| t.earliest()).map(|(s, _)| s);
         // The earliest step falls at every hop of a route.
         debug_assert!(earliest.is_some_and(|s| s <= step));
@@ -177,10 +176,13 @@ impl Protocol for WalkFleetNode {
     }
 
     fn on_round(&mut self, ctx: &mut Context<'_, FleetMsg>, inbox: &mut Vec<(Port, FleetMsg)>) {
-        let stays = std::mem::take(&mut self.pending_stays);
-        for (remaining, count) in stays {
+        // Holdovers from last round; their own stays go on the end.
+        let held = self.pending_stays.len();
+        for i in 0..held {
+            let (remaining, count) = self.pending_stays[i];
             self.handle_tokens(ctx, remaining, count, Hop::Stay);
         }
+        self.pending_stays.drain(..held);
         for (port, msg) in inbox.drain(..) {
             match msg {
                 FleetMsg::Token { remaining, count } => {

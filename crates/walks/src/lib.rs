@@ -7,9 +7,9 @@
 //!   a spectral estimate for large graphs,
 //! * [`TokenBatch`] / [`split_lazy`] — aggregated walk tokens and their
 //!   lazy one-step splitting (the CONGEST congestion trick of Lemma 12),
-//! * [`TrailStore`] — per-node breadcrumb trails recording how walks
-//!   passed through, supporting the reverse (proxy → contender) and
-//!   forward (contender → proxies) routing of Algorithm 2,
+//! * [`Trail`] — a node's breadcrumb trail of one origin's walks,
+//!   supporting the reverse (proxy → contender) and forward
+//!   (contender → proxies) routing of Algorithm 2,
 //! * [`sampling`] — centralized walk simulation used to validate the
 //!   distributed machinery.
 //!
@@ -43,5 +43,5 @@ pub use mixing::{
     mixing_time_spectral_estimate, MixingOptions, StartPolicy,
 };
 pub use distributed::{run_walk_fleet, FleetMsg, WalkFleetNode, SIGNAL_REPORT};
-pub use token::{split_lazy, LazySplit, TokenBatch};
-pub use trails::{Hop, ReverseRoute, Trail, TrailStore};
+pub use token::{split_lazy, with_port_counts, TokenBatch};
+pub use trails::{Hop, ReverseRoute, Trail};

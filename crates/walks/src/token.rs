@@ -8,7 +8,6 @@
 
 use rand::{Rng, RngExt};
 use welle_congest::{bits_for, id_bits};
-use welle_graph::Port;
 
 /// A bundle of `count` parallel random walks of the same origin and epoch
 /// crossing an edge together.
@@ -33,41 +32,40 @@ impl TokenBatch {
     }
 }
 
-/// Result of one lazy splitting step of a [`TokenBatch`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct LazySplit {
-    /// Walks that stay at the current node this step.
-    pub stay: u32,
-    /// Walks leaving through each port, as sparse `(port, count)` pairs
-    /// sorted by port.
-    pub moves: Vec<(Port, u32)>,
-}
+/// Ports whose counters [`with_port_counts`] keeps on the stack: every
+/// sparse graph's degree.
+const INLINE_PORTS: usize = 64;
 
 /// Splits `count` walks one lazy step: each stays with probability ½,
-/// otherwise picks one of `degree` ports uniformly.
+/// otherwise picks one of the `counts.len()` ports uniformly. Adds the
+/// walks leaving through port `p` to `counts[p]` and returns how many
+/// stay. The draws go walk by walk: the stay coin, then a mover's port.
 ///
 /// # Panics
 ///
-/// Panics if `degree == 0` (an isolated node cannot host walks).
-pub fn split_lazy<R: Rng + ?Sized>(count: u32, degree: usize, rng: &mut R) -> LazySplit {
+/// Panics if `counts` is empty (an isolated node cannot host walks).
+pub fn split_lazy<R: Rng + ?Sized>(count: u32, rng: &mut R, counts: &mut [u32]) -> u32 {
+    let degree = counts.len();
     assert!(degree > 0, "cannot forward walks from an isolated node");
     let mut stay = 0u32;
-    let mut port_counts: Vec<u32> = vec![0; degree];
     for _ in 0..count {
         if rng.random_bool(0.5) {
             stay += 1;
         } else {
-            let p = rng.random_range(0..degree);
-            port_counts[p] += 1;
+            counts[rng.random_range(0..degree)] += 1;
         }
     }
-    let moves = port_counts
-        .into_iter()
-        .enumerate()
-        .filter(|&(_, c)| c > 0)
-        .map(|(p, c)| (Port::new(p), c))
-        .collect();
-    LazySplit { stay, moves }
+    stay
+}
+
+/// Runs `f` on `degree` zeroed port counters for [`split_lazy`]: on the
+/// stack up to 64 ports, so a split allocates nothing on sparse graphs.
+pub fn with_port_counts<T>(degree: usize, f: impl FnOnce(&mut [u32]) -> T) -> T {
+    let mut inline = [0u32; INLINE_PORTS];
+    match inline.get_mut(..degree) {
+        Some(counts) => f(counts),
+        None => f(&mut vec![0; degree]),
+    }
 }
 
 #[cfg(test)]
@@ -81,13 +79,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         for count in [0u32, 1, 7, 100, 2_000] {
             for degree in [1usize, 2, 5, 32] {
-                let s = split_lazy(count, degree, &mut rng);
-                let moved: u32 = s.moves.iter().map(|&(_, c)| c).sum();
-                assert_eq!(s.stay + moved, count);
-                for &(p, c) in &s.moves {
-                    assert!(p.index() < degree);
-                    assert!(c > 0);
-                }
+                let mut counts = vec![0; degree];
+                let stay = split_lazy(count, &mut rng, &mut counts);
+                let moved: u32 = counts.iter().sum();
+                assert_eq!(stay + moved, count);
             }
         }
     }
@@ -97,8 +92,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut stayed = 0u64;
         let total = 200_000u32;
-        let s = split_lazy(total, 4, &mut rng);
-        stayed += s.stay as u64;
+        stayed += split_lazy(total, &mut rng, &mut [0; 4]) as u64;
         let frac = stayed as f64 / total as f64;
         assert!((frac - 0.5).abs() < 0.01, "lazy fraction {frac}");
     }
@@ -107,14 +101,26 @@ mod tests {
     fn split_moves_are_uniform_over_ports() {
         let mut rng = StdRng::seed_from_u64(6);
         let degree = 8;
-        let s = split_lazy(400_000, degree, &mut rng);
-        let moved: u32 = s.moves.iter().map(|&(_, c)| c).sum();
+        let mut counts = vec![0; degree];
+        split_lazy(400_000, &mut rng, &mut counts);
+        let moved: u32 = counts.iter().sum();
         let expect = moved as f64 / degree as f64;
-        for &(_, c) in &s.moves {
+        for &c in &counts {
             assert!(
                 (c as f64 - expect).abs() < 0.05 * expect,
                 "port got {c}, expected ≈{expect}"
             );
+        }
+    }
+
+    #[test]
+    fn port_counts_are_zeroed_at_any_degree() {
+        for degree in [1usize, INLINE_PORTS, INLINE_PORTS + 1, 500] {
+            let len = with_port_counts(degree, |counts| {
+                assert!(counts.iter().all(|&c| c == 0));
+                counts.len()
+            });
+            assert_eq!(len, degree);
         }
     }
 
@@ -135,6 +141,6 @@ mod tests {
     #[should_panic(expected = "isolated")]
     fn split_on_isolated_node_panics() {
         let mut rng = StdRng::seed_from_u64(0);
-        let _ = split_lazy(1, 0, &mut rng);
+        let _ = split_lazy(1, &mut rng, &mut []);
     }
 }

@@ -28,8 +28,15 @@
 //! Routes count hops along recorded trail edges, as the paper's bounds
 //! do; the earliest-arrival route is never longer than the walk.
 //! Memory per trail is one arrival plus at most one entry per port.
-
-use std::collections::BTreeMap;
+//!
+//! **Epochs.** A node keeps at most one trail per origin, in an
+//! `Option<Trail>` slot ([`Trail::enter_epoch`]). A walk of a newer epoch
+//! replaces a trail that is not finalized; a token of an older epoch
+//! than the stored trail is stale and dropped. A finalized trail belongs
+//! to an origin that stopped at that epoch: it keeps serving that
+//! epoch's traffic for the rest of the execution and refuses every other
+//! epoch. At the start of epoch `e`, [`Trail::gc`] drops a trail that is
+//! neither finalized nor of an epoch `≥ e`, since its origin has moved on.
 
 use welle_graph::Port;
 
@@ -58,7 +65,8 @@ pub struct Trail {
 }
 
 impl Trail {
-    fn new(epoch: u32) -> Self {
+    /// An empty trail of `epoch`.
+    pub fn new(epoch: u32) -> Self {
         Trail {
             epoch,
             finalized: false,
@@ -126,6 +134,36 @@ impl Trail {
     pub fn distinct_out_ports(&self) -> &[Port] {
         &self.out_ports
     }
+
+    /// The trail in `slot` usable at `epoch`: creates it, or resets it if
+    /// the stored one is older and not finalized. Returns `None` if the
+    /// stored trail is finalized with a different epoch (walks of a
+    /// stopped contender cannot restart) or newer than `epoch` (a stale
+    /// token arriving late — dropped).
+    pub fn enter_epoch(slot: &mut Option<Trail>, epoch: u32) -> Option<&mut Trail> {
+        match slot {
+            Some(t) if t.finalized && t.epoch != epoch => return None,
+            Some(t) if t.epoch > epoch => return None,
+            Some(t) if t.epoch == epoch => {}
+            _ => *slot = Some(Trail::new(epoch)),
+        }
+        slot.as_mut()
+    }
+
+    /// Empties `slot` at the start of `current_epoch` if its trail is not
+    /// finalized and older (its origin moved on; the records can never
+    /// be used again).
+    pub fn gc(slot: &mut Option<Trail>, current_epoch: u32) {
+        slot.take_if(|t| !t.finalized && t.epoch < current_epoch);
+    }
+
+    /// Marks the trail as final (its origin stopped with this guess);
+    /// ignored if the trail's epoch differs.
+    pub fn finalize(&mut self, epoch: u32) {
+        if self.epoch == epoch {
+            self.finalized = true;
+        }
+    }
 }
 
 /// Outcome of a reverse-routing lookup.
@@ -139,90 +177,6 @@ pub enum ReverseRoute {
     /// No usable trail information (protocol bug or stale GC) — callers
     /// treat this as a dropped reply.
     Broken,
-}
-
-/// Per-node store of trails, keyed by origin id.
-///
-/// Epoch discipline (Fidelity note 5 of DESIGN.md): non-finalized trails
-/// of an older epoch are replaced when the origin starts a new epoch;
-/// finalized trails persist for the rest of the execution (their origin
-/// stopped and keeps its proxies).
-///
-/// Ordered map: [`TrailStore::iter`] walks the store, and seeded-path
-/// iteration order must be deterministic (`welle-lint: no-hash-iter`).
-#[derive(Clone, Debug, Default)]
-pub struct TrailStore {
-    trails: BTreeMap<u64, Trail>,
-}
-
-impl TrailStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        TrailStore::default()
-    }
-
-    /// Number of tracked origins.
-    pub fn len(&self) -> usize {
-        self.trails.len()
-    }
-
-    /// Whether the store tracks no origin.
-    pub fn is_empty(&self) -> bool {
-        self.trails.is_empty()
-    }
-
-    /// The trail for `origin` usable at `epoch`: creates or resets it if
-    /// the stored one is older and not finalized. Returns `None` if the
-    /// stored trail is finalized with a different epoch (walks of a
-    /// stopped contender cannot restart) or newer than `epoch` (stale
-    /// token arriving late — dropped).
-    pub fn enter_epoch(&mut self, origin: u64, epoch: u32) -> Option<&mut Trail> {
-        match self.trails.get(&origin) {
-            Some(t) if t.finalized => {
-                if t.epoch == epoch {
-                    return self.trails.get_mut(&origin);
-                }
-                return None;
-            }
-            Some(t) if t.epoch > epoch => return None,
-            Some(t) if t.epoch == epoch => return self.trails.get_mut(&origin),
-            _ => {}
-        }
-        self.trails.insert(origin, Trail::new(epoch));
-        self.trails.get_mut(&origin)
-    }
-
-    /// The trail for `origin` at exactly `epoch`, if present.
-    pub fn at_epoch(&self, origin: u64, epoch: u32) -> Option<&Trail> {
-        self.trails.get(&origin).filter(|t| t.epoch == epoch)
-    }
-
-    /// The current trail of `origin`, whatever its epoch.
-    pub fn current(&self, origin: u64) -> Option<&Trail> {
-        self.trails.get(&origin)
-    }
-
-    /// Marks `origin`'s trail at `epoch` as final (the contender stopped
-    /// with this guess); ignored if the stored epoch differs.
-    pub fn finalize(&mut self, origin: u64, epoch: u32) {
-        if let Some(t) = self.trails.get_mut(&origin) {
-            if t.epoch == epoch {
-                t.finalized = true;
-            }
-        }
-    }
-
-    /// Drops non-finalized trails older than `current_epoch` (their
-    /// origins moved on; the records can never be used again).
-    pub fn gc(&mut self, current_epoch: u32) {
-        self.trails
-            .retain(|_, t| t.finalized || t.epoch >= current_epoch);
-    }
-
-    /// Iterates over `(origin, trail)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &Trail)> {
-        self.trails.iter().map(|(&o, t)| (o, t))
-    }
 }
 
 #[cfg(test)]
@@ -246,8 +200,8 @@ mod tests {
 
     #[test]
     fn no_preallocation_for_long_walks() {
-        let mut store = TrailStore::new();
-        let t = store.enter_epoch(1, 20).unwrap();
+        let mut slot = None;
+        let t = Trail::enter_epoch(&mut slot, 20).unwrap();
         assert!(t.is_empty());
         assert!(t.distinct_out_ports().is_empty());
     }
@@ -283,51 +237,54 @@ mod tests {
 
     #[test]
     fn epoch_replacement_rules() {
-        let mut store = TrailStore::new();
-        store.enter_epoch(7, 0).unwrap().record_in(0, Hop::Origin);
+        let mut slot = None;
+        Trail::enter_epoch(&mut slot, 0)
+            .unwrap()
+            .record_in(0, Hop::Origin);
         // Same epoch: same trail.
         assert_eq!(
-            store.enter_epoch(7, 0).unwrap().earliest(),
+            Trail::enter_epoch(&mut slot, 0).unwrap().earliest(),
             Some((0, Hop::Origin))
         );
         // Newer epoch replaces a non-finalized trail.
-        let t = store.enter_epoch(7, 1).unwrap();
+        let t = Trail::enter_epoch(&mut slot, 1).unwrap();
         assert!(t.is_empty());
         assert_eq!(t.epoch(), 1);
         // Stale (older-epoch) token is rejected.
-        assert!(store.enter_epoch(7, 0).is_none());
+        assert!(Trail::enter_epoch(&mut slot, 0).is_none());
     }
 
     #[test]
     fn finalized_trails_are_immutable_across_epochs() {
-        let mut store = TrailStore::new();
-        store.enter_epoch(9, 2).unwrap();
-        store.finalize(9, 2);
-        assert!(store.current(9).unwrap().is_finalized());
+        let mut slot = None;
+        Trail::enter_epoch(&mut slot, 2).unwrap().finalize(2);
+        assert!(slot.as_ref().unwrap().is_finalized());
         // A finalized trail refuses other epochs but accepts its own.
-        assert!(store.enter_epoch(9, 3).is_none());
-        assert!(store.enter_epoch(9, 2).is_some());
+        assert!(Trail::enter_epoch(&mut slot, 3).is_none());
+        assert!(Trail::enter_epoch(&mut slot, 2).is_some());
         // GC keeps finalized trails forever.
-        store.gc(10);
-        assert!(store.current(9).is_some());
+        Trail::gc(&mut slot, 10);
+        assert!(slot.is_some());
     }
 
     #[test]
     fn gc_drops_stale_unfinalized() {
-        let mut store = TrailStore::new();
-        store.enter_epoch(1, 0);
-        store.enter_epoch(2, 5);
-        store.gc(3);
-        assert!(store.current(1).is_none());
-        assert!(store.current(2).is_some());
-        assert_eq!(store.len(), 1);
+        let (mut old, mut new) = (None, None);
+        Trail::enter_epoch(&mut old, 0);
+        Trail::enter_epoch(&mut new, 5);
+        Trail::gc(&mut old, 3);
+        Trail::gc(&mut new, 3);
+        assert!(old.is_none());
+        assert!(new.is_some());
+        // The current epoch survives.
+        Trail::gc(&mut new, 5);
+        assert!(new.is_some());
     }
 
     #[test]
     fn finalize_wrong_epoch_is_ignored() {
-        let mut store = TrailStore::new();
-        store.enter_epoch(4, 1);
-        store.finalize(4, 0);
-        assert!(!store.current(4).unwrap().is_finalized());
+        let mut slot = None;
+        Trail::enter_epoch(&mut slot, 1).unwrap().finalize(0);
+        assert!(!slot.unwrap().is_finalized());
     }
 }

@@ -5,27 +5,24 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
-use welle_graph::{analysis, gen, Graph, NodeId};
+use welle_graph::{analysis, gen, Graph, NodeId, Port};
 use welle_walks::{
-    endpoint_distribution, lazy_step, run_walk_fleet, split_lazy, Hop, ReverseRoute, TrailStore,
+    endpoint_distribution, lazy_step, run_walk_fleet, split_lazy, Hop, ReverseRoute, Trail,
 };
-
-const ORIGIN: u64 = 9;
 
 /// Walks `walks` lazy walks of `len` steps from `origin`, step by step,
 /// recording every node's trail as the protocols do, and returns the
-/// per-node trail stores.
+/// per-node trails.
 fn simulate_trails(
     g: &Graph,
     origin: usize,
     walks: u32,
     len: u32,
     rng: &mut StdRng,
-) -> Vec<TrailStore> {
-    let mut trails: Vec<TrailStore> = (0..g.n()).map(|_| TrailStore::new()).collect();
-    let record = |trails: &mut [TrailStore], v: NodeId, step: u32, hop: Hop| {
-        trails[v.index()]
-            .enter_epoch(ORIGIN, 0)
+) -> Vec<Option<Trail>> {
+    let mut trails: Vec<Option<Trail>> = vec![None; g.n()];
+    let record = |trails: &mut [Option<Trail>], v: NodeId, step: u32, hop: Hop| {
+        Trail::enter_epoch(&mut trails[v.index()], 0)
             .expect("one epoch")
             .record_in(step, hop);
     };
@@ -36,14 +33,15 @@ fn simulate_trails(
         let mut next: BTreeMap<usize, u32> = BTreeMap::new();
         for (&u, &count) in &at {
             let u = NodeId::new(u);
-            let split = split_lazy(count, g.degree(u), rng);
-            if split.stay > 0 {
+            let mut moves = vec![0; g.degree(u)];
+            let stay = split_lazy(count, rng, &mut moves);
+            if stay > 0 {
                 record(&mut trails, u, step + 1, Hop::Stay);
-                *next.entry(u.index()).or_default() += split.stay;
+                *next.entry(u.index()).or_default() += stay;
             }
-            for (port, moved) in split.moves {
-                trails[u.index()]
-                    .enter_epoch(ORIGIN, 0)
+            for (port, &moved) in moves.iter().enumerate().filter(|&(_, &c)| c > 0) {
+                let port = Port::new(port);
+                Trail::enter_epoch(&mut trails[u.index()], 0)
                     .expect("one epoch")
                     .record_out(port);
                 let v = g.neighbor(u, port);
@@ -62,12 +60,10 @@ proptest! {
     #[test]
     fn split_conserves_arbitrary_counts(count in 0u32..5_000, degree in 1usize..64, seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let s = split_lazy(count, degree, &mut rng);
-        let moved: u32 = s.moves.iter().map(|&(_, c)| c).sum();
-        prop_assert_eq!(s.stay + moved, count);
-        let mut ports: Vec<usize> = s.moves.iter().map(|&(p, _)| p.index()).collect();
-        ports.dedup();
-        prop_assert_eq!(ports.len(), s.moves.len(), "ports are distinct and sorted");
+        let mut counts = vec![0; degree];
+        let stay = split_lazy(count, &mut rng, &mut counts);
+        let moved: u32 = counts.iter().sum();
+        prop_assert_eq!(stay + moved, count);
     }
 
     #[test]
@@ -107,7 +103,7 @@ proptest! {
         let origin = (seed % n as u64) as usize;
         let trails = simulate_trails(&g, origin, walks, len, &mut rng);
         for start in 0..n {
-            let Some(trail) = trails[start].at_epoch(ORIGIN, 0) else {
+            let Some(trail) = &trails[start] else {
                 continue;
             };
             let (mut step, _) = trail.earliest().expect("a trail holds an arrival");
@@ -116,7 +112,7 @@ proptest! {
             seen[start] = true;
             let mut hops = 0u32;
             loop {
-                let here = trails[at.index()].at_epoch(ORIGIN, 0).expect("routes stay on the trail");
+                let here = trails[at.index()].as_ref().expect("routes stay on the trail");
                 match here.reverse_route() {
                     ReverseRoute::AtOrigin => {
                         prop_assert_eq!(at.index(), origin, "only the origin answers AtOrigin");
@@ -129,7 +125,7 @@ proptest! {
                         prop_assert!(!seen[at.index()], "route from {} revisits {}", start, at.index());
                         seen[at.index()] = true;
                         let next = trails[at.index()]
-                            .at_epoch(ORIGIN, 0)
+                            .as_ref()
                             .and_then(|t| t.earliest())
                             .map(|(s, _)| s);
                         prop_assert!(next.is_some_and(|s| s < step),
