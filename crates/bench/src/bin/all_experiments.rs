@@ -1,6 +1,7 @@
-//! Runs every experiment of DESIGN.md §7 in sequence, printing each
-//! table and writing CSVs under `results/`. Pass `--quick` for the
-//! reduced sweeps used in smoke tests.
+//! Runs every experiment (E1–E14; each `experiments/` module states
+//! its claim) in sequence, printing each table and writing CSVs under
+//! `results/`. Pass `--quick` for the reduced sweeps used in smoke
+//! tests.
 //!
 //! Batch controls:
 //!

@@ -1,5 +1,6 @@
-//! Regenerates the e10_families experiment table (see DESIGN.md §7).
-//! Pass `--quick` for a reduced sweep.
+//! Regenerates the e10_families experiment table; the claim it tests is
+//! stated in `experiments/e10_families.rs`. Pass `--quick` for a
+//! reduced sweep.
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");

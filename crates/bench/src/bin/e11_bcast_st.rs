@@ -1,5 +1,6 @@
-//! Regenerates the e11_bcast_st experiment table (see DESIGN.md §7).
-//! Pass `--quick` for a reduced sweep.
+//! Regenerates the e11_bcast_st experiment table; the claim it tests is
+//! stated in `experiments/e11_bcast_st.rs`. Pass `--quick` for a
+//! reduced sweep.
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");

@@ -1,5 +1,6 @@
-//! Regenerates the e12_known_tmix experiment table (see DESIGN.md §7).
-//! Pass `--quick` for a reduced sweep.
+//! Regenerates the e12_known_tmix experiment table; the claim it tests
+//! is stated in `experiments/e12_known_tmix.rs`. Pass `--quick` for a
+//! reduced sweep.
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");

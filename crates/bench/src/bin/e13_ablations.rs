@@ -1,5 +1,6 @@
-//! Regenerates the e13_ablations experiment tables (see DESIGN.md §7).
-//! Pass `--quick` for a reduced sweep.
+//! Regenerates the e13_ablations experiment tables; the study it runs
+//! is described in `experiments/e13_ablations.rs`. Pass `--quick` for a
+//! reduced sweep.
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");

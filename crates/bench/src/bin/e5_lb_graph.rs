@@ -1,5 +1,6 @@
-//! Regenerates the e5_lb_graph experiment table (see DESIGN.md §7).
-//! Pass `--quick` for a reduced sweep.
+//! Regenerates the e5_lb_graph experiment table; the claim it tests is
+//! stated in `experiments/e5_lb_graph.rs`. Pass `--quick` for a reduced
+//! sweep.
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");

@@ -1,5 +1,6 @@
-//! Regenerates the e7_sandwich experiment table (see DESIGN.md §7).
-//! Pass `--quick` for a reduced sweep.
+//! Regenerates the e7_sandwich experiment table; the claim it tests is
+//! stated in `experiments/e7_sandwich.rs`. Pass `--quick` for a reduced
+//! sweep.
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");

@@ -1,6 +1,7 @@
-//! **E13 — ablations of the design constants** (not a paper table; the
-//! design-choice study DESIGN.md calls for). Sweeps the three constants
-//! the algorithm exposes and reports their cost/reliability trade-offs:
+//! **E13 — ablations of the design constants** (not a paper table; a
+//! study of this implementation's design choices). Sweeps the three
+//! constants the algorithm exposes and reports their cost/reliability
+//! trade-offs:
 //!
 //! * `c1` (contender density): too low ⇒ zero-leader tails (the
 //!   intersection threshold cannot be met); higher ⇒ more traffic.

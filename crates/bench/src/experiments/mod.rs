@@ -1,6 +1,6 @@
-//! One module per experiment of DESIGN.md §7. Each exposes
-//! `run(quick: bool) -> Vec<Table>`; `quick` shrinks sweeps for smoke
-//! tests and CI.
+//! One module per experiment, E1–E14. Each module's docs state the
+//! paper claim it tests, and each exposes `run(quick: bool) ->
+//! Vec<Table>`; `quick` shrinks sweeps for smoke tests and CI.
 
 pub mod e1_upper_bound;
 pub mod e2_contenders;

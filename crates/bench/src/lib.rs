@@ -2,9 +2,9 @@
 //! benches: plain-text/CSV tables, growth-rate fitting, and the standard
 //! workload graphs.
 //!
-//! Every quantitative claim of the paper maps to one binary (see
-//! DESIGN.md §7); run them all with
-//! `cargo run --release -p welle-bench --bin all_experiments`.
+//! Every quantitative claim of the paper maps to one binary, whose
+//! experiment module under [`experiments`] states the claim; run them
+//! all with `cargo run --release -p welle-bench --bin all_experiments`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

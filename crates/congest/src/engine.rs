@@ -1503,7 +1503,13 @@ mod tests {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             e.run(10);
         }));
-        assert!(result.is_err());
+        let payload = result.expect_err("oversized message must panic");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default();
+        assert!(msg.contains("CONGEST budget"), "panic message: {msg:?}");
     }
 
     #[test]
@@ -1558,6 +1564,15 @@ mod tests {
         let out = e.run(2);
         assert!(matches!(out, RunOutcome::RoundLimit { .. }));
         assert_eq!(e.round(), 2);
+        // Resuming the cut run lands where one uninterrupted run does.
+        let resumed = e.run(10_000);
+        let mut whole = flood_engine(64, 5);
+        assert_eq!(whole.run(10_000), resumed);
+        assert_eq!(whole.round(), e.round());
+        assert_eq!(whole.metrics().messages, e.metrics().messages);
+        for (a, b) in whole.nodes().iter().zip(e.nodes()) {
+            assert_eq!(a.best(), b.best());
+        }
     }
 
     #[test]

@@ -21,9 +21,12 @@ use crate::latency::LatencyModel;
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub enum Exec {
     /// Pick for me: the serial event-driven engine, unless the network
-    /// is large (`n ≥ 10⁴`) *and* dense enough to keep every shard busy
-    /// (average degree ≥ 3) *and* the host actually has spare cores —
-    /// then the engine on one worker thread per core (capped at 8).
+    /// is large (`n ≥ 2·10⁴`) *and* dense enough to keep every shard
+    /// busy (average degree ≥ 3) *and* the host actually has spare cores
+    /// — then the engine on one worker thread per core (capped at 8).
+    /// On a 2-core host two threads won most pairs at `n = 2·10⁴`, 10⁵
+    /// and 10⁶ and lost every pair at `n = 10⁴` (`BENCH_NOTES.md`, "The
+    /// sharded loop's gate").
     #[default]
     Auto,
     /// The serial event-driven [`crate::Engine`]: skips idle nodes, best for
@@ -61,7 +64,7 @@ impl Exec {
                 } else {
                     2.0 * graph.m() as f64 / n as f64
                 };
-                if cores >= 2 && n >= 10_000 && avg_deg >= 3.0 {
+                if cores >= 2 && n >= 20_000 && avg_deg >= 3.0 {
                     Exec::Threaded(cores.min(8))
                 } else {
                     Exec::Serial

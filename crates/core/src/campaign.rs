@@ -1183,11 +1183,14 @@ mod tests {
         // otherwise qualify for sharding, Auto must still pick Serial.
         use rand::{rngs::StdRng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(1);
-        let big = Arc::new(welle_graph::gen::random_regular(10_000, 4, &mut rng).unwrap());
+        let big = Arc::new(welle_graph::gen::random_regular(20_000, 4, &mut rng).unwrap());
         assert!(matches!(
             Exec::Auto.resolve_with(&big, 8),
             Exec::Threaded(_)
         ));
+        // Two threads lost to one at n = 10⁴, so Auto stays serial below 2·10⁴.
+        let below = welle_graph::gen::random_regular(19_998, 4, &mut rng).unwrap();
+        assert_eq!(Exec::Auto.resolve_with(&below, 8), Exec::Serial);
         assert_eq!(Exec::Auto.resolve_with(&big, 1), Exec::Serial);
         assert_eq!(plan_for(Exec::Auto, &big, 1).unwrap(), ExecPlan::Serial);
         // Explicit Threaded(k) stays honored even inside a pool.

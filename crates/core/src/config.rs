@@ -18,7 +18,14 @@ pub enum MsgSizeMode {
     Large,
 }
 
-/// How segment boundaries are realized (Fidelity note 6 of DESIGN.md).
+/// How segment boundaries are realized. Every epoch of Algorithm 1 is
+/// five segments in a fixed order (walk, R1, R2, R3, wait; see
+/// [`Phase`]), and the paper times them on a round clock all nodes
+/// share. `FixedT` simulates that clock: each segment owns a budget of
+/// rounds whether or not it needs them. `Adaptive` ends a segment when
+/// the network falls quiescent (nothing in flight, no wake-up pending),
+/// and the election's runner then broadcasts the advance signal that
+/// opens the next one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum SyncMode {
     /// Paper-faithful fixed budgets: epoch `e` reserves
@@ -241,12 +248,13 @@ impl Params {
         cfg.validate(n)?;
         let ln_n = (n as f64).ln().max(1.0);
         let contender_prob = (cfg.c1 * ln_n / n as f64).min(1.0);
-        // Small-n regularization (documented in DESIGN.md §3): the paper's
-        // asymptotic regime has √n·log n = o(n); below n ≈ (c2/0.45)²·ln²n
-        // the unclamped budget would exceed n·ln 2 walks, at which point
-        // the Distinctness Property (≥ K/2 *distinct* endpoints among n
+        // Small-n regularization: the paper's asymptotic regime has
+        // √n·log n = o(n); below n ≈ (c2/0.45)²·ln²n the unclamped
+        // budget would exceed n·ln 2 walks, at which point the
+        // Distinctness Property (≥ K/2 *distinct* endpoints among n
         // bins) cannot hold for any walk length. Clamping K at 0.45·n
-        // keeps the property satisfiable without touching the asymptotics.
+        // keeps the property satisfiable without touching the
+        // asymptotics.
         let unclamped = (cfg.c2 * (n as f64).sqrt() * ln_n).ceil().max(1.0);
         let walks_per_contender = unclamped.min((0.45 * n as f64).ceil().max(1.0)) as u32;
         let tau_intersection = ((0.75 * cfg.c1 * ln_n).floor() as usize).max(1);
