@@ -15,7 +15,7 @@ use crate::latency::{round_end_tick, LatencyError, LatencyModel, LatencyState, T
 use crate::message::Payload;
 use crate::metrics::{Metrics, NoopObserver, TransmitEvent, TransmitObserver};
 use crate::protocol::{Context, Protocol, Signal};
-use crate::queues::{DirBatch, EdgeQueues, SHRINK_FLOOR, SHRINK_RATIO};
+use crate::queues::{DirBatch, EdgeQueues};
 use crate::telemetry::{RoundFlow, SpanStage, TelemetryConfig, TelemetryReport, TelemetryState};
 
 /// Engine-wide configuration.
@@ -306,10 +306,10 @@ impl<P: Protocol> Engine<P> {
     /// Resets this engine in place to exactly the state
     /// [`Engine::from_fn`]`(graph, cfg, make)` would construct, but
     /// reusing every arena the previous run grew — node and RNG vectors,
-    /// per-node inboxes, the edge-queue slot pool, the delivery and
-    /// send batches. The graph may differ from the previous run's (vectors
-    /// resize as needed), which is what lets a batch scheduler keep one
-    /// engine per worker across thousands of trials. Fault, latency and
+    /// per-node inboxes, the edge-queue slot pool, the send batch. The
+    /// graph may differ from the previous run's (vectors resize as
+    /// needed), which is what lets a batch scheduler keep one engine per
+    /// worker across thousands of trials. Fault, latency and
     /// telemetry layers are removed.
     ///
     /// Reuse also *shrinks*: a message arena whose capacity exceeds a
@@ -344,12 +344,11 @@ impl<P: Protocol> Engine<P> {
     }
 
     /// Total slots the engine's reusable message buffers can hold
-    /// without re-allocating: the edge-queue arena plus the delivery and
-    /// send batches. Diagnostic only — pooling tests assert that
-    /// [`Engine::reset_with`] preserves it.
+    /// without re-allocating: the edge-queue arena plus the send batch.
+    /// Diagnostic only — pooling tests assert that [`Engine::reset_with`]
+    /// preserves it.
     pub fn arena_capacity(&self) -> usize {
-        let w = &self.wire;
-        w.queues.arena_capacity() + w.deliveries.capacity() + self.shard.outbox.capacity()
+        self.wire.queues.arena_capacity() + self.shard.outbox.capacity()
     }
 
     /// High-water mark of simultaneously queued messages since the last
@@ -389,17 +388,6 @@ impl<P: Protocol> Engine<P> {
         (self.shard.outbox.len() as u64)
             .saturating_add(w.queues.in_flight())
             .saturating_add(w.latency.as_ref().map_or(0, |l| l.parked() as u64))
-    }
-
-    /// Caps the transmission scratch: each round's backlog is pumped
-    /// through a recycled batch of at most `limit` slots (clamped to
-    /// ≥ 1) instead of materializing one entry per active edge. Every
-    /// setting yields bit-identical executions — the bounded-arena
-    /// differential suite asserts as much — so this knob only trades
-    /// peak scratch memory against per-chunk loop overhead. Default:
-    /// 4096 slots.
-    pub fn set_transmit_chunk(&mut self, limit: usize) {
-        self.wire.chunk_limit = limit.max(1);
     }
 
     /// Immutable view of the protocol instances.
@@ -728,7 +716,7 @@ impl<P: Protocol> Shard<P> {
         self.done_flags.clear();
         self.done_flags.resize(n, false);
         self.done_count = 0;
-        recycle(&mut self.outbox, directed_edges);
+        self.outbox.recycle(directed_edges);
         self.ran = false;
         self.calls = 0;
         self.sent_log.clear();
@@ -947,24 +935,6 @@ impl<P: Protocol> Shard<P> {
     }
 }
 
-/// Empties `batch` for reuse on a graph of `directed_edges`, releasing
-/// its memory when it is far oversized for that graph (see
-/// [`Engine::reset_with`]).
-fn recycle<M>(batch: &mut DirBatch<M>, directed_edges: usize) {
-    let limit = SHRINK_RATIO.saturating_mul(directed_edges).max(SHRINK_FLOOR);
-    if batch.capacity() > limit {
-        batch.release();
-    } else {
-        batch.clear();
-    }
-}
-
-/// Default bound on the per-chunk transmission scratch, in slots (see
-/// [`Engine::set_transmit_chunk`]): large enough that the chunk-loop
-/// bookkeeping amortizes to nothing, small enough that a round with two
-/// million active edges flows through kilobytes of scratch.
-pub(crate) const TRANSMIT_CHUNK: usize = 4096;
-
 /// Everything between a shard's outbox and an inbox: the per-edge
 /// backlog, the CONGEST one-message-per-directed-edge stamps, and the
 /// optional fault and latency layers. The engine owns one, and both run
@@ -977,13 +947,6 @@ pub(crate) struct Wire<M> {
     /// Round at which each directed edge last carried a message; the
     /// CONGEST one-per-round discipline without per-edge clearing.
     last_carried: Vec<u64>,
-    /// Reused transmission scratch: each round the edge backlog is
-    /// pumped through this batch in chunks of at most `chunk_limit`
-    /// entries (see [`Engine::set_transmit_chunk`]), so its size is
-    /// bounded by the chunk, not by the number of active edges.
-    deliveries: DirBatch<M>,
-    /// Bound on the per-chunk transmission scratch (slots).
-    chunk_limit: usize,
     /// Installed adversarial network conditions, if any.
     faults: Option<Arc<CompiledFaults>>,
     /// Installed latency layer, if any: the one `(due tick, seq)` heap
@@ -996,19 +959,15 @@ impl<M: Payload> Wire<M> {
         Wire {
             queues: EdgeQueues::new(directed_edges),
             last_carried: vec![u64::MAX; directed_edges],
-            deliveries: DirBatch::new(),
-            chunk_limit: TRANSMIT_CHUNK,
             faults: None,
             latency: None,
         }
     }
 
     /// [`Engine::reset_with`]'s half for the wire: empty, without
-    /// layers, and shedding scratch far oversized for the new graph.
+    /// layers, and shedding an arena far oversized for the new graph.
     fn reset(&mut self, directed_edges: usize) {
         self.queues.reset(directed_edges);
-        recycle(&mut self.deliveries, directed_edges);
-        self.chunk_limit = TRANSMIT_CHUNK;
         self.last_carried.clear();
         self.last_carried.resize(directed_edges, u64::MAX);
         self.faults = None;
@@ -1018,12 +977,11 @@ impl<M: Payload> Wire<M> {
     /// The transmission phase of `round`, written once for both run
     /// loops: one message per active directed edge. Messages parked
     /// on the latency heap and due by the round's end arrive first, then
-    /// backlogged edges deliver their queue head (pumped in bounded
-    /// chunks through the recycled scratch), then the sends of each
-    /// batch of `fresh` in order — one shard outbox per batch — either
-    /// cross directly (edge idle this round — the common,
-    /// allocation-free case) or join the backlog. The crossing policy is chosen here,
-    /// once per round. Returns the round's flow and whether anything was
+    /// each backlogged edge's queue head crosses as it pops, then the
+    /// sends of each batch of `fresh` in order — one shard outbox per
+    /// batch — either cross directly (edge idle this round — the common,
+    /// allocation-free case) or join the backlog. The crossing policy is
+    /// chosen here, once per round. Returns the round's flow and whether anything was
     /// in transit.
     pub(crate) fn transmit<O: TransmitObserver + ?Sized>(
         &mut self,
@@ -1046,9 +1004,7 @@ impl<M: Payload> Wire<M> {
             (Some(_), Some(t)) => t.begin(SpanStage::FaultFilter),
             _ => None,
         };
-        let mut scratch = std::mem::take(&mut self.deliveries);
         let batches = fresh.iter_mut();
-        let chunk = self.chunk_limit;
         let (queues, carried) = (&mut self.queues, &mut self.last_carried[..]);
         let flow = match self.latency.as_deref_mut() {
             // Decided once per round, so each per-message loop below is
@@ -1056,17 +1012,16 @@ impl<M: Payload> Wire<M> {
             // the unfaulted hot path.
             None => match faults {
                 None => {
-                    let tx = Transmitter::new(graph, queues, carried, round, Plain);
-                    tx.run(&mut scratch, chunk, batches, obs, sink)
+                    let tx = Transmitter::new(graph, carried, round, Plain);
+                    tx.run(queues, batches, obs, sink)
                 }
                 Some(c) => {
-                    let tx = Transmitter::new(graph, queues, carried, round, Faulted(c));
-                    tx.run(&mut scratch, chunk, batches, obs, sink)
+                    let tx = Transmitter::new(graph, carried, round, Faulted(c));
+                    tx.run(queues, batches, obs, sink)
                 }
             },
             Some(lat) => {
-                let mut tx =
-                    Transmitter::new(graph, queues, carried, round, Latent { lat, faults });
+                let mut tx = Transmitter::new(graph, carried, round, Latent { lat, faults });
                 let t_lh = tel
                     .as_deref_mut()
                     .and_then(|t| t.begin(SpanStage::LatencyHeap));
@@ -1076,10 +1031,9 @@ impl<M: Payload> Wire<M> {
                     // own crossings.
                     t.end(SpanStage::LatencyHeap, t_lh, tx.delivered_msgs);
                 }
-                tx.run(&mut scratch, chunk, batches, obs, sink)
+                tx.run(queues, batches, obs, sink)
             }
         };
-        self.deliveries = scratch;
         if let Some(t) = tel {
             if faults.is_some() {
                 // Events: every crossing the filter inspected.
@@ -1187,12 +1141,11 @@ impl<M> Crossing<M> for Latent<'_, M> {
 
 /// One round's transmission discipline: the CONGEST
 /// one-message-per-directed-edge rule (`last_carried` round stamps), the
-/// backlog arena, the crossing policy `X`, and per-message
-/// metrics/observer events. Delivery — which shard's inbox receives the
-/// message — is injected as the `sink` argument.
-struct Transmitter<'a, M, X> {
+/// crossing policy `X`, and per-message metrics/observer events. The
+/// backlog arena and delivery — which shard's inbox receives the
+/// message, the `sink` — are passed in.
+struct Transmitter<'a, X> {
     graph: &'a Graph,
-    queues: &'a mut EdgeQueues<M>,
     last_carried: &'a mut [u64],
     round: u64,
     crossing: X,
@@ -1202,17 +1155,10 @@ struct Transmitter<'a, M, X> {
     max_backlog_seen: u64,
 }
 
-impl<'a, M: Payload, X: Crossing<M>> Transmitter<'a, M, X> {
-    fn new(
-        graph: &'a Graph,
-        queues: &'a mut EdgeQueues<M>,
-        last_carried: &'a mut [u64],
-        round: u64,
-        crossing: X,
-    ) -> Self {
+impl<'a, X> Transmitter<'a, X> {
+    fn new(graph: &'a Graph, last_carried: &'a mut [u64], round: u64, crossing: X) -> Self {
         Transmitter {
             graph,
-            queues,
             last_carried,
             round,
             crossing,
@@ -1223,23 +1169,26 @@ impl<'a, M: Payload, X: Crossing<M>> Transmitter<'a, M, X> {
         }
     }
 
-    /// The round's crossings: the whole backlog, then every fresh send
-    /// batch in order. Returns the round's flow.
-    fn run<'b, O: TransmitObserver + ?Sized>(
+    /// The round's crossings: one head per backlogged edge, crossing as
+    /// it pops — entitled to this round by construction — then every
+    /// fresh send batch in order. Returns the round's flow.
+    fn run<'b, M: Payload + 'b, O: TransmitObserver + ?Sized>(
         mut self,
-        scratch: &mut DirBatch<M>,
-        limit: usize,
+        queues: &mut EdgeQueues<M>,
         fresh: impl Iterator<Item = &'b mut DirBatch<M>>,
         obs: &mut O,
         sink: &mut impl FnMut(NodeId, Port, M),
     ) -> RoundFlow
     where
-        M: 'b,
+        X: Crossing<M>,
     {
-        self.pump_backlog(scratch, limit, obs, sink);
+        queues.pop_heads(|dir, msg| {
+            self.last_carried[dir as usize] = self.round;
+            self.cross(dir as usize, msg, obs, sink);
+        });
         for batch in fresh {
             for (dir, msg) in batch.drain() {
-                self.offer(dir as usize, msg, obs, sink);
+                self.offer(queues, dir as usize, msg, obs, sink);
             }
         }
         RoundFlow {
@@ -1250,58 +1199,23 @@ impl<'a, M: Payload, X: Crossing<M>> Transmitter<'a, M, X> {
         }
     }
 
-    /// Pumps this round's whole backlog — one head per active directed
-    /// edge, in active-list order — through `scratch` in chunks of at
-    /// most `limit` entries, delivering each chunk before popping the
-    /// next. Pool slots recycle chunk by chunk, so the round's peak
-    /// scratch is `min(limit, active edges)` regardless of congestion.
-    fn pump_backlog<O: TransmitObserver + ?Sized>(
-        &mut self,
-        scratch: &mut DirBatch<M>,
-        limit: usize,
-        obs: &mut O,
-        sink: &mut impl FnMut(NodeId, Port, M),
-    ) {
-        loop {
-            scratch.clear();
-            let more = self.queues.transmit_chunk(scratch, limit);
-            for (dir, msg) in scratch.drain() {
-                self.deliver_head(dir as usize, msg, obs, sink);
-            }
-            if !more {
-                break;
-            }
-        }
-    }
-
-    /// Crosses the head of a backlogged edge — it is entitled to this
-    /// round by construction (one pop per active edge).
-    #[inline]
-    fn deliver_head<O: TransmitObserver + ?Sized>(
-        &mut self,
-        dir: usize,
-        msg: M,
-        obs: &mut O,
-        sink: &mut impl FnMut(NodeId, Port, M),
-    ) {
-        self.last_carried[dir] = self.round;
-        self.cross(dir, msg, obs, sink);
-    }
-
     /// Offers a fresh send: crosses directly when the edge is idle this
     /// round, otherwise joins the backlog (FIFO). Joining the backlog
     /// defers the crossing policy's decision to the round the message
     /// actually crosses.
     #[inline]
-    fn offer<O: TransmitObserver + ?Sized>(
+    fn offer<M: Payload, O: TransmitObserver + ?Sized>(
         &mut self,
+        queues: &mut EdgeQueues<M>,
         dir: usize,
         msg: M,
         obs: &mut O,
         sink: &mut impl FnMut(NodeId, Port, M),
-    ) {
+    ) where
+        X: Crossing<M>,
+    {
         if self.last_carried[dir] == self.round {
-            let len = self.queues.push_dir(dir, msg);
+            let len = queues.push_dir(dir, msg);
             // `+ 1` counts the message that already crossed this round.
             self.max_backlog_seen = self.max_backlog_seen.max(len + 1);
         } else {
@@ -1313,13 +1227,15 @@ impl<'a, M: Payload, X: Crossing<M>> Transmitter<'a, M, X> {
     /// One message crossing directed edge `dir` this round, under the
     /// round's policy.
     #[inline]
-    fn cross<O: TransmitObserver + ?Sized>(
+    fn cross<M: Payload, O: TransmitObserver + ?Sized>(
         &mut self,
         dir: usize,
         msg: M,
         obs: &mut O,
         sink: &mut impl FnMut(NodeId, Port, M),
-    ) {
+    ) where
+        X: Crossing<M>,
+    {
         let (graph, round) = (self.graph, self.round);
         let crossing = &mut self.crossing;
         if let Some(msg) = crossing.cross(graph, round, dir, msg, &mut self.dropped_msgs) {
@@ -1328,7 +1244,7 @@ impl<'a, M: Payload, X: Crossing<M>> Transmitter<'a, M, X> {
     }
 
     #[inline]
-    fn deliver<O: TransmitObserver + ?Sized>(
+    fn deliver<M: Payload, O: TransmitObserver + ?Sized>(
         &mut self,
         dir: usize,
         msg: M,
@@ -1352,7 +1268,7 @@ impl<'a, M: Payload, X: Crossing<M>> Transmitter<'a, M, X> {
     }
 }
 
-impl<M: Payload> Transmitter<'_, M, Latent<'_, M>> {
+impl<M: Payload> Transmitter<'_, Latent<'_, M>> {
     /// Releases every parked message due by this round's boundary, in
     /// `(due tick, park order)` order. Arrivals at nodes that crashed in
     /// the meantime are discarded (the destination is gone).

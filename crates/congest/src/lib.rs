@@ -61,7 +61,6 @@ mod protocol;
 mod queues;
 mod telemetry;
 mod threaded;
-mod trace;
 
 pub mod testing;
 
@@ -91,4 +90,3 @@ pub use telemetry::{
     PhaseTotals, Retention, RoundSample, SpanStage, SpanStats, TelemetryConfig, TelemetryReport,
     SPAN_STAGES,
 };
-pub use trace::Trace;

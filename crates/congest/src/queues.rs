@@ -19,12 +19,11 @@
 //!   slot costs exactly `size_of::<M>() + 4` bytes and the transmit
 //!   scan walks densely packed data. (This is why [`Payload`] requires
 //!   `Default`.)
-//! * **Bounded per-round batches.** [`EdgeQueues::transmit_chunk`]
-//!   pops queue heads through a caller-owned [`DirBatch`] scratch of
-//!   bounded size instead of materializing the whole round: a round
-//!   with two million active edges flows through a few thousand
-//!   recycled scratch slots, with pool slots freed as each chunk is
-//!   handed out.
+//! * **One pass per round, no batch.** [`EdgeQueues::pop_heads`] hands
+//!   each backed-up edge's head straight to the caller's crossing as it
+//!   pops it, with its pool slot already freed: a round with two
+//!   million active edges materializes nothing, and popped slots
+//!   recycle within the round.
 //!
 //! [`Payload`]: crate::message::Payload
 
@@ -81,12 +80,15 @@ impl<M> DirBatch<M> {
         self.dirs.drain(..).zip(self.msgs.drain(..))
     }
 
-    /// Drops the backing arrays entirely (see
-    /// [`EdgeQueues::shrink_for`] for when oversized buffers are let
-    /// go).
-    pub(crate) fn release(&mut self) {
-        self.dirs = Vec::new();
-        self.msgs = Vec::new();
+    /// Empties the batch for reuse on a graph of `directed_edges`,
+    /// dropping its backing arrays instead when they are oversized for
+    /// that graph, by the rule [`EdgeQueues::shrink_for`] applies.
+    pub(crate) fn recycle(&mut self, directed_edges: usize) {
+        if self.capacity() > shrink_limit(directed_edges) {
+            *self = DirBatch::new();
+        } else {
+            self.clear();
+        }
     }
 }
 
@@ -94,7 +96,7 @@ impl<M> DirBatch<M> {
 ///
 /// All operations are keyed by the directed index directly; callers
 /// resolve `(node, port)` to an index once per send, and
-/// [`EdgeQueues::transmit_chunk`] hands indices back so delivery never
+/// [`EdgeQueues::pop_heads`] hands indices back so delivery never
 /// recomputes them.
 #[derive(Debug)]
 pub(crate) struct EdgeQueues<M> {
@@ -111,12 +113,6 @@ pub(crate) struct EdgeQueues<M> {
     free: u32,
     /// Directed edges with at least one queued message, by index.
     active: Vec<u32>,
-    /// Scan cursor of an in-progress transmit pass over `active`
-    /// (0 between rounds).
-    scan: usize,
-    /// Compaction cursor of an in-progress transmit pass (entries
-    /// `active[..kept]` are still backed up after their head popped).
-    kept: usize,
     total_queued: u64,
     backlog: Vec<u32>,
 }
@@ -130,8 +126,6 @@ impl<M: Default> EdgeQueues<M> {
             next: Vec::new(),
             free: NIL,
             active: Vec::new(),
-            scan: 0,
-            kept: 0,
             total_queued: 0,
             backlog: vec![0; directed_edges],
         }
@@ -140,10 +134,6 @@ impl<M: Default> EdgeQueues<M> {
     /// Queues a message on the directed edge with index `dir`, returning
     /// the edge's queue length after the push (for backlog metrics).
     pub(crate) fn push_dir(&mut self, dir: usize, msg: M) -> u64 {
-        debug_assert!(
-            self.scan == 0 && self.kept == 0,
-            "push during an in-progress transmit pass would corrupt the active list"
-        );
         let slot = if self.free != NIL {
             let s = self.free;
             self.free = self.next[s as usize];
@@ -200,8 +190,6 @@ impl<M: Default> EdgeQueues<M> {
             self.free = crate::idx32(i);
         }
         self.active.clear();
-        self.scan = 0;
-        self.kept = 0;
         self.total_queued = 0;
         self.backlog.clear();
         self.backlog.resize(directed_edges, 0);
@@ -215,10 +203,7 @@ impl<M: Default> EdgeQueues<M> {
     /// keeping small-graph churn tests allocation-stable); anything
     /// under that is kept, so same-scale reuse stays warm.
     fn shrink_for(&mut self, directed_edges: usize) {
-        let limit = SHRINK_RATIO
-            .saturating_mul(directed_edges)
-            .max(SHRINK_FLOOR);
-        if self.pool.capacity() > limit {
+        if self.pool.capacity() > shrink_limit(directed_edges) {
             self.pool = Vec::new();
             self.next = Vec::new();
             self.active = Vec::new();
@@ -239,25 +224,15 @@ impl<M: Default> EdgeQueues<M> {
         self.pool.len()
     }
 
-    /// Transmits one message per active directed edge, appending
-    /// `(directed_index, msg)` entries to `out` in active-list order —
-    /// at most `limit` per call. Returns `true` while edges of this
-    /// round's pass remain, `false` once the pass is complete (the
-    /// active list is then compacted for the next round).
-    ///
-    /// The engines drain each chunk into inboxes before pulling the
-    /// next, so a round's peak scratch is `min(limit, active edges)`
-    /// slots instead of one slot per active edge, and popped pool slots
-    /// recycle within the round. Between completed passes the cursor
-    /// state is zero; interleaving [`EdgeQueues::push_dir`] with an
-    /// unfinished pass is a bug (debug-asserted there), which the
-    /// engines respect by fully draining the backlog before offering
-    /// fresh sends.
-    pub(crate) fn transmit_chunk(&mut self, out: &mut DirBatch<M>, limit: usize) -> bool {
-        let end = self.active.len().min(self.scan.saturating_add(limit));
-        while self.scan < end {
-            let dir = self.active[self.scan];
-            self.scan += 1;
+    /// One round's pass over the backlog: pops the head of every active
+    /// directed edge, in active-list order, and hands it to
+    /// `f(directed_index, msg)` as it goes. The head's slot is back on
+    /// the free list before `f` sees its message, and an edge still
+    /// backed up keeps its place in the active list for the next round.
+    pub(crate) fn pop_heads(&mut self, mut f: impl FnMut(u32, M)) {
+        let mut kept = 0;
+        for scan in 0..self.active.len() {
+            let dir = self.active[scan];
             let d = dir as usize;
             let slot = self.head[d];
             debug_assert!(slot != NIL, "active directed edge has a queued message");
@@ -267,50 +242,46 @@ impl<M: Default> EdgeQueues<M> {
                 self.tail[d] = NIL;
             } else {
                 // Still backed up: stays in the active list.
-                self.active[self.kept] = dir;
-                self.kept += 1;
+                self.active[kept] = dir;
+                kept += 1;
             }
             self.next[slot as usize] = self.free;
             self.free = slot;
             self.total_queued -= 1;
             self.backlog[d] -= 1;
-            out.push(dir, msg);
+            f(dir, msg);
         }
-        if self.scan < self.active.len() {
-            return true;
-        }
-        self.active.truncate(self.kept);
-        self.scan = 0;
-        self.kept = 0;
-        false
-    }
-
-    /// Completes a whole transmit pass into `out` in one call (tests and
-    /// single-batch callers).
-    #[cfg(test)]
-    pub(crate) fn transmit_into(&mut self, out: &mut DirBatch<M>) {
-        let more = self.transmit_chunk(out, usize::MAX);
-        debug_assert!(!more, "an unlimited chunk completes the pass");
+        self.active.truncate(kept);
     }
 }
 
 /// Reset keeps an arena only while its capacity is at most this many
 /// times the target graph's directed-edge count (see
 /// [`EdgeQueues::shrink_for`]).
-pub(crate) const SHRINK_RATIO: usize = 8;
+const SHRINK_RATIO: usize = 8;
 
 /// Arenas below this slot count are never shrunk: releasing kilobytes
 /// buys nothing and would defeat the warm-reuse guarantee on small
 /// graphs.
-pub(crate) const SHRINK_FLOOR: usize = 1 << 13;
+const SHRINK_FLOOR: usize = 1 << 13;
+
+/// The capacity past which a reset for `directed_edges` releases a
+/// buffer rather than keep it.
+fn shrink_limit(directed_edges: usize) -> usize {
+    SHRINK_RATIO.saturating_mul(directed_edges).max(SHRINK_FLOOR)
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
     use welle_graph::{gen, NodeId, Port};
 
-    fn drained(seen: &mut DirBatch<u64>) -> Vec<(u32, u64)> {
-        seen.drain().collect()
+    /// One round's pass over the backlog, collected in pop order.
+    fn pass(q: &mut EdgeQueues<u64>) -> Vec<(u32, u64)> {
+        let mut out = Vec::new();
+        q.pop_heads(|dir, msg| out.push((dir, msg)));
+        out
     }
 
     #[test]
@@ -323,18 +294,14 @@ mod tests {
         assert_eq!(q.push_dir(dir, 3), 3);
         assert_eq!(q.in_flight(), 3);
 
-        let mut seen = DirBatch::new();
-        q.transmit_into(&mut seen);
-        assert_eq!(drained(&mut seen), vec![(dir as u32, 1)]);
-        q.transmit_into(&mut seen);
-        q.transmit_into(&mut seen);
-        let msgs: Vec<u64> = drained(&mut seen).iter().map(|&(_, m)| m).collect();
+        assert_eq!(pass(&mut q), vec![(dir as u32, 1)]);
+        let mut msgs: Vec<u64> = pass(&mut q).iter().map(|&(_, m)| m).collect();
+        msgs.extend(pass(&mut q).iter().map(|&(_, m)| m));
         assert_eq!(msgs, vec![2, 3]);
         assert_eq!(q.in_flight(), 0);
 
-        // Idle transmit is a no-op.
-        q.transmit_into(&mut seen);
-        assert!(seen.is_empty());
+        // An idle pass is a no-op.
+        assert!(pass(&mut q).is_empty());
     }
 
     #[test]
@@ -345,9 +312,7 @@ mod tests {
         for port in 0..3 {
             q.push_dir(g.directed_index(hub, Port::new(port)), port as u64);
         }
-        let mut seen = DirBatch::new();
-        q.transmit_into(&mut seen);
-        let mut msgs: Vec<u64> = drained(&mut seen).iter().map(|&(_, m)| m).collect();
+        let mut msgs: Vec<u64> = pass(&mut q).iter().map(|&(_, m)| m).collect();
         msgs.sort_unstable();
         assert_eq!(msgs, vec![0, 1, 2]);
     }
@@ -358,9 +323,7 @@ mod tests {
         let mut q: EdgeQueues<u64> = EdgeQueues::new(g.directed_edge_count());
         q.push_dir(g.directed_index(NodeId::new(0), Port::new(0)), 10);
         q.push_dir(g.directed_index(NodeId::new(1), Port::new(0)), 20);
-        let mut seen = DirBatch::new();
-        q.transmit_into(&mut seen);
-        let mut got: Vec<(usize, u64)> = drained(&mut seen)
+        let mut got: Vec<(usize, u64)> = pass(&mut q)
             .iter()
             .map(|&(dir, m)| (g.directed_source(dir as usize).0.index(), m))
             .collect();
@@ -373,68 +336,82 @@ mod tests {
         let g = gen::path(2).unwrap();
         let mut q: EdgeQueues<u64> = EdgeQueues::new(g.directed_edge_count());
         let dir = g.directed_index(NodeId::new(0), Port::new(0));
-        let mut out = DirBatch::new();
         let mut total = 0usize;
         for round in 0..100u64 {
             q.push_dir(dir, round);
-            q.transmit_into(&mut out);
-            total += drained(&mut out).len();
+            total += pass(&mut q).len();
         }
         assert_eq!(total, 100);
         // Steady-state traffic of one in-flight message reuses one slot.
         assert_eq!(q.pool.len(), 1);
     }
 
-    #[test]
-    fn chunked_pass_matches_unbounded_pass() {
-        // The bounded-arena pump must hand out exactly the unbounded
-        // pass's sequence, at every chunk size, and leave the same
-        // queue state behind.
-        let g = gen::clique(6).unwrap();
-        let dirs: Vec<usize> = (0..g.directed_edge_count()).collect();
-        let fill = |q: &mut EdgeQueues<u64>| {
-            for (k, &dir) in dirs.iter().enumerate() {
-                // Mixed depths: some edges idle, some backed up.
-                for copy in 0..(k % 4) {
-                    q.push_dir(dir, (k * 10 + copy) as u64);
-                }
+    /// A naive model of the queues that shares no code with the arena:
+    /// one `VecDeque` per directed edge, and the busy edges in the order
+    /// they became busy.
+    struct Model {
+        fifo: Vec<VecDeque<u64>>,
+        busy: Vec<usize>,
+    }
+
+    impl Model {
+        fn push(&mut self, dir: usize, msg: u64) -> u64 {
+            if self.fifo[dir].is_empty() {
+                self.busy.push(dir);
             }
+            self.fifo[dir].push_back(msg);
+            self.fifo[dir].len() as u64
+        }
+
+        /// Pops every busy edge's head in order. An edge that empties
+        /// leaves the order, and rejoins at the back when it refills.
+        fn pass(&mut self) -> Vec<(u32, u64)> {
+            let mut heads = Vec::new();
+            for &dir in &self.busy {
+                heads.push((dir as u32, self.fifo[dir].pop_front().unwrap()));
+            }
+            let fifo = &self.fifo;
+            self.busy.retain(|&dir| !fifo[dir].is_empty());
+            heads
+        }
+
+        fn queued(&self) -> u64 {
+            self.fifo.iter().map(|f| f.len() as u64).sum()
+        }
+    }
+
+    #[test]
+    fn passes_match_a_deque_per_edge_model() {
+        let g = gen::clique(6).unwrap();
+        let edges = g.directed_edge_count();
+        let mut q: EdgeQueues<u64> = EdgeQueues::new(edges);
+        let mut model = Model {
+            fifo: vec![VecDeque::new(); edges],
+            busy: Vec::new(),
         };
-        let mut oracle: EdgeQueues<u64> = EdgeQueues::new(g.directed_edge_count());
-        fill(&mut oracle);
-        let mut want = Vec::new();
+        // Mixed depths: some edges idle, some backed up.
+        for dir in 0..edges {
+            for copy in 0..(dir % 4) {
+                let msg = (dir * 10 + copy) as u64;
+                assert_eq!(q.push_dir(dir, msg), model.push(dir, msg));
+            }
+        }
+        for round in 0..8u64 {
+            assert_eq!(pass(&mut q), model.pass(), "round {round}");
+            assert_eq!(q.in_flight(), model.queued(), "round {round}");
+            // A send between passes: an idle edge rejoins at the back.
+            let dir = (round as usize * 7) % edges;
+            let msg = 1_000 + round;
+            assert_eq!(q.push_dir(dir, msg), model.push(dir, msg));
+        }
         loop {
-            let mut out = DirBatch::new();
-            oracle.transmit_into(&mut out);
-            if out.is_empty() {
+            let want = model.pass();
+            assert_eq!(pass(&mut q), want);
+            if want.is_empty() {
                 break;
             }
-            want.push(drained(&mut out));
         }
-        for chunk in [1usize, 2, 3, 7, usize::MAX] {
-            let mut q: EdgeQueues<u64> = EdgeQueues::new(g.directed_edge_count());
-            fill(&mut q);
-            let mut got = Vec::new();
-            loop {
-                let mut round = Vec::new();
-                let mut scratch = DirBatch::new();
-                loop {
-                    scratch.clear();
-                    let more = q.transmit_chunk(&mut scratch, chunk);
-                    assert!(scratch.len() <= chunk, "scratch bounded by the chunk");
-                    round.extend(scratch.drain());
-                    if !more {
-                        break;
-                    }
-                }
-                if round.is_empty() {
-                    break;
-                }
-                got.push(round);
-            }
-            assert_eq!(got, want, "chunk = {chunk}");
-            assert_eq!(q.in_flight(), 0);
-        }
+        assert_eq!(q.in_flight(), 0);
     }
 
     #[test]
@@ -459,8 +436,6 @@ mod tests {
         assert_eq!(q.arena_capacity(), 0, "oversized arena released");
         // And the queue still works after the release.
         q.push_dir(dir, 7);
-        let mut out = DirBatch::new();
-        q.transmit_into(&mut out);
-        assert_eq!(drained(&mut out), vec![(dir as u32, 7)]);
+        assert_eq!(pass(&mut q), vec![(dir as u32, 7)]);
     }
 }

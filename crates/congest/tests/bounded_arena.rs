@@ -1,13 +1,13 @@
-//! Differential suite for the bounded-arena transmit pump.
+//! Differential suite for the bounded edge-queue arena.
 //!
-//! The engines drain each round's sends through a recycling slot arena
-//! in fixed-size chunks ([`Engine::set_transmit_chunk`]). The contract:
-//! the chunk limit bounds *memory*, never *behaviour* — at any setting,
-//! on any graph, seed, and fault plan, every thread count and latency
-//! layer replays the exact same transmission stream, metrics, and
-//! outcome as the unchunked run.
+//! Each round, the engine pops one head per backlogged edge out of a
+//! recycling slot arena and crosses it on the spot. The contract: on any
+//! graph, seed, and fault plan, the sharded run loop (1–3 workers) and
+//! the zero-latency layer replay the serial run's exact transmission
+//! stream, metrics, round, outcome and arena peak, and the arena never
+//! peaks above the traffic that entered it.
 //!
-//! This file is the CI fence for the bounded-arena engine rework (see
+//! This file is the CI fence for the bounded-arena engine (see
 //! `.github/workflows/ci.yml`).
 
 use std::sync::Arc;
@@ -37,8 +37,8 @@ fn random_connected_graph(n: usize, extra: usize, seed: u64) -> Arc<Graph> {
     Arc::new(b.build().unwrap())
 }
 
-/// Clean, drops, delays, and drops + crashes — the fault shapes the
-/// chunked pump must stay transparent under.
+/// Clean, drops, delays, and drops + crashes — the fault shapes every
+/// run loop and layer must replay alike.
 fn fault_plan(kind: u8, seed: u64) -> Option<FaultPlan> {
     match kind % 4 {
         0 => None,
@@ -60,17 +60,13 @@ struct Run {
     peak_arena_slots: u64,
 }
 
-/// `chunk = None` leaves the engine at its default transmit chunk.
-fn run_serial(g: &Arc<Graph>, seed: u64, plan: Option<&FaultPlan>, chunk: Option<usize>) -> Run {
+fn run_serial(g: &Arc<Graph>, seed: u64, plan: Option<&FaultPlan>) -> Run {
     let nodes = (0..g.n()).map(mk_node).collect();
     let cfg = EngineConfig {
         seed,
         bandwidth_bits: None,
     };
     let mut e = Engine::new(Arc::clone(g), nodes, cfg);
-    if let Some(c) = chunk {
-        e.set_transmit_chunk(c);
-    }
     if let Some(p) = plan {
         e.set_fault_plan(p).unwrap();
     }
@@ -85,13 +81,7 @@ fn run_serial(g: &Arc<Graph>, seed: u64, plan: Option<&FaultPlan>, chunk: Option
     }
 }
 
-fn run_threaded(
-    g: &Arc<Graph>,
-    seed: u64,
-    plan: Option<&FaultPlan>,
-    chunk: Option<usize>,
-    workers: usize,
-) -> Run {
+fn run_threaded(g: &Arc<Graph>, seed: u64, plan: Option<&FaultPlan>, workers: usize) -> Run {
     let nodes = (0..g.n()).map(mk_node).collect();
     let cfg = EngineConfig {
         seed,
@@ -99,9 +89,6 @@ fn run_threaded(
     };
     let mut e = Engine::new(Arc::clone(g), nodes, cfg);
     e.set_threads(workers);
-    if let Some(c) = chunk {
-        e.set_transmit_chunk(c);
-    }
     if let Some(p) = plan {
         e.set_fault_plan(p).unwrap();
     }
@@ -116,21 +103,13 @@ fn run_threaded(
     }
 }
 
-fn run_async_zero(
-    g: &Arc<Graph>,
-    seed: u64,
-    plan: Option<&FaultPlan>,
-    chunk: Option<usize>,
-) -> Run {
+fn run_async_zero(g: &Arc<Graph>, seed: u64, plan: Option<&FaultPlan>) -> Run {
     let cfg = EngineConfig {
         seed,
         bandwidth_bits: None,
     };
     let mut e = Engine::from_fn(Arc::clone(g), cfg, mk_node);
     e.set_latency(LatencyModel::zero()).unwrap();
-    if let Some(c) = chunk {
-        e.set_transmit_chunk(c);
-    }
     if let Some(p) = plan {
         e.set_fault_plan(p).unwrap();
     }
@@ -150,38 +129,37 @@ fn assert_same(base: &Run, other: &Run, what: &str) -> Result<(), TestCaseError>
     prop_assert_eq!(&base.metrics, &other.metrics, "{}: metrics diverge", what);
     prop_assert_eq!(base.round, other.round, "{}: round counts diverge", what);
     prop_assert_eq!(base.done, other.done, "{}: outcomes diverge", what);
+    prop_assert_eq!(
+        base.peak_arena_slots,
+        other.peak_arena_slots,
+        "{}: arena peaks diverge",
+        what
+    );
     Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The tentpole contract: the transmit-chunk limit — down to one
-    /// slot at a time — is invisible to every observable, on every
-    /// executor, under every fault shape.
+    /// The sharded loop at every worker count and the zero-latency layer
+    /// replay the serial run — events, metrics, round, outcome and
+    /// arena peak — under every fault shape, delays included.
     #[test]
-    fn chunk_limit_is_unobservable_on_every_executor(
+    fn threaded_and_zero_latency_runs_replay_the_serial_run(
         n in 4usize..24,
         extra in 0usize..16,
         seed in any::<u64>(),
         fault_kind in 0u8..4,
-        workers in 1usize..4,
     ) {
         let g = random_connected_graph(n, extra, seed);
         let plan = fault_plan(fault_kind, seed ^ 0xBEEF);
-        let base = run_serial(&g, seed, plan.as_ref(), None);
-        for chunk in [1usize, 2, 7] {
-            let s = run_serial(&g, seed, plan.as_ref(), Some(chunk));
-            assert_same(&base, &s, "serial/chunked")?;
-            // The arena's high-water mark is a pure function of the
-            // traffic, not of how finely the pump drains it.
-            prop_assert_eq!(base.peak_arena_slots, s.peak_arena_slots,
-                "chunk limit must not change the arena peak");
-            let t = run_threaded(&g, seed, plan.as_ref(), Some(chunk), workers);
-            assert_same(&base, &t, "threaded/chunked")?;
-            let a = run_async_zero(&g, seed, plan.as_ref(), Some(chunk));
-            assert_same(&base, &a, "async-zero/chunked")?;
+        let base = run_serial(&g, seed, plan.as_ref());
+        for workers in 1usize..4 {
+            let t = run_threaded(&g, seed, plan.as_ref(), workers);
+            assert_same(&base, &t, &format!("threaded/{workers}"))?;
         }
+        let a = run_async_zero(&g, seed, plan.as_ref());
+        assert_same(&base, &a, "async-zero")?;
     }
 
     /// Arena recycling is airtight: after a run every slot is back on
@@ -196,7 +174,7 @@ proptest! {
     ) {
         let g = random_connected_graph(n, extra, seed);
         let plan = fault_plan(fault_kind, seed ^ 0xBEEF);
-        let run = run_serial(&g, seed, plan.as_ref(), Some(1));
+        let run = run_serial(&g, seed, plan.as_ref());
         prop_assert!(run.peak_arena_slots <= run.metrics.messages + run.metrics.dropped_messages,
             "peak {} exceeds total traffic {}",
             run.peak_arena_slots, run.metrics.messages + run.metrics.dropped_messages);

@@ -5,8 +5,8 @@
 //! * [`mixing_time`] — the paper's `t_mix` (first `t` with
 //!   `‖πₜ − π*‖∞ ≤ 1/2n`), computed by exact distribution evolution, plus
 //!   a spectral estimate for large graphs,
-//! * [`TokenBatch`] / [`split_lazy`] — aggregated walk tokens and their
-//!   lazy one-step splitting (the CONGEST congestion trick of Lemma 12),
+//! * [`split_lazy`] / [`with_port_counts`] — lazy one-step splitting of
+//!   aggregated walk tokens (the CONGEST congestion trick of Lemma 12),
 //! * [`Trail`] — a node's breadcrumb trail of one origin's walks,
 //!   supporting the reverse (proxy → contender) and forward
 //!   (contender → proxies) routing of Algorithm 2,
@@ -43,5 +43,5 @@ pub use mixing::{
     mixing_time_spectral_estimate, MixingOptions, StartPolicy,
 };
 pub use distributed::{run_walk_fleet, FleetMsg, WalkFleetNode, SIGNAL_REPORT};
-pub use token::{split_lazy, with_port_counts, TokenBatch};
+pub use token::{split_lazy, with_port_counts};
 pub use trails::{Hop, ReverseRoute, Trail};

@@ -1,36 +1,14 @@
 //! Aggregated random-walk tokens (the CONGEST trick of Lemma 12).
 //!
 //! Instead of sending `count` separate `⟨u, t_u⟩` tokens along the same
-//! edge, a node sends one [`TokenBatch`] carrying the count — "we send
-//! only one token and the count of tokens that need to be sent", as the
-//! paper puts it. At each step a batch is split *lazily* (each walk stays
-//! with probability ½) and the movers are assigned to ports uniformly.
+//! edge, a node sends one token carrying the count — "we send only one
+//! token and the count of tokens that need to be sent", as the paper
+//! puts it. On the wire that token is welle-core's `ElectionMsg::walk`
+//! (and [`FleetMsg`](crate::FleetMsg) in the standalone walk fleet). At
+//! each step a node's walks are split *lazily* (each walk stays with
+//! probability ½) and the movers are assigned to ports uniformly.
 
 use rand::{Rng, RngExt};
-use welle_congest::{bits_for, id_bits};
-
-/// A bundle of `count` parallel random walks of the same origin and epoch
-/// crossing an edge together.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct TokenBatch {
-    /// The originating contender's id (the paper's random id in `[1, n⁴]`).
-    pub origin: u64,
-    /// Guess-and-double epoch this walk belongs to (walk length `2^epoch`).
-    pub epoch: u32,
-    /// Remaining steps before the holder becomes a proxy.
-    pub remaining: u32,
-    /// Number of walks in this bundle.
-    pub count: u32,
-}
-
-impl TokenBatch {
-    /// Wire size: an id (`4⌈log₂n⌉` bits), an epoch (`⌈log₂ horizon⌉`),
-    /// a step counter, and the multiplicity.
-    pub fn bit_size(&self, n: usize) -> usize {
-        id_bits(n) + bits_for(64) + bits_for(self.remaining.max(1) as u64)
-            + bits_for(self.count as u64)
-    }
-}
 
 /// Ports whose counters [`with_port_counts`] keeps on the stack: every
 /// sparse graph's degree.
@@ -122,19 +100,6 @@ mod tests {
             });
             assert_eq!(len, degree);
         }
-    }
-
-    #[test]
-    fn token_bit_size_is_logarithmic() {
-        let t = TokenBatch {
-            origin: 12345,
-            epoch: 3,
-            remaining: 16,
-            count: 500,
-        };
-        let bits = t.bit_size(1024);
-        // 44 (id) + 7 (epoch) + 5 (remaining) + 9 (count)
-        assert_eq!(bits, 44 + 7 + 5 + 9);
     }
 
     #[test]

@@ -420,6 +420,9 @@ fn parse() -> Result<Args, String> {
     if args.resume && args.out.is_none() {
         return Err("--resume needs --out (the CSV file is the resume manifest)".to_string());
     }
+    if args.seeds == 0 {
+        return Err("--seeds must be at least 1: it counts the seeded runs".to_string());
+    }
     // The run's seeds are `--seed` and the `--seeds - 1` after it; the
     // last of them must still be a u64.
     let extra_seeds = u64::try_from(args.seeds.saturating_sub(1)).unwrap_or(u64::MAX);

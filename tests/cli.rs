@@ -109,6 +109,22 @@ fn the_largest_seed_runs_and_a_range_past_it_is_rejected() {
 }
 
 #[test]
+fn zero_seeds_are_rejected_before_the_graph_is_built() {
+    // `--explicit` used to run nothing and exit 0, and the campaign path
+    // built the graph before it failed.
+    for args in [
+        &["ring", "16", "--seeds", "0"][..],
+        &["ring", "16", "--explicit", "--seeds", "0"][..],
+    ] {
+        let out = welle(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("--seeds"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: the run started");
+    }
+}
+
+#[test]
 fn zero_trial_threads_names_the_trial_pool() {
     let out = welle(&["ring", "16", "--trial-threads", "0"]);
     assert!(!out.status.success());
