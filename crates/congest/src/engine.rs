@@ -174,7 +174,7 @@ impl<P: Protocol> Engine<P> {
     /// Installs adversarial network conditions (see [`FaultPlan`]): the
     /// plan is compiled against this engine's graph and applied to every
     /// round simulated from now on. Install before the first
-    /// `run`/`step` call to cover the whole execution. Note that crash
+    /// `run` call to cover the whole execution. Note that crash
     /// and cut schedules are *predicates on the round number* ("silent
     /// from round `r` on"): installing mid-run applies any schedule
     /// whose round has already passed from the current round forward,
@@ -227,7 +227,7 @@ impl<P: Protocol> Engine<P> {
     /// below 1 make hub edges queue, and runs remain pure functions of
     /// `(graph, protocols, seed, model, fault plan)`. Fault delays add
     /// whole rounds on top of the sampled latency. Install before the
-    /// first `run`/`step` call; messages parked under an earlier model
+    /// first `run` call; messages parked under an earlier model
     /// stay in flight.
     ///
     /// Under [`LatencyModel::zero`] every delivery lands on the next
@@ -278,7 +278,7 @@ impl<P: Protocol> Engine<P> {
     /// every *active* round simulated from now on appends one
     /// [`crate::RoundSample`] and updates the per-phase aggregates.
     /// Replaces (and discards) any previously installed telemetry.
-    /// Install before the first `run`/`step` call to cover the whole
+    /// Install before the first `run` call to cover the whole
     /// execution; without this call the engine pays a single null check
     /// per round and allocates nothing.
     pub fn set_telemetry(&mut self, cfg: TelemetryConfig) {
@@ -400,11 +400,6 @@ impl<P: Protocol> Engine<P> {
         &self.shard.nodes[i]
     }
 
-    /// Consumes the engine, returning the protocol instances.
-    pub fn into_nodes(self) -> Vec<P> {
-        self.shard.nodes
-    }
-
     /// Runs until [`RunOutcome::Done`], [`RunOutcome::Quiescent`], or the
     /// round limit (with a latency model, a bound on *virtual* rounds),
     /// on the threads set by [`Engine::set_threads`].
@@ -506,13 +501,8 @@ impl<P: Protocol> Engine<P> {
         None
     }
 
-    /// Simulates exactly one round (start-up on the first call), inline.
-    pub fn step(&mut self) {
-        self.step_core(&mut NoopObserver);
-    }
-
-    /// Monomorphic single-round step (see [`Engine::run_inline`] for
-    /// why).
+    /// Simulates exactly one round (start-up on the first call), as
+    /// the body of [`Engine::run_inline`]'s loop and monomorphic like it.
     fn step_core<O: TransmitObserver + ?Sized>(&mut self, obs: &mut O) {
         // Telemetry mirrors the wire's layers: taken once per round, so
         // a run without it pays exactly one null check and nothing else.
@@ -1519,7 +1509,7 @@ mod tests {
             (0..4).map(|_| SignalCounter { seen: 0 }).collect(),
             EngineConfig::default(),
         );
-        e.step();
+        e.run(1);
         e.signal(99);
         assert!(e.nodes().iter().all(|n| n.seen == 99));
     }

@@ -43,18 +43,12 @@ pub enum Exec {
 }
 
 impl Exec {
-    /// Resolves `Auto` against a concrete graph and host, yielding a
-    /// concrete executor choice (never `Auto`).
-    pub fn resolve(self, graph: &Graph) -> Exec {
-        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-        self.resolve_with(graph, cores)
-    }
-
-    /// [`Exec::resolve`] with an explicit spare-core budget instead of
-    /// the host's count. A batch scheduler whose trial workers already
-    /// own the cores passes a budget of 1 here, so `Auto` resolves to
-    /// `Serial` and engine worker threads are never nested inside trial
-    /// workers. Explicit choices are honored as given.
+    /// Resolves `Auto` against a concrete graph and a spare-core budget,
+    /// yielding a concrete executor choice (never `Auto`). A single run
+    /// passes the host's core count; a batch scheduler whose trial
+    /// workers already own the cores passes a budget of 1, so `Auto`
+    /// resolves to `Serial` and engine worker threads are never nested
+    /// inside trial workers. Explicit choices are honored as given.
     pub fn resolve_with(self, graph: &Graph, cores: usize) -> Exec {
         match self {
             Exec::Auto => {

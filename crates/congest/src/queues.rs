@@ -380,6 +380,17 @@ mod tests {
         }
     }
 
+    /// Slots on the free list, walked link by link.
+    fn free_slots(q: &EdgeQueues<u64>) -> u64 {
+        let (mut slot, mut count) = (q.free, 0u64);
+        while slot != NIL {
+            count += 1;
+            assert!(count <= q.pool.len() as u64, "the free list loops");
+            slot = q.next[slot as usize];
+        }
+        count
+    }
+
     #[test]
     fn passes_match_a_deque_per_edge_model() {
         let g = gen::clique(6).unwrap();
@@ -399,6 +410,9 @@ mod tests {
         for round in 0..8u64 {
             assert_eq!(pass(&mut q), model.pass(), "round {round}");
             assert_eq!(q.in_flight(), model.queued(), "round {round}");
+            // Every slot is queued or free: none leaks.
+            let slots = free_slots(&q) + q.in_flight();
+            assert_eq!(slots, q.pool.len() as u64, "round {round}");
             // A send between passes: an idle edge rejoins at the back.
             let dir = (round as usize * 7) % edges;
             let msg = 1_000 + round;
@@ -407,6 +421,7 @@ mod tests {
         loop {
             let want = model.pass();
             assert_eq!(pass(&mut q), want);
+            assert_eq!(free_slots(&q) + q.in_flight(), q.pool.len() as u64);
             if want.is_empty() {
                 break;
             }

@@ -142,8 +142,8 @@ impl<P: Protocol> Engine<P> {
     /// (default 1: inline on the calling thread). A run splits the nodes
     /// into `threads` contiguous shards, one per worker; transmission
     /// stays on the calling thread. Results are bit-identical for every
-    /// count, so this is purely a scheduling knob. Signals,
-    /// [`Engine::step`] and [`Engine::run_until`] always run inline.
+    /// count, so this is purely a scheduling knob. Signals and
+    /// [`Engine::run_until`] always run inline.
     ///
     /// # Panics
     ///

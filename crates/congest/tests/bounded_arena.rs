@@ -89,6 +89,7 @@ fn run_threaded(g: &Arc<Graph>, seed: u64, plan: Option<&FaultPlan>, workers: us
     };
     let mut e = Engine::new(Arc::clone(g), nodes, cfg);
     e.set_threads(workers);
+    e.set_inline_cutoff(0); // force the barrier path
     if let Some(p) = plan {
         e.set_fault_plan(p).unwrap();
     }
@@ -162,9 +163,9 @@ proptest! {
         assert_same(&base, &a, "async-zero")?;
     }
 
-    /// Arena recycling is airtight: after a run every slot is back on
-    /// the free list (no leaks), and the peak never exceeds the total
-    /// traffic that ever entered the queues.
+    /// The arena never peaks above the total traffic that ever entered
+    /// the queues. That every slot returns to the free list is checked on
+    /// the queues themselves (`passes_match_a_deque_per_edge_model`).
     #[test]
     fn arena_slots_recycle_without_leaking(
         n in 4usize..24,

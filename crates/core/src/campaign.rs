@@ -306,9 +306,8 @@ impl CampaignReport {
 ///
 /// The prototype's graph and config become the first scenario; more
 /// scenarios join via [`Campaign::scenario`] / [`Campaign::families`].
-/// Every trial funnels through the same single code path as
-/// [`Election::run`], so campaign results are bit-identical to the
-/// corresponding individual runs.
+/// [`Election::run`] is a one-seed campaign, so campaign results are
+/// bit-identical to the corresponding individual runs.
 #[must_use = "a Campaign does nothing until .run() is called"]
 pub struct Campaign<'o> {
     scenarios: Vec<Scenario>,

@@ -18,12 +18,13 @@
 
 use std::sync::Arc;
 
-use welle_congest::{FaultPlan, NoopObserver, TelemetryConfig, TransmitObserver};
+use welle_congest::{FaultPlan, TelemetryConfig, TransmitObserver};
 use welle_graph::Graph;
 
-use crate::config::{ElectionConfig, Params};
+use crate::campaign::Campaign;
+use crate::config::ElectionConfig;
 use crate::error::ConfigError;
-use crate::runner::{plan_for, run_resolved, ElectionReport, RunSpec};
+use crate::runner::ElectionReport;
 
 /// Which CONGEST executor drives the election (re-exported from
 /// [`welle_congest`], where the executors live). `Exec::Async` opens
@@ -129,7 +130,9 @@ impl<'g, 'o> Election<'g, 'o> {
     }
 
     /// Validates the configuration, picks the executor, and runs the
-    /// election.
+    /// election: a one-seed [`Campaign`] on one trial thread, so a
+    /// single election takes the campaign's one path from configuration
+    /// to report.
     ///
     /// # Errors
     ///
@@ -139,37 +142,9 @@ impl<'g, 'o> Election<'g, 'o> {
     /// with bad parameters, or for a [`FaultPlan`] that does not fit
     /// the graph. Nothing is simulated on error.
     pub fn run(self) -> Result<ElectionReport, ConfigError> {
-        let Election {
-            graph,
-            cfg,
-            seed,
-            exec,
-            believed_n,
-            faults,
-            telem,
-            obs,
-        } = self;
-        let n = believed_n.unwrap_or_else(|| graph.n());
-        let params = Arc::new(Params::try_derive(n, cfg)?);
-        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-        let plan = plan_for(exec, graph, cores)?;
-        let compiled = match &faults {
-            Some(plan) => Some(plan.compile_for(graph)?),
-            None => None,
-        };
-        let mut noop = NoopObserver;
-        let obs: &mut dyn TransmitObserver = match obs {
-            Some(o) => o,
-            None => &mut noop,
-        };
-        let spec = RunSpec {
-            graph,
-            params: &params,
-            plan,
-            faults: compiled.as_ref(),
-            telem,
-        };
-        Ok(run_resolved(&spec, seed, obs))
+        let trial = Campaign::new(self).trial_threads(1).run()?.trials.pop();
+        // welle-lint: allow(no-lib-unwrap) — invariant: one scenario and one seed without a budget run exactly one trial
+        Ok(trial.expect("a one-seed campaign runs one trial").report)
     }
 }
 
@@ -262,8 +237,8 @@ mod tests {
     #[test]
     fn auto_resolves_serial_on_small_graphs() {
         let g = graph();
-        assert_eq!(Exec::Auto.resolve(&g), Exec::Serial);
-        assert_eq!(Exec::Threaded(4).resolve(&g), Exec::Threaded(4));
+        assert_eq!(Exec::Auto.resolve_with(&g, 8), Exec::Serial);
+        assert_eq!(Exec::Threaded(4).resolve_with(&g, 8), Exec::Threaded(4));
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! The single engine-driving path behind [`Election`](crate::Election)
-//! and [`Campaign`](crate::Campaign), and the [`ElectionReport`] summary.
+//! The engine-driving path behind [`Campaign`](crate::Campaign) (and so
+//! behind [`Election`](crate::Election), a one-seed campaign), and the
+//! [`ElectionReport`] summary.
 
 use std::sync::Arc;
 
@@ -16,7 +17,7 @@ use crate::state::Decision;
 
 /// An [`Exec`] choice resolved and validated against a concrete graph
 /// and core budget: `Auto` is gone, thread counts are positive, latency
-/// models are well-formed. What [`run_resolved`] actually builds.
+/// models are well-formed. What [`PooledEngine::run`] sets up.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) enum ExecPlan {
     /// The serial event-driven engine.
@@ -179,7 +180,7 @@ impl ElectionReport {
 
 /// Everything a trial runs besides its seed: one validated scenario
 /// (see [`plan_for`]) and the layers to install. Fault plans are
-/// compiled once per scenario by the callers — see
+/// compiled once per scenario by the campaign — see
 /// [`welle_congest::FaultPlan::compile_for`] — not once per trial.
 #[derive(Clone, Copy)]
 pub(crate) struct RunSpec<'a> {
@@ -188,18 +189,6 @@ pub(crate) struct RunSpec<'a> {
     pub(crate) plan: ExecPlan,
     pub(crate) faults: Option<&'a CompiledFaultPlan>,
     pub(crate) telem: Option<TelemetryConfig>,
-}
-
-/// Runs one trial on a freshly built engine: the one code path from
-/// validated parameters to [`ElectionReport`] that everything above —
-/// builder and campaign — funnels through (the campaign's workers reuse
-/// their engine through [`PooledEngine::run`] instead).
-pub(crate) fn run_resolved(
-    spec: &RunSpec<'_>,
-    seed: u64,
-    obs: &mut dyn TransmitObserver,
-) -> ElectionReport {
-    PooledEngine::new().run(spec, seed, obs)
 }
 
 /// A round engine recycled across trials, whatever their plan: the
@@ -495,7 +484,7 @@ mod tests {
     }
 
     #[test]
-    fn pooled_engine_matches_run_resolved_and_keeps_arenas() {
+    fn pooled_engine_matches_a_fresh_engine_and_keeps_arenas() {
         let g = expander(96, 3);
         let cfg = ElectionConfig::tuned_for_simulation(96);
         let params = Arc::new(Params::try_derive(96, cfg).unwrap());
@@ -517,7 +506,7 @@ mod tests {
                 telem: None,
             };
             let pooled = pool.run(&spec, seed, &mut noop);
-            let fresh = run_resolved(&spec, seed, &mut noop);
+            let fresh = PooledEngine::new().run(&spec, seed, &mut noop);
             assert_eq!(pooled.leaders, fresh.leaders, "seed {seed}");
             assert_eq!(pooled.messages, fresh.messages, "seed {seed}");
             assert_eq!(pooled.bits, fresh.bits, "seed {seed}");

@@ -140,8 +140,9 @@ pub fn open_halves(db: &Dumbbell) -> (welle_graph::Graph, welle_graph::Graph) {
             continue;
         }
         if db.is_left(u) {
-            // welle-lint: allow(no-lib-unwrap) — invariant: endpoints come from a built graph, so indices are in range and edges are simple
-            left.add_edge(u.index(), v.index()).expect("left edge valid");
+            left.add_edge(u.index(), v.index())
+                // welle-lint: allow(no-lib-unwrap) — invariant: endpoints come from a built graph, so indices are in range and edges are simple
+                .expect("left edge valid");
         } else {
             right
                 .add_edge(u.index() - n0, v.index() - n0)

@@ -10,47 +10,11 @@
 //! * Lemma 19 — an algorithm sending `M·n^{2ε}` messages creates only
 //!   `O(M)` CG edges;
 //! * Lemma 20 — connected components of `CG` rarely merge (event `Disj`).
+//!   This one is not measured: the observer counts `CG` edges, not
+//!   component merges.
 
 use welle_congest::{TransmitEvent, TransmitObserver};
 use welle_graph::gen::CliqueOfCliques;
-
-/// Union–find over cliques (components of `CG`).
-#[derive(Clone, Debug)]
-struct UnionFind {
-    parent: Vec<u32>,
-}
-
-impl UnionFind {
-    fn new(n: usize) -> Self {
-        UnionFind {
-            parent: (0..n as u32).collect(),
-        }
-    }
-
-    fn find(&mut self, x: usize) -> usize {
-        let mut root = x;
-        while self.parent[root] as usize != root {
-            root = self.parent[root] as usize;
-        }
-        let mut cur = x;
-        while self.parent[cur] as usize != cur {
-            let next = self.parent[cur] as usize;
-            self.parent[cur] = root as u32;
-            cur = next;
-        }
-        root
-    }
-
-    /// Returns `true` if the two were in different components.
-    fn union(&mut self, a: usize, b: usize) -> bool {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra == rb {
-            return false;
-        }
-        self.parent[ra] = rb as u32;
-        true
-    }
-}
 
 /// Observer reconstructing the clique communication graph from the
 /// transmission stream.
@@ -67,8 +31,6 @@ pub struct CliqueCommObserver {
     cg_edges: std::collections::HashSet<(u32, u32)>,
     /// Rounds at which each CG edge appeared.
     edge_rounds: Vec<u64>,
-    components: UnionFind,
-    merges: u64,
     touched_cliques: std::collections::HashSet<u32>,
 }
 
@@ -87,8 +49,6 @@ impl CliqueCommObserver {
             first_contact_cost: vec![None; num_cliques],
             cg_edges: std::collections::HashSet::new(),
             edge_rounds: Vec::new(),
-            components: UnionFind::new(num_cliques),
-            merges: 0,
             touched_cliques: std::collections::HashSet::new(),
         }
     }
@@ -101,14 +61,6 @@ impl CliqueCommObserver {
     /// Rounds at which CG edges appeared, in order.
     pub fn edge_rounds(&self) -> &[u64] {
         &self.edge_rounds
-    }
-
-    /// Component merges beyond the first edge of each component — a
-    /// *violation count* for event `Disj` would require spontaneity
-    /// bookkeeping; this reports how many unions actually joined two
-    /// previously-nontrivial components.
-    pub fn component_merges(&self) -> u64 {
-        self.merges
     }
 
     /// Messages clique `c` had sent when it first messaged another clique
@@ -155,20 +107,6 @@ impl TransmitObserver for CliqueCommObserver {
         let key = (cf.min(ct), cf.max(ct));
         if self.cg_edges.insert(key) {
             self.edge_rounds.push(ev.round);
-            // A union that joins two components which both already had
-            // edges is a `Disj`-style merge.
-            let a_trivial = !self
-                .cg_edges
-                .iter()
-                .any(|&(x, y)| (x == key.0 || y == key.0) && (x, y) != key);
-            let b_trivial = !self
-                .cg_edges
-                .iter()
-                .any(|&(x, y)| (x == key.1 || y == key.1) && (x, y) != key);
-            let joined = self.components.union(key.0 as usize, key.1 as usize);
-            if joined && !a_trivial && !b_trivial {
-                self.merges += 1;
-            }
         }
     }
 }
@@ -236,15 +174,5 @@ mod tests {
         obs.on_transmit(&event(0, s, 3));
         assert_eq!(obs.cg_edge_count(), 1);
         assert_eq!(obs.edge_rounds(), &[1]);
-    }
-
-    #[test]
-    fn union_find_components() {
-        let mut uf = UnionFind::new(4);
-        assert!(uf.union(0, 1));
-        assert!(!uf.union(1, 0));
-        assert!(uf.union(2, 3));
-        assert!(uf.union(0, 3));
-        assert_eq!(uf.find(1), uf.find(2));
     }
 }

@@ -2,8 +2,7 @@
 //!
 //! * [`CliqueCommObserver`] reconstructs the *clique communication graph*
 //!   `CG` of §4.1 from the simulator's transmission stream: CG edges
-//!   (Lemma 19), per-clique first-contact costs (Lemma 18), component
-//!   merges (Lemma 20's event `Disj`).
+//!   (Lemma 19) and per-clique first-contact costs (Lemma 18).
 //! * [`probing`] isolates the Lemma 18 port-probing process and verifies
 //!   its `Ω(s²)` expectation in closed form and by simulation.
 //! * [`bridge`] runs the §5 dumbbell experiment: the election with a

@@ -15,15 +15,17 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 
 use rand::{rngs::StdRng, SeedableRng};
+use welle::congest::LatencyError;
 use welle::core::baselines::{run_flood_max, run_hirschberg_sinclair, run_known_tmix_election};
 use welle::core::broadcast::run_explicit_election;
 use welle::core::export::{phase_table, profile_table, write_round_log, write_samples_jsonl};
 use welle::core::{
-    Campaign, Election, ElectionConfig, Exec, FaultPlan, LatencyModel, MsgSizeMode, SyncMode,
-    TelemetryConfig, Trial,
+    Campaign, ConfigError, Election, ElectionConfig, Exec, FaultPlan, LatencyModel, MsgSizeMode,
+    SyncMode, TelemetryConfig, Trial,
 };
 use welle::graph::{gen, Graph};
 use welle::walks::{mixing_time, MixingOptions, StartPolicy};
@@ -40,9 +42,9 @@ struct Args {
     explicit: bool,
     csv: bool,
     threads: Option<usize>,
+    /// The `--latency` model with `--latency-seed` and `--service-rate`
+    /// applied, validated.
     latency: Option<LatencyModel>,
-    latency_seed: Option<u64>,
-    service_rate: Option<f64>,
     trial_threads: Option<usize>,
     out: Option<PathBuf>,
     resume: bool,
@@ -126,8 +128,8 @@ fn usage() -> &'static str {
 }
 
 /// Parses a `--latency` spec: `zero`, `fixed:X`, `uniform:LO,HI`, or
-/// `lognormal:MU,SIGMA`. Seed and service rate are layered on by the
-/// caller; parameter *values* are validated by the election builder.
+/// `lognormal:MU,SIGMA`. Seed and service rate are layered on, and
+/// parameter *values* validated, by the caller.
 fn parse_latency(spec: &str) -> Result<LatencyModel, String> {
     if spec == "zero" {
         return Ok(LatencyModel::zero());
@@ -162,6 +164,24 @@ fn parse_latency(spec: &str) -> Result<LatencyModel, String> {
     }
 }
 
+/// Reads the value after the flag at `argv[*i]`, moving `*i` onto it.
+fn value<T: FromStr>(argv: &[String], i: &mut usize) -> Result<T, String> {
+    let flag = &argv[*i];
+    *i += 1;
+    let Some(v) = argv.get(*i) else {
+        return Err(format!("{flag} needs a value"));
+    };
+    v.parse().map_err(|_| format!("bad {flag} value: {v}"))
+}
+
+/// Fails unless every value given to `flag` is a probability in [0, 1].
+fn probabilities<'a>(flag: &str, ps: impl IntoIterator<Item = &'a f64>) -> Result<(), String> {
+    match ps.into_iter().find(|p| !(0.0..=1.0).contains(*p)) {
+        Some(p) => Err(format!("{flag} value {p} is not a probability in [0, 1]")),
+        None => Ok(()),
+    }
+}
+
 fn parse() -> Result<Args, String> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.len() < 2 {
@@ -180,8 +200,6 @@ fn parse() -> Result<Args, String> {
         csv: false,
         threads: None,
         latency: None,
-        latency_seed: None,
-        service_rate: None,
         trial_threads: None,
         out: None,
         resume: false,
@@ -196,147 +214,35 @@ fn parse() -> Result<Args, String> {
         crash_at: None,
         fault_seed: None,
     };
+    let (mut latency_seed, mut service_rate): (Option<u64>, Option<f64>) = (None, None);
     let mut i = 2;
     while i < argv.len() {
         match argv[i].as_str() {
-            "--seed" => {
-                i += 1;
-                args.seed = argv.get(i).ok_or("--seed needs a value")?.parse().map_err(|_| "bad seed")?;
-            }
-            "--seeds" => {
-                i += 1;
-                args.seeds = argv.get(i).ok_or("--seeds needs a value")?.parse().map_err(|_| "bad seeds")?;
-            }
-            "--eps" => {
-                i += 1;
-                args.eps = argv.get(i).ok_or("--eps needs a value")?.parse().map_err(|_| "bad eps")?;
-            }
-            "--cap" => {
-                i += 1;
-                args.cap = Some(argv.get(i).ok_or("--cap needs a value")?.parse().map_err(|_| "bad cap")?);
-            }
+            "--seed" => args.seed = value(&argv, &mut i)?,
+            "--seeds" => args.seeds = value(&argv, &mut i)?,
+            "--eps" => args.eps = value(&argv, &mut i)?,
+            "--cap" => args.cap = Some(value(&argv, &mut i)?),
             "--baseline" => {
-                i += 1;
-                args.baseline = Some(Baseline::parse(
-                    argv.get(i).ok_or("--baseline needs a value")?,
-                )?);
+                args.baseline = Some(Baseline::parse(&value::<String>(&argv, &mut i)?)?);
             }
-            "--threads" => {
-                i += 1;
-                args.threads = Some(
-                    argv.get(i)
-                        .ok_or("--threads needs a value")?
-                        .parse()
-                        .map_err(|_| "bad threads")?,
-                );
-            }
-            "--latency" => {
-                i += 1;
-                args.latency = Some(parse_latency(
-                    argv.get(i).ok_or("--latency needs a value")?,
-                )?);
-            }
-            "--latency-seed" => {
-                i += 1;
-                args.latency_seed = Some(
-                    argv.get(i)
-                        .ok_or("--latency-seed needs a value")?
-                        .parse()
-                        .map_err(|_| "bad latency seed")?,
-                );
-            }
-            "--service-rate" => {
-                i += 1;
-                args.service_rate = Some(
-                    argv.get(i)
-                        .ok_or("--service-rate needs a value")?
-                        .parse()
-                        .map_err(|_| "bad service rate")?,
-                );
-            }
-            "--trial-threads" => {
-                i += 1;
-                args.trial_threads = Some(
-                    argv.get(i)
-                        .ok_or("--trial-threads needs a value")?
-                        .parse()
-                        .map_err(|_| "bad trial threads")?,
-                );
-            }
-            "--out" => {
-                i += 1;
-                args.out = Some(PathBuf::from(argv.get(i).ok_or("--out needs a value")?));
-            }
-            "--max-trials" => {
-                i += 1;
-                args.max_trials = Some(
-                    argv.get(i)
-                        .ok_or("--max-trials needs a value")?
-                        .parse()
-                        .map_err(|_| "bad max trials")?,
-                );
-            }
+            "--threads" => args.threads = Some(value(&argv, &mut i)?),
+            "--latency" => args.latency = Some(parse_latency(&value::<String>(&argv, &mut i)?)?),
+            "--latency-seed" => latency_seed = Some(value(&argv, &mut i)?),
+            "--service-rate" => service_rate = Some(value(&argv, &mut i)?),
+            "--trial-threads" => args.trial_threads = Some(value(&argv, &mut i)?),
+            "--out" => args.out = Some(value(&argv, &mut i)?),
+            "--max-trials" => args.max_trials = Some(value(&argv, &mut i)?),
             "--drop-sweep" => {
-                i += 1;
-                let list = argv.get(i).ok_or("--drop-sweep needs a value")?;
-                let rates = list
-                    .split(',')
-                    .map(|p| p.trim().parse::<f64>())
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(|_| format!("bad drop-sweep list: {list}"))?;
-                if rates.is_empty() {
-                    return Err("--drop-sweep needs at least one rate".to_string());
-                }
-                // Checked here: only rates above 0 get a fault plan, so a
-                // negative or NaN rate would run as a fault-free control.
-                if let Some(bad) = rates.iter().find(|p| !(0.0..=1.0).contains(*p)) {
-                    return Err(format!(
-                        "--drop-sweep rate {bad} is not a probability in [0, 1]"
-                    ));
-                }
-                args.drop_sweep = Some(rates);
+                let list: String = value(&argv, &mut i)?;
+                let rates: Result<_, _> = list.split(',').map(|p| p.trim().parse()).collect();
+                let bad = |_| format!("bad --drop-sweep value: {list}");
+                args.drop_sweep = Some(rates.map_err(bad)?);
             }
-            "--drop-rate" => {
-                i += 1;
-                args.drop_rate = Some(
-                    argv.get(i)
-                        .ok_or("--drop-rate needs a value")?
-                        .parse()
-                        .map_err(|_| "bad drop rate")?,
-                );
-            }
-            "--crash" => {
-                i += 1;
-                args.crash = Some(
-                    argv.get(i)
-                        .ok_or("--crash needs a value")?
-                        .parse()
-                        .map_err(|_| "bad crash fraction")?,
-                );
-            }
-            "--crash-at" => {
-                i += 1;
-                args.crash_at = Some(
-                    argv.get(i)
-                        .ok_or("--crash-at needs a value")?
-                        .parse()
-                        .map_err(|_| "bad crash round")?,
-                );
-            }
-            "--fault-seed" => {
-                i += 1;
-                args.fault_seed = Some(
-                    argv.get(i)
-                        .ok_or("--fault-seed needs a value")?
-                        .parse()
-                        .map_err(|_| "bad fault seed")?,
-                );
-            }
-            "--round-log" => {
-                i += 1;
-                args.round_log =
-                    Some(PathBuf::from(argv.get(i).ok_or("--round-log needs a value")?));
-            }
+            "--drop-rate" => args.drop_rate = Some(value(&argv, &mut i)?),
+            "--crash" => args.crash = Some(value(&argv, &mut i)?),
+            "--crash-at" => args.crash_at = Some(value(&argv, &mut i)?),
+            "--fault-seed" => args.fault_seed = Some(value(&argv, &mut i)?),
+            "--round-log" => args.round_log = Some(value(&argv, &mut i)?),
             "--phase-table" => args.phase_table = true,
             "--profile" => args.profile = true,
             "--fixed-t" => args.fixed_t = true,
@@ -347,6 +253,43 @@ fn parse() -> Result<Args, String> {
             other => return Err(format!("unknown option {other}\n{}", usage())),
         }
         i += 1;
+    }
+    // Out-of-range values fail here, before the graph is built, in the
+    // words of the library that would reject them later.
+    if args.threads == Some(0) {
+        return Err(format!("--threads: {}", ConfigError::ZeroThreads));
+    }
+    if args.trial_threads == Some(0) {
+        return Err(format!(
+            "--trial-threads: {}",
+            ConfigError::ZeroTrialThreads
+        ));
+    }
+    if args.cap == Some(0) {
+        return Err(format!("--cap: {}", ConfigError::ZeroWalkCap));
+    }
+    // Only sweep rates above 0 get a fault plan, so a negative or NaN
+    // sweep rate would otherwise run as a fault-free control.
+    probabilities("--drop-sweep", args.drop_sweep.iter().flatten())?;
+    probabilities("--drop-rate", &args.drop_rate)?;
+    probabilities("--crash", &args.crash)?;
+    if let Some(model) = args.latency {
+        let mut model = model.seed(latency_seed.unwrap_or(args.seed));
+        if let Some(rate) = service_rate {
+            model = model.service_rate(rate);
+        }
+        model.validate().map_err(|e| {
+            let flag = match e {
+                LatencyError::BadServiceRate(_) => "--service-rate",
+                _ => "--latency",
+            };
+            format!("{flag}: {}", ConfigError::Latency(e))
+        })?;
+        args.latency = Some(model);
+    } else if latency_seed.is_some() || service_rate.is_some() {
+        return Err(
+            "--latency-seed and --service-rate have no effect without --latency".to_string(),
+        );
     }
     if args.explicit && args.csv {
         return Err("--csv is not supported with --explicit".to_string());
@@ -369,9 +312,6 @@ fn parse() -> Result<Args, String> {
              synchronously, making the comparison apples-to-oranges)"
                 .to_string(),
         );
-    }
-    if args.latency.is_none() && (args.latency_seed.is_some() || args.service_rate.is_some()) {
-        return Err("--latency-seed and --service-rate have no effect without --latency".to_string());
     }
     if args.explicit
         && (args.trial_threads.is_some()
@@ -523,13 +463,7 @@ fn main() -> ExitCode {
     }
 
     let exec = match (args.latency, args.threads) {
-        (Some(model), _) => {
-            let mut model = model.seed(args.latency_seed.unwrap_or(args.seed));
-            if let Some(rate) = args.service_rate {
-                model = model.service_rate(rate);
-            }
-            Exec::Async(model)
-        }
+        (Some(model), _) => Exec::Async(model),
         (None, Some(k)) => Exec::Threaded(k),
         (None, None) => Exec::Auto,
     };

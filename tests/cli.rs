@@ -125,6 +125,33 @@ fn zero_seeds_are_rejected_before_the_graph_is_built() {
 }
 
 #[test]
+fn out_of_range_values_are_rejected_before_the_graph_is_built() {
+    // Each of these used to print the `graph:` line and build the graph
+    // before the library rejected the value. The bad value comes last.
+    for extra in [
+        &["--threads", "0"][..],
+        &["--trial-threads", "0"],
+        &["--cap", "0"],
+        &["--drop-rate", "2"],
+        &["--drop-rate", "nan"],
+        &["--crash", "1.5"],
+        &["--crash", "-1"],
+        &["--latency", "fixed:-1"],
+        &["--latency", "lognormal:0,nan"],
+        &["--latency", "zero", "--service-rate", "0"],
+    ] {
+        let flag = extra[extra.len() - 2];
+        let mut args = vec!["ring", "16"];
+        args.extend_from_slice(extra);
+        let out = welle(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: the run started");
+    }
+}
+
+#[test]
 fn zero_trial_threads_names_the_trial_pool() {
     let out = welle(&["ring", "16", "--trial-threads", "0"]);
     assert!(!out.status.success());
