@@ -73,7 +73,8 @@ fn bench_flood(c: &mut Criterion) {
                 let mut e = Engine::from_fn(Arc::clone(&g), EngineConfig::default(), |i| {
                     FloodMax::new(i as u64)
                 });
-                e.set_latency(LatencyModel::log_normal(0.3, 0.6).seed(7)).unwrap();
+                e.set_latency(LatencyModel::log_normal(0.3, 0.6).seed(7))
+                    .unwrap();
                 black_box(e.run(100_000));
                 black_box(e.metrics().messages)
             })

@@ -99,8 +99,13 @@ fn main() {
         ex::emit(name, &tables);
         // Record completion only after the CSVs are on disk, so an
         // interrupted run re-runs the experiment it died inside.
-        writeln!(manifest, "{name}").and_then(|_| manifest.flush()).expect("append manifest");
+        writeln!(manifest, "{name}")
+            .and_then(|_| manifest.flush())
+            .expect("append manifest");
         println!("[{name}: {:.1}s]\n", t0.elapsed().as_secs_f64());
     }
-    println!("all experiments done in {:.1}s", start.elapsed().as_secs_f64());
+    println!(
+        "all experiments done in {:.1}s",
+        start.elapsed().as_secs_f64()
+    );
 }

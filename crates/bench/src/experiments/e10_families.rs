@@ -18,7 +18,13 @@ pub fn run(quick: bool) -> Vec<Table> {
     let mut table = Table::new(
         "E10 / paper SS1 results: per-family costs vs flood-max baseline",
         &[
-            "family", "n", "m", "t_mix", "welle_msgs", "flood_msgs", "welle/flood",
+            "family",
+            "n",
+            "m",
+            "t_mix",
+            "welle_msgs",
+            "flood_msgs",
+            "welle/flood",
             "msgs/(sqrt n * tmix)",
         ],
     );
@@ -26,7 +32,12 @@ pub fn run(quick: bool) -> Vec<Table> {
     // t_mix and the flood-max baseline are per-family side computations.
     let mut scenarios = Vec::new();
     let mut tmixes = Vec::new();
-    for fam in [Family::Expander, Family::Hypercube, Family::Clique, Family::Torus] {
+    for fam in [
+        Family::Expander,
+        Family::Hypercube,
+        Family::Clique,
+        Family::Torus,
+    ] {
         // Dense cliques and Θ(n)-mixing tori get sized down: their costs
         // grow like m and t_mix·√n respectively, and the row is about
         // normalized ratios, not scale records.
@@ -84,7 +95,13 @@ pub fn run(quick: bool) -> Vec<Table> {
     // FixedT time check on one expander: decided_round vs t_mix·ln²n.
     let mut time_table = Table::new(
         "E10b / Theorem 13 time: FixedT decided round vs t_mix ln^2 n",
-        &["n", "t_mix", "pred=tmix*ln^2", "decided_round", "round/pred"],
+        &[
+            "n",
+            "t_mix",
+            "pred=tmix*ln^2",
+            "decided_round",
+            "round/pred",
+        ],
     );
     let n_t = if quick { 128 } else { 256 };
     let graph = Family::Expander.build(n_t, 8);

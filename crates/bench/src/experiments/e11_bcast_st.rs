@@ -16,11 +16,21 @@ use welle_lowerbound::bfs_tree_cost;
 /// Runs the ε sweep.
 pub fn run(quick: bool) -> Vec<Table> {
     let target_n = if quick { 400 } else { 1000 };
-    let eps_list: &[f64] = if quick { &[0.3] } else { &[0.2, 0.25, 0.3, 0.35] };
+    let eps_list: &[f64] = if quick {
+        &[0.3]
+    } else {
+        &[0.2, 0.25, 0.3, 0.35]
+    };
     let mut table = Table::new(
         "E11 / Cor 26-27: broadcast & spanning tree vs n/sqrt(phi) envelope",
         &[
-            "eps", "n", "phi", "envelope", "bcast_msgs", "bcast/env", "bfs_msgs",
+            "eps",
+            "n",
+            "phi",
+            "envelope",
+            "bcast_msgs",
+            "bcast/env",
+            "bfs_msgs",
             "bfs/env",
         ],
     );

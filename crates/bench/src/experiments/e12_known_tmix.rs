@@ -17,12 +17,22 @@ use welle_walks::{mixing_time, MixingOptions, StartPolicy};
 
 /// Runs the comparison.
 pub fn run(quick: bool) -> Vec<Table> {
-    let sizes: &[usize] = if quick { &[128] } else { &[128, 256, 512, 1024] };
+    let sizes: &[usize] = if quick {
+        &[128]
+    } else {
+        &[128, 256, 512, 1024]
+    };
     let mut table = Table::new(
         "E12 / vs Kutten'15 [25]: guess-and-double vs known t_mix",
         &[
-            "n", "t_mix", "guess_msgs", "stop_len", "known2tmix_msgs", "oracle_msgs",
-            "known/guess", "oracle/guess",
+            "n",
+            "t_mix",
+            "guess_msgs",
+            "stop_len",
+            "known2tmix_msgs",
+            "oracle_msgs",
+            "known/guess",
+            "oracle/guess",
         ],
     );
     for &n in sizes {

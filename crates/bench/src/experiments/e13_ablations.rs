@@ -23,7 +23,14 @@ pub fn run(quick: bool) -> Vec<Table> {
 
     let mut c1_table = Table::new(
         "E13a ablation: contender constant c1 (reliability vs cost)",
-        &["c1", "runs", "unique", "zero", "mean_msgs", "mean_contenders"],
+        &[
+            "c1",
+            "runs",
+            "unique",
+            "zero",
+            "mean_msgs",
+            "mean_contenders",
+        ],
     );
     for c1 in [1.0f64, 2.0, 4.0, 8.0] {
         let cfg = ElectionConfig { c1, ..base };
@@ -49,7 +56,14 @@ pub fn run(quick: bool) -> Vec<Table> {
 
     let mut c2_table = Table::new(
         "E13b ablation: walk budget constant c2 (messages scale ~ c2)",
-        &["c2", "runs", "unique", "zero", "mean_msgs", "mean_final_t_u"],
+        &[
+            "c2",
+            "runs",
+            "unique",
+            "zero",
+            "mean_msgs",
+            "mean_final_t_u",
+        ],
     );
     for c2 in [0.5f64, 1.0, 2.0] {
         let cfg = ElectionConfig { c2, ..base };

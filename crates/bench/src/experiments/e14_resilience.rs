@@ -29,7 +29,11 @@ fn families(n: usize) -> Vec<(&'static str, Arc<Graph>, ElectionConfig)> {
     // Dumbbell of two opened (n/2)-node expanders joined by two bridges:
     // mixing is bridge-bound, the walk cap scales with n accordingly.
     let base = gen::random_regular(n / 2, 4, &mut rng).expect("dumbbell base");
-    let dumbbell = Arc::new(gen::dumbbell(&base, &mut rng).expect("dumbbell").into_graph());
+    let dumbbell = Arc::new(
+        gen::dumbbell(&base, &mut rng)
+            .expect("dumbbell")
+            .into_graph(),
+    );
     let cfg_exp = ElectionConfig {
         max_walk_len: Some(512),
         ..ElectionConfig::tuned_for_simulation(expander.n())
@@ -38,7 +42,10 @@ fn families(n: usize) -> Vec<(&'static str, Arc<Graph>, ElectionConfig)> {
         max_walk_len: Some((8 * n) as u32),
         ..ElectionConfig::tuned_for_simulation(dumbbell.n())
     };
-    vec![("expander", expander, cfg_exp), ("dumbbell", dumbbell, cfg_db)]
+    vec![
+        ("expander", expander, cfg_exp),
+        ("dumbbell", dumbbell, cfg_db),
+    ]
 }
 
 /// Sweeps one fault axis over every family with one [`Campaign`] per
@@ -65,7 +72,13 @@ fn sweep(
             .expect("experiment configs are valid");
         let baseline = outcome.summaries[0].clone();
         for summary in &outcome.summaries {
-            push_row(table, family, summary, &baseline, outcome.trials_of(&summary.scenario));
+            push_row(
+                table,
+                family,
+                summary,
+                &baseline,
+                outcome.trials_of(&summary.scenario),
+            );
         }
     }
 }
@@ -100,8 +113,16 @@ fn push_row<'a>(
 }
 
 const COLUMNS: [&str; 10] = [
-    "family", "scenario", "n", "success", "msgs_med", "msg_x", "rounds_med", "round_x",
-    "gave_up", "dropped",
+    "family",
+    "scenario",
+    "n",
+    "success",
+    "msgs_med",
+    "msg_x",
+    "rounds_med",
+    "round_x",
+    "gave_up",
+    "dropped",
 ];
 
 /// Runs the resilience sweeps.

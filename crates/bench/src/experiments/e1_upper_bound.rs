@@ -30,7 +30,13 @@ pub fn run(quick: bool) -> Vec<Table> {
     let mut table = Table::new(
         "E1 / Theorem 13: messages = O(sqrt(n) polylog n * t_mix)",
         &[
-            "family", "n", "m", "t_mix", "messages", "msgs/(sqrt(n)*tmix)", "rounds",
+            "family",
+            "n",
+            "m",
+            "t_mix",
+            "messages",
+            "msgs/(sqrt(n)*tmix)",
+            "rounds",
         ],
     );
     let mut summary = Table::new(

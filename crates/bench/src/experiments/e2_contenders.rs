@@ -20,7 +20,14 @@ pub fn run(quick: bool) -> Vec<Table> {
     let mut table = Table::new(
         "E2 / Lemma 1: contender count vs [3/4, 5/4] c1 ln n band",
         &[
-            "n", "E[X]=c1 ln n", "band_lo", "band_hi", "mean", "min", "max", "in_band",
+            "n",
+            "E[X]=c1 ln n",
+            "band_lo",
+            "band_hi",
+            "mean",
+            "min",
+            "max",
+            "in_band",
         ],
     );
     for &n in sizes {

@@ -10,7 +10,11 @@ use welle_walks::{mixing_time, MixingOptions, StartPolicy};
 
 /// Runs the sweep.
 pub fn run(quick: bool) -> Vec<Table> {
-    let sizes: &[usize] = if quick { &[128, 256] } else { &[128, 256, 512, 1024] };
+    let sizes: &[usize] = if quick {
+        &[128, 256]
+    } else {
+        &[128, 256, 512, 1024]
+    };
     let families = [Family::Expander, Family::Hypercube, Family::Clique];
     let mut table = Table::new(
         "E3 / Lemma 3+6: final guess t_u vs t_mix (stop by O(t_mix))",

@@ -21,8 +21,16 @@ pub fn run(quick: bool) -> Vec<Table> {
     let mut table = Table::new(
         "E5 / Lemma 16: lower-bound graph G(n, eps), phi = Theta(alpha)",
         &[
-            "eps", "n", "cliques", "s", "degree_ok", "inter_edges", "alpha",
-            "phi_sweep", "phi_cliquecut", "phi/alpha",
+            "eps",
+            "n",
+            "cliques",
+            "s",
+            "degree_ok",
+            "inter_edges",
+            "alpha",
+            "phi_sweep",
+            "phi_cliquecut",
+            "phi/alpha",
         ],
     );
     let mut rng = StdRng::seed_from_u64(42);

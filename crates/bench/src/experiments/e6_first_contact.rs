@@ -41,7 +41,14 @@ pub fn run(quick: bool) -> Vec<Table> {
 
     let mut protocol = Table::new(
         "E6b / Lemma 18 in vivo: election traffic before first inter-clique send",
-        &["eps", "s", "ports~s^2", "cliques", "mean_first_contact", "vs_s^2"],
+        &[
+            "eps",
+            "s",
+            "ports~s^2",
+            "cliques",
+            "mean_first_contact",
+            "vs_s^2",
+        ],
     );
     let eps_list: &[f64] = if quick { &[0.3] } else { &[0.25, 0.3, 0.35] };
     for &eps in eps_list {

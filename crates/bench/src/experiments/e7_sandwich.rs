@@ -19,7 +19,13 @@ pub fn run(quick: bool) -> Vec<Table> {
     let mut table = Table::new(
         "E7 / Theorem 15: measured messages vs lower envelope sqrt(n)/phi^(3/4)",
         &[
-            "eps", "n", "phi", "lower_env", "messages", "msgs/lower", "cg_edges",
+            "eps",
+            "n",
+            "phi",
+            "lower_env",
+            "messages",
+            "msgs/lower",
+            "cg_edges",
             "success",
         ],
     );

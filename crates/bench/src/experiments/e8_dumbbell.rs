@@ -8,17 +8,23 @@
 
 use crate::table::Table;
 use rand::{rngs::StdRng, SeedableRng};
+use welle_core::ElectionConfig;
 use welle_graph::gen;
 use welle_lowerbound::bridge::{frugal_clique_config, run_dumbbell_election};
-use welle_core::ElectionConfig;
 
 /// Runs the base-density sweep.
 pub fn run(quick: bool) -> Vec<Table> {
     let mut table = Table::new(
         "E8 / Theorem 28: dumbbell elections with wrong n (= half)",
         &[
-            "base", "m", "runs", "split_brain", "mean_msgs", "msgs/m",
-            "mean_b4_cross", "b4_cross/m",
+            "base",
+            "m",
+            "runs",
+            "split_brain",
+            "mean_msgs",
+            "msgs/m",
+            "mean_b4_cross",
+            "b4_cross/m",
         ],
     );
     let reps = if quick { 2 } else { 5 };

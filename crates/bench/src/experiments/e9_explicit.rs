@@ -18,8 +18,14 @@ pub fn run(quick: bool) -> Vec<Table> {
     let mut table = Table::new(
         "E9 / Corollary 14: explicit = implicit + push-pull broadcast",
         &[
-            "n", "phi", "elect_msgs", "bcast_msgs", "bcast_pred=n ln n/phi",
-            "bcast/pred", "bcast/elect", "rounds",
+            "n",
+            "phi",
+            "elect_msgs",
+            "bcast_msgs",
+            "bcast_pred=n ln n/phi",
+            "bcast/pred",
+            "bcast/elect",
+            "rounds",
         ],
     );
     for &n in sizes {

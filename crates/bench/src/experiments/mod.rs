@@ -2,6 +2,11 @@
 //! paper claim it tests, and each exposes `run(quick: bool) ->
 //! Vec<Table>`; `quick` shrinks sweeps for smoke tests and CI.
 
+pub mod e10_families;
+pub mod e11_bcast_st;
+pub mod e12_known_tmix;
+pub mod e13_ablations;
+pub mod e14_resilience;
 pub mod e1_upper_bound;
 pub mod e2_contenders;
 pub mod e3_guess_double;
@@ -11,11 +16,6 @@ pub mod e6_first_contact;
 pub mod e7_sandwich;
 pub mod e8_dumbbell;
 pub mod e9_explicit;
-pub mod e10_families;
-pub mod e11_bcast_st;
-pub mod e12_known_tmix;
-pub mod e13_ablations;
-pub mod e14_resilience;
 
 use crate::table::Table;
 

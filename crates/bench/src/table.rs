@@ -29,7 +29,8 @@ impl Table {
     /// Panics if the row width differs from the header width.
     pub fn push(&mut self, cells: &[&dyn Display]) {
         assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
-        self.rows.push(cells.iter().map(|c| c.to_string()).collect());
+        self.rows
+            .push(cells.iter().map(|c| c.to_string()).collect());
     }
 
     /// Convenience for rows already stringified.

@@ -93,7 +93,12 @@ mod tests {
 
     #[test]
     fn families_build_at_small_sizes() {
-        for fam in [Family::Expander, Family::Hypercube, Family::Clique, Family::Torus] {
+        for fam in [
+            Family::Expander,
+            Family::Hypercube,
+            Family::Clique,
+            Family::Torus,
+        ] {
             let g = fam.build(64, 1);
             assert!(g.n() >= 36, "{}: n = {}", fam.name(), g.n());
             assert!(welle_graph::analysis::is_connected(&g));

@@ -294,11 +294,7 @@ impl<P: Protocol> Engine<P> {
     }
 
     /// Creates an engine with protocols built per node index.
-    pub fn from_fn(
-        graph: Arc<Graph>,
-        cfg: EngineConfig,
-        mut make: impl FnMut(usize) -> P,
-    ) -> Self {
+    pub fn from_fn(graph: Arc<Graph>, cfg: EngineConfig, mut make: impl FnMut(usize) -> P) -> Self {
         let nodes = (0..graph.n()).map(&mut make).collect();
         Engine::new(graph, nodes, cfg)
     }
@@ -425,11 +421,7 @@ impl<P: Protocol> Engine<P> {
     }
 
     /// Like [`Engine::run`] but notifying `obs` of every transmission.
-    pub fn run_observed(
-        &mut self,
-        round_limit: u64,
-        obs: &mut dyn TransmitObserver,
-    ) -> RunOutcome {
+    pub fn run_observed(&mut self, round_limit: u64, obs: &mut dyn TransmitObserver) -> RunOutcome {
         self.run_core(round_limit, obs)
     }
 
@@ -509,7 +501,9 @@ impl<P: Protocol> Engine<P> {
         let mut tel = self.telemetry.take();
         let t_round = tel.as_deref_mut().and_then(|t| t.begin(SpanStage::Round));
 
-        let t_cb = tel.as_deref_mut().and_then(|t| t.begin(SpanStage::Callbacks));
+        let t_cb = tel
+            .as_deref_mut()
+            .and_then(|t| t.begin(SpanStage::Callbacks));
         let kind = self.next_phase();
         let (ran, callbacks_run) = self.protocol_phase(kind);
         if let Some(t) = tel.as_deref_mut() {
@@ -1616,7 +1610,8 @@ mod tests {
         let g = Arc::new(gen::path(2).unwrap());
         let nodes = vec![Echo::new(true), Echo::new(false)];
         let mut e = Engine::new(g, nodes, EngineConfig::default());
-        e.set_fault_plan(&FaultPlan::new(0).delay_all(1000)).unwrap();
+        e.set_fault_plan(&FaultPlan::new(0).delay_all(1000))
+            .unwrap();
         let out = e.run(100_000);
         assert!(matches!(out, RunOutcome::Quiescent { .. }));
         assert_eq!(e.node(0).replies_received(), 1);
@@ -1656,7 +1651,9 @@ mod tests {
         };
         let mk = |i: usize| FloodMax::new(i as u64);
         let mut pooled = Engine::from_fn(Arc::clone(&g), cfg, mk);
-        pooled.set_fault_plan(&FaultPlan::new(7).drop_rate(0.3)).unwrap();
+        pooled
+            .set_fault_plan(&FaultPlan::new(7).drop_rate(0.3))
+            .unwrap();
         pooled.run(10_000);
 
         // Reset onto a *different* graph and seed.

@@ -211,10 +211,16 @@ impl fmt::Display for FaultError {
                 write!(f, "fault fraction must be a probability in [0, 1], got {p}")
             }
             FaultError::NodeOutOfRange { node, n } => {
-                write!(f, "fault plan crashes node {node}, but the graph has n = {n}")
+                write!(
+                    f,
+                    "fault plan crashes node {node}, but the graph has n = {n}"
+                )
             }
             FaultError::NoSuchEdge { u, v } => {
-                write!(f, "fault plan cuts edge ({u}, {v}), which the graph does not have")
+                write!(
+                    f,
+                    "fault plan cuts edge ({u}, {v}), which the graph does not have"
+                )
             }
         }
     }
@@ -408,9 +414,8 @@ impl CompiledFaults {
 /// way the drop layer keys its coins.
 #[inline]
 pub(crate) fn mix3(seed: u64, round: u64, dir: u64) -> u64 {
-    let mut z = seed
-        ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ dir.wrapping_mul(0xD1B5_4A32_D192_ED03);
+    let mut z =
+        seed ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ dir.wrapping_mul(0xD1B5_4A32_D192_ED03);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -499,13 +504,19 @@ mod tests {
     #[test]
     fn fractions_are_seed_stable_and_roughly_sized() {
         let g = gen::clique(64).unwrap();
-        let plan = FaultPlan::new(5).crash_fraction(0.5, 3).cut_fraction(0.25, 4);
+        let plan = FaultPlan::new(5)
+            .crash_fraction(0.5, 3)
+            .cut_fraction(0.25, 4);
         let a = CompiledFaults::compile(&plan, &g).unwrap();
         let b = CompiledFaults::compile(&plan, &g).unwrap();
         let crashed: Vec<usize> = (0..g.n()).filter(|&v| a.is_crashed(v, 3)).collect();
         let crashed_b: Vec<usize> = (0..g.n()).filter(|&v| b.is_crashed(v, 3)).collect();
         assert_eq!(crashed, crashed_b, "selection must be seed-stable");
-        assert!(crashed.len() > 16 && crashed.len() < 48, "{}", crashed.len());
+        assert!(
+            crashed.len() > 16 && crashed.len() < 48,
+            "{}",
+            crashed.len()
+        );
         let cut = (0..g.m()).filter(|&e| a.edge_cut(e, 4)).count();
         assert!(cut > g.m() / 8 && cut < g.m() / 2, "{cut} of {}", g.m());
         // Nothing is crashed or cut before its round.
@@ -516,11 +527,8 @@ mod tests {
     #[test]
     fn delays_combine_uniform_and_random_parts() {
         let g = gen::ring(16).unwrap();
-        let c = CompiledFaults::compile(
-            &FaultPlan::new(2).delay_all(3).random_delays(2),
-            &g,
-        )
-        .unwrap();
+        let c =
+            CompiledFaults::compile(&FaultPlan::new(2).delay_all(3).random_delays(2), &g).unwrap();
         for e in 0..g.m() {
             let d = c.edge_delay(e);
             assert!((3..=5).contains(&d), "edge {e}: delay {d}");

@@ -177,10 +177,7 @@ impl LatencyModel {
                 }
             }
         }
-        if !self.service_rate.is_finite()
-            || self.service_rate <= 0.0
-            || self.service_rate > 1.0
-        {
+        if !self.service_rate.is_finite() || self.service_rate <= 0.0 || self.service_rate > 1.0 {
             return Err(LatencyError::BadServiceRate(self.service_rate));
         }
         Ok(())
@@ -217,7 +214,10 @@ impl fmt::Display for LatencyError {
                 write!(f, "fixed latency must be finite and >= 0 rounds, got {r}")
             }
             LatencyError::BadUniform { lo, hi } => {
-                write!(f, "uniform latency needs finite 0 <= lo <= hi, got [{lo}, {hi}]")
+                write!(
+                    f,
+                    "uniform latency needs finite 0 <= lo <= hi, got [{lo}, {hi}]"
+                )
             }
             LatencyError::BadLogNormal { mu, sigma } => {
                 write!(
@@ -320,7 +320,11 @@ impl<M> LatencyState<M> {
             lognormal,
             service_ticks,
             track_busy,
-            busy: if track_busy { vec![0; dir_count] } else { Vec::new() },
+            busy: if track_busy {
+                vec![0; dir_count]
+            } else {
+                Vec::new()
+            },
             parked: BinaryHeap::new(),
             seq: 0,
             last_tick: 0,
@@ -508,7 +512,10 @@ mod tests {
                 let extra = due - (round + 1) * TICKS_PER_ROUND;
                 let lo = to_ticks(0.5);
                 let hi = to_ticks(2.0);
-                assert!((lo..=hi).contains(&extra), "round {round} dir {dir}: {extra}");
+                assert!(
+                    (lo..=hi).contains(&extra),
+                    "round {round} dir {dir}: {extra}"
+                );
             }
         }
         // A different seed draws a different schedule.

@@ -268,7 +268,9 @@ const SHRINK_FLOOR: usize = 1 << 13;
 /// The capacity past which a reset for `directed_edges` releases a
 /// buffer rather than keep it.
 fn shrink_limit(directed_edges: usize) -> usize {
-    SHRINK_RATIO.saturating_mul(directed_edges).max(SHRINK_FLOOR)
+    SHRINK_RATIO
+        .saturating_mul(directed_edges)
+        .max(SHRINK_FLOOR)
 }
 
 #[cfg(test)]

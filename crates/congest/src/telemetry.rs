@@ -295,7 +295,9 @@ impl TelemetryState {
             acc.entries += 1;
             acc.events += events;
             let ns = t0.elapsed().as_nanos();
-            acc.wall_ns = acc.wall_ns.saturating_add(u64::try_from(ns).unwrap_or(u64::MAX));
+            acc.wall_ns = acc
+                .wall_ns
+                .saturating_add(u64::try_from(ns).unwrap_or(u64::MAX));
         }
     }
 

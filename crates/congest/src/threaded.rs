@@ -284,7 +284,10 @@ impl<P: Protocol> Engine<P> {
                 };
                 let inline = work <= cutoff.saturating_mul(cells.len());
                 if !inline {
-                    cmd.store(if starting { CMD_START } else { CMD_ROUND }, Ordering::SeqCst);
+                    cmd.store(
+                        if starting { CMD_START } else { CMD_ROUND },
+                        Ordering::SeqCst,
+                    );
                     round_now.store(self.round, Ordering::SeqCst);
                     barrier.wait(); // workers run the protocol phase
                     barrier.wait(); // workers finished
@@ -388,7 +391,9 @@ mod tests {
             bandwidth_bits: None,
         };
         let mk = |_: usize| -> Vec<FloodMax> {
-            (0..g.n()).map(|i| FloodMax::new((i * 7 % 48) as u64)).collect()
+            (0..g.n())
+                .map(|i| FloodMax::new((i * 7 % 48) as u64))
+                .collect()
         };
         let mut serial = Engine::new(Arc::clone(&g), mk(0), cfg);
         let serial_out = serial.run(100_000);
@@ -437,7 +442,11 @@ mod tests {
             seed: 7,
             bandwidth_bits: None,
         };
-        let mk = || (0..g.n()).map(|i| FloodMax::new(i as u64)).collect::<Vec<_>>();
+        let mk = || {
+            (0..g.n())
+                .map(|i| FloodMax::new(i as u64))
+                .collect::<Vec<_>>()
+        };
         let mut serial = Engine::new(Arc::clone(&g), mk(), cfg);
         serial.run(100_000);
         for threads in [2usize, 5] {
@@ -509,7 +518,11 @@ mod tests {
             .delay_all(1)
             .random_delays(2)
             .cut_fraction(0.05, 6);
-        let mk = || (0..g.n()).map(|i| FloodMax::new(i as u64)).collect::<Vec<_>>();
+        let mk = || {
+            (0..g.n())
+                .map(|i| FloodMax::new(i as u64))
+                .collect::<Vec<_>>()
+        };
         let mut serial = Engine::new(Arc::clone(&g), mk(), cfg);
         serial.set_fault_plan(&plan).unwrap();
         let serial_out = serial.run(100_000);
@@ -565,7 +578,11 @@ mod tests {
         // the resumed run crosses the sharded path.
         let g = graph();
         let cfg = EngineConfig::default();
-        let mk = || (0..g.n()).map(|i| FloodMax::new(i as u64)).collect::<Vec<_>>();
+        let mk = || {
+            (0..g.n())
+                .map(|i| FloodMax::new(i as u64))
+                .collect::<Vec<_>>()
+        };
         let mut whole = sharded(&g, mk(), cfg, 3);
         whole.set_inline_cutoff(0);
         let out_whole = whole.run(10_000);

@@ -18,8 +18,7 @@ use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use welle_congest::testing::FloodMax;
 use welle_congest::{
-    Engine, EngineConfig, FaultPlan, LatencyModel, Metrics, RecordingObserver,
-    TransmitEvent,
+    Engine, EngineConfig, FaultPlan, LatencyModel, Metrics, RecordingObserver, TransmitEvent,
 };
 use welle_graph::Graph;
 

@@ -126,7 +126,12 @@ fn run_async_zero(g: &Arc<Graph>, seed: u64, plan: Option<&FaultPlan>) -> Run {
 }
 
 fn assert_same(base: &Run, other: &Run, what: &str) -> Result<(), TestCaseError> {
-    prop_assert_eq!(&base.events, &other.events, "{}: transmission streams diverge", what);
+    prop_assert_eq!(
+        &base.events,
+        &other.events,
+        "{}: transmission streams diverge",
+        what
+    );
     prop_assert_eq!(&base.metrics, &other.metrics, "{}: metrics diverge", what);
     prop_assert_eq!(base.round, other.round, "{}: round counts diverge", what);
     prop_assert_eq!(base.done, other.done, "{}: outcomes diverge", what);

@@ -87,11 +87,19 @@ fn samples_reconcile_against_metrics() {
     );
     let report = oracle.telemetry.expect("telemetry was installed");
     let m = &oracle.metrics;
-    assert_eq!(report.total_samples, m.active_rounds, "one sample per active round");
+    assert_eq!(
+        report.total_samples, m.active_rounds,
+        "one sample per active round"
+    );
     let msgs: u64 = report.samples.iter().map(|s| s.messages).sum();
     let bits: u64 = report.samples.iter().map(|s| s.bits).sum();
     let dropped: u64 = report.samples.iter().map(|s| s.dropped).sum();
-    let backlog = report.samples.iter().map(|s| s.max_backlog).max().unwrap_or(0);
+    let backlog = report
+        .samples
+        .iter()
+        .map(|s| s.max_backlog)
+        .max()
+        .unwrap_or(0);
     assert_eq!(msgs, m.messages);
     assert_eq!(bits, m.bits);
     assert_eq!(dropped, m.dropped_messages);
@@ -139,11 +147,7 @@ fn phase_tables_identical_across_executors() {
     // Phase 0 is published from the first sampled round onwards, so no
     // sample can precede attribution.
     assert!(report.samples.iter().all(|s| s.phase.is_some()));
-    let phase_rounds: u64 = report
-        .phases
-        .iter()
-        .map(|(_, totals)| totals.rounds)
-        .sum();
+    let phase_rounds: u64 = report.phases.iter().map(|(_, totals)| totals.rounds).sum();
     assert_eq!(phase_rounds, report.total_samples);
     let phase_msgs: u64 = report
         .phases
@@ -203,7 +207,14 @@ fn profiler_counts_are_deterministic_and_wall_clock_is_separate() {
     let g = expander(48, 17);
     let run = |seed| {
         let nodes = (0..g.n()).map(|i| FloodMax::new(i as u64)).collect();
-        let mut e = Engine::new(Arc::clone(&g), nodes, EngineConfig { seed, ..EngineConfig::default() });
+        let mut e = Engine::new(
+            Arc::clone(&g),
+            nodes,
+            EngineConfig {
+                seed,
+                ..EngineConfig::default()
+            },
+        );
         e.set_telemetry(TelemetryConfig::full().with_profile());
         e.run(10_000);
         (e.metrics().active_rounds, e.take_telemetry().unwrap())
@@ -214,14 +225,27 @@ fn profiler_counts_are_deterministic_and_wall_clock_is_separate() {
     let pb = b.profile.expect("profiling was on");
     for (x, y) in pa.iter().zip(pb.iter()) {
         assert_eq!(x.stage, y.stage);
-        assert_eq!(x.entries, y.entries, "{}: entries deterministic", x.stage.name());
-        assert_eq!(x.events, y.events, "{}: events deterministic", x.stage.name());
+        assert_eq!(
+            x.entries,
+            y.entries,
+            "{}: entries deterministic",
+            x.stage.name()
+        );
+        assert_eq!(
+            x.events,
+            y.events,
+            "{}: events deterministic",
+            x.stage.name()
+        );
         // wall_ns is intentionally NOT compared: it is the only
         // non-deterministic field and lives apart from the counts.
     }
     let round = pa.iter().find(|s| s.stage == SpanStage::Round).unwrap();
     assert_eq!(round.entries, active, "one Round span per active round");
-    let heap = pa.iter().find(|s| s.stage == SpanStage::LatencyHeap).unwrap();
+    let heap = pa
+        .iter()
+        .find(|s| s.stage == SpanStage::LatencyHeap)
+        .unwrap();
     assert_eq!(heap.entries, 0, "the serial engine has no latency heap");
 }
 
@@ -229,14 +253,9 @@ fn profiler_counts_are_deterministic_and_wall_clock_is_separate() {
 fn telemetry_is_inert_when_absent_and_when_installed() {
     let g = expander(48, 19);
     // No telemetry at all: take_telemetry is None.
-    let plain = run_everywhere(
-        &g,
-        EngineConfig::default(),
-        None,
-        None,
-        10_000,
-        |i| Echo::new(i == 0),
-    );
+    let plain = run_everywhere(&g, EngineConfig::default(), None, None, 10_000, |i| {
+        Echo::new(i == 0)
+    });
     assert!(plain.iter().all(|r| r.telemetry.is_none()));
     // Installing telemetry must not perturb the execution: identical
     // metrics with and without the layer.
@@ -249,8 +268,16 @@ fn telemetry_is_inert_when_absent_and_when_installed() {
         |i| Echo::new(i == 0),
     );
     for (p, o) in plain.iter().zip(observed.iter()) {
-        assert_eq!(p.metrics, o.metrics, "{}: telemetry perturbed the run", p.name);
-        assert_eq!(p.outcome, o.outcome, "{}: telemetry perturbed the outcome", p.name);
+        assert_eq!(
+            p.metrics, o.metrics,
+            "{}: telemetry perturbed the run",
+            p.name
+        );
+        assert_eq!(
+            p.outcome, o.outcome,
+            "{}: telemetry perturbed the outcome",
+            p.name
+        );
     }
 }
 

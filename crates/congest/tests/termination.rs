@@ -75,7 +75,10 @@ fn quiescent_on_path_when_nodes_never_finish() {
 fn round_limit_on_path_with_endless_traffic() {
     let mut e = Engine::new(path2(), vec![Chatter, Chatter], EngineConfig::default());
     let out = e.run(50);
-    assert!(matches!(out, RunOutcome::RoundLimit { round: 50 }), "got {out:?}");
+    assert!(
+        matches!(out, RunOutcome::RoundLimit { round: 50 }),
+        "got {out:?}"
+    );
     assert_eq!(e.round(), 50);
 }
 
@@ -159,12 +162,17 @@ fn threaded_engine_agrees_on_all_three_outcomes() {
 
         let mut quiescent = on_threads(
             with_isolated_node(),
-            (0..3).map(|i| welle_congest::testing::BfsWave::new(i == 0)).collect(),
+            (0..3)
+                .map(|i| welle_congest::testing::BfsWave::new(i == 0))
+                .collect(),
             threads,
         );
         assert!(matches!(quiescent.run(1_000), RunOutcome::Quiescent { .. }));
 
         let mut limited = on_threads(path2(), vec![Chatter, Chatter], threads);
-        assert!(matches!(limited.run(50), RunOutcome::RoundLimit { round: 50 }));
+        assert!(matches!(
+            limited.run(50),
+            RunOutcome::RoundLimit { round: 50 }
+        ));
     }
 }

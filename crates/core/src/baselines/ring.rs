@@ -147,7 +147,14 @@ impl Protocol for HsNode {
                         // Relay or bounce; smaller local id defers.
                         self.active = false;
                         if hops > 1 {
-                            ctx.send(Self::other(port), HsMsg::Probe { id, phase, hops: hops - 1 });
+                            ctx.send(
+                                Self::other(port),
+                                HsMsg::Probe {
+                                    id,
+                                    phase,
+                                    hops: hops - 1,
+                                },
+                            );
                         } else {
                             ctx.send(port, HsMsg::Echo { id, phase });
                         }
@@ -274,7 +281,11 @@ mod tests {
             engine.nodes().iter().filter_map(|p| p.leader()).collect();
         assert_eq!(leader_ids.len(), 1, "all nodes agree on the winner");
         assert_eq!(
-            engine.nodes().iter().filter(|p| p.leader().is_some()).count(),
+            engine
+                .nodes()
+                .iter()
+                .filter(|p| p.leader().is_some())
+                .count(),
             32
         );
     }

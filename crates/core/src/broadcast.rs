@@ -146,14 +146,11 @@ pub fn run_push_pull(
             seed,
             bandwidth_bits: None,
         },
-        |i| {
-            PushPullNode::new(
-                if i == source { Some(rumor) } else { None },
-                horizon,
-            )
-        },
+        |i| PushPullNode::new(if i == source { Some(rumor) } else { None }, horizon),
     );
-    engine.run_until(horizon + 2, |e| e.nodes().iter().all(|n| n.rumor().is_some()));
+    engine.run_until(horizon + 2, |e| {
+        e.nodes().iter().all(|n| n.rumor().is_some())
+    });
     let all_informed = engine.nodes().iter().all(|n| n.rumor() == Some(rumor));
     let rounds = engine
         .nodes()
@@ -183,8 +180,7 @@ pub struct ExplicitReport {
 impl ExplicitReport {
     /// Success: unique leader and everyone informed of its id.
     pub fn is_success(&self) -> bool {
-        self.election.is_success()
-            && self.broadcast.as_ref().is_some_and(|b| b.all_informed)
+        self.election.is_success() && self.broadcast.as_ref().is_some_and(|b| b.all_informed)
     }
 
     /// Combined message count of both stages.

@@ -1071,9 +1071,16 @@ mod tests {
         assert_eq!(resumed.resumed_trials, 5);
         assert_eq!(resumed.trials.len(), 7, "only the missing trials re-ran");
         assert_eq!(resumed_text, full_text, "file must be byte-identical");
-        let full_rows: Vec<String> = full.summaries.iter().map(CampaignSummary::csv_row).collect();
-        let res_rows: Vec<String> =
-            resumed.summaries.iter().map(CampaignSummary::csv_row).collect();
+        let full_rows: Vec<String> = full
+            .summaries
+            .iter()
+            .map(CampaignSummary::csv_row)
+            .collect();
+        let res_rows: Vec<String> = resumed
+            .summaries
+            .iter()
+            .map(CampaignSummary::csv_row)
+            .collect();
         assert_eq!(res_rows, full_rows, "summaries must absorb resumed trials");
     }
 
@@ -1169,10 +1176,7 @@ mod tests {
             .run()
             .unwrap_err();
         std::fs::remove_file(&path).unwrap();
-        assert!(
-            matches!(err, ConfigError::ResumeMismatch { .. }),
-            "{err:?}"
-        );
+        assert!(matches!(err, ConfigError::ResumeMismatch { .. }), "{err:?}");
     }
 
     #[test]

@@ -369,7 +369,10 @@ mod tests {
         assert!(p.walks_per_contender >= 400 && p.walks_per_contender <= 500);
         // tau_int = 0.75 * 3 * 6.93 ≈ 15
         assert_eq!(p.tau_intersection, 15);
-        assert_eq!(p.tau_distinct as u64, p.walks_per_contender as u64 / 2 + p.walks_per_contender as u64 % 2);
+        assert_eq!(
+            p.tau_distinct as u64,
+            p.walks_per_contender as u64 / 2 + p.walks_per_contender as u64 % 2
+        );
         assert_eq!(p.id_max, 1u64 << 40);
         assert_eq!(p.frag, 1);
     }
@@ -474,11 +477,41 @@ mod tests {
     #[test]
     fn try_derive_rejects_bad_constants() {
         for (patch, name) in [
-            (ElectionConfig { c1: f64::NAN, ..ElectionConfig::default() }, "c1"),
-            (ElectionConfig { c1: 0.0, ..ElectionConfig::default() }, "c1"),
-            (ElectionConfig { c2: -1.0, ..ElectionConfig::default() }, "c2"),
-            (ElectionConfig { c2: f64::INFINITY, ..ElectionConfig::default() }, "c2"),
-            (ElectionConfig { c_t: 0.0, ..ElectionConfig::default() }, "c_t"),
+            (
+                ElectionConfig {
+                    c1: f64::NAN,
+                    ..ElectionConfig::default()
+                },
+                "c1",
+            ),
+            (
+                ElectionConfig {
+                    c1: 0.0,
+                    ..ElectionConfig::default()
+                },
+                "c1",
+            ),
+            (
+                ElectionConfig {
+                    c2: -1.0,
+                    ..ElectionConfig::default()
+                },
+                "c2",
+            ),
+            (
+                ElectionConfig {
+                    c2: f64::INFINITY,
+                    ..ElectionConfig::default()
+                },
+                "c2",
+            ),
+            (
+                ElectionConfig {
+                    c_t: 0.0,
+                    ..ElectionConfig::default()
+                },
+                "c_t",
+            ),
         ] {
             match Params::try_derive(64, patch) {
                 Err(ConfigError::BadConstant { name: got, .. }) => assert_eq!(got, name),

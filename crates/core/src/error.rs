@@ -102,7 +102,10 @@ impl fmt::Display for ConfigError {
                 write!(f, "campaign sink {path}: {detail}")
             }
             ConfigError::ResumeMismatch { path, detail } => {
-                write!(f, "resume manifest {path} does not match this campaign: {detail}")
+                write!(
+                    f,
+                    "resume manifest {path} does not match this campaign: {detail}"
+                )
             }
         }
     }

@@ -107,8 +107,8 @@ pub use error::ConfigError;
 pub use msg::{ElectionMsg, FwdItem, MsgView, RevItem};
 pub use protocol::{ElectionNode, SIGNAL_ADVANCE};
 pub use runner::ElectionReport;
+pub use state::{ContenderState, Decision, EpochRecord, NodeStats, ProxyRecord};
 pub use welle_congest::{
     FaultError, FaultPlan, LatencyDist, LatencyError, LatencyModel, PhaseTotals, Retention,
     RoundSample, SpanStage, SpanStats, TelemetryConfig, TelemetryReport,
 };
-pub use state::{ContenderState, Decision, EpochRecord, NodeStats, ProxyRecord};

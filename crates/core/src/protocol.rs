@@ -326,8 +326,7 @@ impl ElectionNode {
                 .i4_max
                 .max(c.i2.last().copied())
                 .map_or(self.id, |m| m.max(self.id));
-            let wins =
-                !c.gave_up && self.winner_heard.is_none() && max_known == self.id;
+            let wins = !c.gave_up && self.winner_heard.is_none() && max_known == self.id;
             self.decided = Some(if wins {
                 Decision::Leader
             } else {
@@ -571,12 +570,7 @@ impl ElectionNode {
         }
     }
 
-    fn handle_message(
-        &mut self,
-        ctx: &mut Context<'_, ElectionMsg>,
-        port: Port,
-        msg: ElectionMsg,
-    ) {
+    fn handle_message(&mut self, ctx: &mut Context<'_, ElectionMsg>, port: Port, msg: ElectionMsg) {
         if let MsgView::Walk {
             origin,
             epoch,
@@ -615,7 +609,11 @@ impl Protocol for ElectionNode {
         self.schedule_next_wake(ctx);
     }
 
-    fn on_round(&mut self, ctx: &mut Context<'_, ElectionMsg>, inbox: &mut Vec<(Port, ElectionMsg)>) {
+    fn on_round(
+        &mut self,
+        ctx: &mut Context<'_, ElectionMsg>,
+        inbox: &mut Vec<(Port, ElectionMsg)>,
+    ) {
         // Lazy-step holdovers from last round first; the stays they make
         // go on the end.
         let held = self.pending_stays.len();

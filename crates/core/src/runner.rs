@@ -36,11 +36,7 @@ pub(crate) enum ExecPlan {
 ///
 /// [`ConfigError::ZeroThreads`] for `Threaded(0)`;
 /// [`ConfigError::Latency`] for an async model with bad parameters.
-pub(crate) fn plan_for(
-    exec: Exec,
-    graph: &Graph,
-    cores: usize,
-) -> Result<ExecPlan, ConfigError> {
+pub(crate) fn plan_for(exec: Exec, graph: &Graph, cores: usize) -> Result<ExecPlan, ConfigError> {
     match exec.resolve_with(graph, cores) {
         Exec::Serial => Ok(ExecPlan::Serial),
         Exec::Threaded(0) => Err(ConfigError::ZeroThreads),
@@ -538,7 +534,10 @@ mod tests {
             plan_for(Exec::Threaded(3), &g, 1).unwrap(),
             ExecPlan::Threaded(3)
         );
-        assert_eq!(plan_for(Exec::Threaded(0), &g, 8), Err(ConfigError::ZeroThreads));
+        assert_eq!(
+            plan_for(Exec::Threaded(0), &g, 8),
+            Err(ConfigError::ZeroThreads)
+        );
         assert!(matches!(
             plan_for(Exec::Async(LatencyModel::zero()), &g, 1),
             Ok(ExecPlan::Async(_))

@@ -118,12 +118,13 @@ where
                 let mut guard = lock_recovering(&slots);
                 loop {
                     while cursor < total {
-                        let Some(result) = guard[cursor].take() else { break };
+                        let Some(result) = guard[cursor].take() else {
+                            break;
+                        };
                         batch.push((cursor, result));
                         cursor += 1;
                     }
-                    if !batch.is_empty() || cursor >= total || worker_died.load(Ordering::SeqCst)
-                    {
+                    if !batch.is_empty() || cursor >= total || worker_died.load(Ordering::SeqCst) {
                         break;
                     }
                     let (g, _timeout) = ready

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use welle_core::export::{phase_table, write_round_log};
 use welle_core::{
-    Campaign, Election, ElectionConfig, Exec, ElectionReport, FaultPlan, Phase, Retention,
+    Campaign, Election, ElectionConfig, ElectionReport, Exec, FaultPlan, Phase, Retention,
     TelemetryConfig,
 };
 use welle_graph::gen;
@@ -50,7 +50,10 @@ fn phase_tables_and_round_logs_identical_across_executors() {
         );
         let mut log = Vec::new();
         write_round_log(other.telemetry.as_ref().unwrap(), &mut log).unwrap();
-        assert_eq!(log, serial_log, "{exec:?}: round log must be byte-identical");
+        assert_eq!(
+            log, serial_log,
+            "{exec:?}: round log must be byte-identical"
+        );
     }
 }
 
@@ -94,9 +97,7 @@ fn telemetry_off_leaves_the_report_unchanged() {
     assert_eq!(on.outcome, base.outcome);
     // And the off-run's CSV row equals the on-run's with the ten phase
     // columns zeroed — nothing else may move.
-    let strip = |row: &str| -> Vec<String> {
-        row.split(',').map(str::to_string).collect()
-    };
+    let strip = |row: &str| -> Vec<String> { row.split(',').map(str::to_string).collect() };
     let (b, o) = (strip(&base.csv_row()), strip(&on.csv_row()));
     assert_eq!(b.len(), o.len());
     for (i, (x, y)) in b.iter().zip(&o).enumerate() {
@@ -140,7 +141,10 @@ fn campaign_aggregates_phases_at_any_worker_count() {
     // mean * trials == sum of the per-trial phase rounds.
     for (i, &mean) in s.phase_rounds_mean.iter().enumerate() {
         let sum: u64 = serial.trials.iter().map(|t| t.report.phase_rounds[i]).sum();
-        assert!((mean * s.trials as f64 - sum as f64).abs() < 1e-9, "phase {i}");
+        assert!(
+            (mean * s.trials as f64 - sum as f64).abs() < 1e-9,
+            "phase {i}"
+        );
         let max = serial
             .trials
             .iter()

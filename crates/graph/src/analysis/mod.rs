@@ -7,8 +7,8 @@ mod cuts;
 mod spectral;
 
 pub use cuts::{
-    conductance_exact, cut_conductance, cut_edge_count, cut_edge_expansion,
-    edge_expansion_exact, middle_cut_conductance, volume, MAX_EXACT_CONDUCTANCE_N,
+    conductance_exact, cut_conductance, cut_edge_count, cut_edge_expansion, edge_expansion_exact,
+    middle_cut_conductance, volume, MAX_EXACT_CONDUCTANCE_N,
 };
 pub use spectral::{
     cheeger_bounds, conductance_sweep, lazy_second_eigenvalue, lazy_spectral_gap,

@@ -210,7 +210,10 @@ fn second_eigenvector_order(g: &Graph, opts: SpectralOptions) -> Option<Vec<usiz
 
 /// `y ← S x` where `S = ½I + ½ D^{-1/2} A D^{-1/2}`.
 fn apply_sym_lazy(g: &Graph, x: &[f64], y: &mut [f64]) {
-    let inv_sqrt_deg: Vec<f64> = g.nodes().map(|u| 1.0 / (g.degree(u) as f64).sqrt()).collect();
+    let inv_sqrt_deg: Vec<f64> = g
+        .nodes()
+        .map(|u| 1.0 / (g.degree(u) as f64).sqrt())
+        .collect();
     for u in g.nodes() {
         let ui = u.index();
         let mut acc = 0.0;
@@ -339,7 +342,10 @@ mod tests {
             let e = gen::random_regular(24, 4, &mut rng).unwrap();
             lazy_spectral_gap(&e, SpectralOptions::default()).unwrap()
         };
-        assert!(gap < expander_gap / 4.0, "barbell {gap} vs expander {expander_gap}");
+        assert!(
+            gap < expander_gap / 4.0,
+            "barbell {gap} vs expander {expander_gap}"
+        );
     }
 
     #[test]

@@ -236,8 +236,14 @@ mod tests {
     fn rejects_duplicate_in_both_orientations() {
         let mut b = GraphBuilder::new(3);
         b.add_edge(0, 1).unwrap();
-        assert_eq!(b.add_edge(0, 1), Err(GraphError::DuplicateEdge { u: 0, v: 1 }));
-        assert_eq!(b.add_edge(1, 0), Err(GraphError::DuplicateEdge { u: 1, v: 0 }));
+        assert_eq!(
+            b.add_edge(0, 1),
+            Err(GraphError::DuplicateEdge { u: 0, v: 1 })
+        );
+        assert_eq!(
+            b.add_edge(1, 0),
+            Err(GraphError::DuplicateEdge { u: 1, v: 0 })
+        );
     }
 
     #[test]

@@ -48,7 +48,9 @@ impl CliqueOfCliquesParams {
 
     /// The number of cliques `N = max(5, round(n / s))`.
     pub fn num_cliques(&self) -> usize {
-        (self.target_n as f64 / self.clique_size() as f64).round().max(5.0) as usize
+        (self.target_n as f64 / self.clique_size() as f64)
+            .round()
+            .max(5.0) as usize
     }
 }
 

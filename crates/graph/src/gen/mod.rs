@@ -11,8 +11,8 @@
 //! All randomized generators finish with [`crate::Graph::shuffle_ports`] so
 //! port numbers carry no structural information, as the model requires.
 
-mod basic;
 mod barbell;
+mod basic;
 mod circulant;
 pub mod clique_of_cliques;
 pub mod dumbbell;

@@ -82,11 +82,7 @@ pub fn gnp<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Result<Graph, Grap
 /// Returns [`GraphError::RetriesExhausted`] if 1000 samples all come out
 /// disconnected (pick `p ≳ ln n / n` to avoid this), plus the parameter
 /// errors of [`gnp`].
-pub fn gnp_connected<R: Rng + ?Sized>(
-    n: usize,
-    p: f64,
-    rng: &mut R,
-) -> Result<Graph, GraphError> {
+pub fn gnp_connected<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Result<Graph, GraphError> {
     for _ in 0..MAX_ATTEMPTS {
         let g = gnp(n, p, rng)?;
         if analysis::is_connected(&g) {

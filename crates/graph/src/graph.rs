@@ -513,7 +513,16 @@ mod tests {
     fn shuffle_ports_preserves_structure() {
         let mut g = from_edges(
             6,
-            &[(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)],
+            &[
+                (0, 1),
+                (0, 2),
+                (0, 3),
+                (1, 2),
+                (2, 3),
+                (3, 4),
+                (4, 5),
+                (5, 0),
+            ],
         )
         .unwrap();
         let degrees: Vec<usize> = g.nodes().map(|u| g.degree(u)).collect();
@@ -584,7 +593,16 @@ mod tests {
     fn directed_accessors_invert_directed_index() {
         let mut g = from_edges(
             6,
-            &[(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)],
+            &[
+                (0, 1),
+                (0, 2),
+                (0, 3),
+                (1, 2),
+                (2, 3),
+                (3, 4),
+                (4, 5),
+                (5, 0),
+            ],
         )
         .unwrap();
         let mut rng = StdRng::seed_from_u64(7);
@@ -594,7 +612,10 @@ mod tests {
                     let dir = g.directed_index(u, p);
                     assert_eq!(dir, g.directed_base(u) + p.index());
                     assert_eq!(g.directed_source(dir), (u, p));
-                    assert_eq!(g.directed_target(dir), (g.neighbor(u, p), g.reverse_port(u, p)));
+                    assert_eq!(
+                        g.directed_target(dir),
+                        (g.neighbor(u, p), g.reverse_port(u, p))
+                    );
                     assert_eq!(g.directed_edge_id(dir), g.edge_id(u, p));
                     let info = g.directed_info(dir);
                     assert_eq!((info.src, info.src_port), (u, p));

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use welle_graph::{analysis, gen, from_edges, GraphBuilder, NodeId};
+use welle_graph::{analysis, from_edges, gen, GraphBuilder, NodeId};
 
 /// Strategy: a random simple undirected graph given by (n, edge mask seed).
 fn arb_edge_list(max_n: usize) -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
@@ -12,17 +12,15 @@ fn arb_edge_list(max_n: usize) -> impl Strategy<Value = (usize, Vec<(usize, usiz
             .flat_map(|u| ((u + 1)..n).map(move |v| (u, v)))
             .collect();
         let len = pairs.len();
-        (Just(n), proptest::collection::vec(any::<bool>(), len)).prop_map(
-            move |(n, mask)| {
-                let chosen: Vec<(usize, usize)> = pairs
-                    .iter()
-                    .zip(&mask)
-                    .filter(|(_, &keep)| keep)
-                    .map(|(&e, _)| e)
-                    .collect();
-                (n, chosen)
-            },
-        )
+        (Just(n), proptest::collection::vec(any::<bool>(), len)).prop_map(move |(n, mask)| {
+            let chosen: Vec<(usize, usize)> = pairs
+                .iter()
+                .zip(&mask)
+                .filter(|(_, &keep)| keep)
+                .map(|(&e, _)| e)
+                .collect();
+            (n, chosen)
+        })
     })
 }
 

@@ -10,7 +10,14 @@ use crate::{Check, RawFinding};
 
 /// Methods whose call on a hash container observes bucket order.
 const HASH_ITER_METHODS: [&str; 8] = [
-    "iter", "iter_mut", "keys", "values", "values_mut", "drain", "into_iter", "retain",
+    "iter",
+    "iter_mut",
+    "keys",
+    "values",
+    "values_mut",
+    "drain",
+    "into_iter",
+    "retain",
 ];
 
 /// Runs `check` over `toks`, appending findings to `out`.
@@ -95,7 +102,8 @@ fn no_hash_iter(toks: &[Tok], out: &mut Vec<RawFinding>) {
                 line: toks[i].line,
                 message: format!(
                     "`{}.{}()` iterates hash-ordered state",
-                    toks[i].text, toks[i + 2].text
+                    toks[i].text,
+                    toks[i + 2].text
                 ),
             });
         }
@@ -157,7 +165,11 @@ fn is_tick_ident(t: &Tok) -> bool {
         return false;
     }
     let s = t.text.as_str();
-    s == "due" || s == "tick" || s == "ticks" || s.ends_with("_tick") || s.ends_with("_ticks")
+    s == "due"
+        || s == "tick"
+        || s == "ticks"
+        || s.ends_with("_tick")
+        || s.ends_with("_ticks")
         || s.starts_with("due_")
 }
 
@@ -228,8 +240,7 @@ fn no_lib_unwrap(toks: &[Tok], out: &mut Vec<RawFinding>) {
 fn no_float_eq(toks: &[Tok], out: &mut Vec<RawFinding>) {
     let float_names = declared_names(toks, &["f32", "f64"]);
     let is_float_operand = |t: &Tok| {
-        t.kind == TokKind::FloatLit
-            || (t.kind == TokKind::Ident && float_names.contains(&t.text))
+        t.kind == TokKind::FloatLit || (t.kind == TokKind::Ident && float_names.contains(&t.text))
     };
     for i in 0..toks.len() {
         let t = &toks[i];
@@ -299,7 +310,8 @@ mod tests {
 
     #[test]
     fn hash_iter_sees_let_bindings() {
-        let src = "fn f() { let mut seen = HashSet::new(); seen.insert(1); for s in seen.drain() {} }";
+        let src =
+            "fn f() { let mut seen = HashSet::new(); seen.insert(1); for s in seen.drain() {} }";
         let f = findings(Check::NoHashIter, src);
         // `.drain()` method hit and the for-loop both anchor on `seen`.
         assert!(!f.is_empty(), "{f:?}");
@@ -313,20 +325,29 @@ mod tests {
 
     #[test]
     fn tick_math_binary_only() {
-        let f = findings(Check::TickMathSaturates, "let x = base_tick + 4; due *= 2; let p = *due_ref;");
+        let f = findings(
+            Check::TickMathSaturates,
+            "let x = base_tick + 4; due *= 2; let p = *due_ref;",
+        );
         // base_tick + 4, due *= 2 flagged; `*due_ref` deref position not.
         assert_eq!(f.len(), 2, "{f:?}");
     }
 
     #[test]
     fn unwrap_and_expect_but_not_unwrap_or() {
-        let f = findings(Check::NoLibUnwrap, "a.unwrap(); b.expect(\"x\"); c.unwrap_or(3); d.unwrap_or_else(f);");
+        let f = findings(
+            Check::NoLibUnwrap,
+            "a.unwrap(); b.expect(\"x\"); c.unwrap_or(3); d.unwrap_or_else(f);",
+        );
         assert_eq!(f.len(), 2, "{f:?}");
     }
 
     #[test]
     fn float_eq_but_not_tuple_fields() {
-        let f = findings(Check::NoFloatEq, "if x == 0.0 {} if pair.0 == usize::MAX {} let b: f64 = 1.0; if b != c {}");
+        let f = findings(
+            Check::NoFloatEq,
+            "if x == 0.0 {} if pair.0 == usize::MAX {} let b: f64 = 1.0; if b != c {}",
+        );
         assert_eq!(f.len(), 2, "{f:?}");
     }
 

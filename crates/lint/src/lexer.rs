@@ -108,7 +108,11 @@ pub fn lex(src: &str) -> Lexed {
                 }
                 let text: String = b[start..i].iter().collect();
                 let trailing = out.toks.last().is_some_and(|t| t.line == line);
-                out.comments.push(LineComment { text, line, trailing });
+                out.comments.push(LineComment {
+                    text,
+                    line,
+                    trailing,
+                });
                 continue;
             }
             if b[i + 1] == '*' {
@@ -251,7 +255,8 @@ fn lex_prefixed(b: &[char], i: usize, line: u32) -> Option<(Tok, usize, u32)> {
                 while m < n {
                     if b[m] == '\n' {
                         l += 1;
-                    } else if b[m] == '"' && b[m + 1..].len() >= hashes
+                    } else if b[m] == '"'
+                        && b[m + 1..].len() >= hashes
                         && b[m + 1..m + 1 + hashes].iter().all(|&h| h == '#')
                     {
                         m += 1 + hashes;
@@ -455,12 +460,17 @@ mod tests {
     use super::*;
 
     fn kinds(src: &str) -> Vec<(TokKind, String)> {
-        lex(src).toks.into_iter().map(|t| (t.kind, t.text)).collect()
+        lex(src)
+            .toks
+            .into_iter()
+            .map(|t| (t.kind, t.text))
+            .collect()
     }
 
     #[test]
     fn strings_and_comments_do_not_leak_tokens() {
-        let l = lex("let s = \"for x in map.iter()\"; // thread_rng here\n/* SystemTime */ let t = 1;");
+        let l =
+            lex("let s = \"for x in map.iter()\"; // thread_rng here\n/* SystemTime */ let t = 1;");
         assert!(!l.toks.iter().any(|t| t.is_ident("thread_rng")));
         assert!(!l.toks.iter().any(|t| t.is_ident("SystemTime")));
         assert!(!l.toks.iter().any(|t| t.is_ident("iter")));
@@ -470,9 +480,14 @@ mod tests {
 
     #[test]
     fn raw_strings_and_chars() {
-        let l = lex("let s = r#\"unwrap() \"quoted\" \"#; let c = '\\''; let lt: &'static str = b\"x\";");
+        let l = lex(
+            "let s = r#\"unwrap() \"quoted\" \"#; let c = '\\''; let lt: &'static str = b\"x\";",
+        );
         assert!(!l.toks.iter().any(|t| t.is_ident("unwrap")));
-        assert!(l.toks.iter().any(|t| t.kind == TokKind::Lifetime && t.text == "'static"));
+        assert!(l
+            .toks
+            .iter()
+            .any(|t| t.kind == TokKind::Lifetime && t.text == "'static"));
     }
 
     #[test]
@@ -481,7 +496,10 @@ mod tests {
         assert_eq!(k[0].0, TokKind::FloatLit);
         assert_eq!(k[1].0, TokKind::IntLit); // 1
         assert_eq!(k[2].1, ".."); // range stays punctuation
-        let floats: Vec<_> = k.iter().filter(|(kind, _)| *kind == TokKind::FloatLit).collect();
+        let floats: Vec<_> = k
+            .iter()
+            .filter(|(kind, _)| *kind == TokKind::FloatLit)
+            .collect();
         assert_eq!(floats.len(), 3, "1.0, 2e9, 3f64: {k:?}");
     }
 

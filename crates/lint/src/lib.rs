@@ -162,7 +162,8 @@ impl Check {
                 matches!(base, "engine.rs" | "faults.rs" | "latency.rs")
             }
             Check::NoLibUnwrap => {
-                (rel.starts_with("src/") || rel.contains("/src/")) && !rel.starts_with("crates/bench")
+                (rel.starts_with("src/") || rel.contains("/src/"))
+                    && !rel.starts_with("crates/bench")
             }
             Check::NoNarrowingCast => {
                 // The congest hot path, plus the graph crate since its
@@ -528,15 +529,16 @@ pub fn scan_source(rel: &str, src: &str) -> (Vec<Finding>, BTreeMap<&'static str
         // excuse wall-clock reads in a seeded crate outside the one
         // sanctioned profiler module.
         let scope_ok = f.check != Check::NoAmbientEntropy || ambient_pragma_allowed(rel);
-        let justified = scope_ok && pragmas.iter().any(|p| {
-            p.checks.contains(&f.check)
-                && !p.justification.is_empty()
-                && if p.trailing {
-                    p.line == f.line
-                } else {
-                    p.line == f.line || p.line + 1 == f.line
-                }
-        });
+        let justified = scope_ok
+            && pragmas.iter().any(|p| {
+                p.checks.contains(&f.check)
+                    && !p.justification.is_empty()
+                    && if p.trailing {
+                        p.line == f.line
+                    } else {
+                        p.line == f.line || p.line + 1 == f.line
+                    }
+            });
         if justified {
             *suppressed.entry(f.check.name()).or_insert(0) += 1;
         } else {

@@ -36,11 +36,7 @@ fn parse_args() -> Result<Args, String> {
             "--format" => match it.next().as_deref() {
                 Some("json") => args.json = true,
                 Some("text") => args.json = false,
-                other => {
-                    return Err(format!(
-                        "--format expects `text` or `json`, got {other:?}"
-                    ))
-                }
+                other => return Err(format!("--format expects `text` or `json`, got {other:?}")),
             },
             "--help" | "-h" => {
                 println!(

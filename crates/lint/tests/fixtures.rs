@@ -89,10 +89,7 @@ fn bad_fixture_findings_do_not_cross_files() {
             .find(|(check, _)| *check == f.check)
             .map(|(_, file)| *file)
             .unwrap_or_else(|| panic!("finding from unknown check: {f:?}"));
-        assert!(
-            f.file.ends_with(home),
-            "cross-file false positive: {f}"
-        );
+        assert!(f.file.ends_with(home), "cross-file false positive: {f}");
     }
 }
 

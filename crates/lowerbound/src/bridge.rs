@@ -196,7 +196,11 @@ mod tests {
         for (side, g) in [("left", left), ("right", right)] {
             let g = std::sync::Arc::new(g);
             let report = Election::on(&g).config(cfg).seed(7).run().unwrap();
-            assert!(report.is_success(), "{side} half fails: {:?}", report.leaders);
+            assert!(
+                report.is_success(),
+                "{side} half fails: {:?}",
+                report.leaders
+            );
             total_leaders += report.leaders.len();
         }
         assert_eq!(total_leaders, 2, "two independent leaders");
@@ -270,9 +274,6 @@ mod tests {
         let cfg = frugal_clique_config(64);
         let report = run_dumbbell_election(&db, &cfg, 64, 1);
         let _ = Decision::Leader; // silence unused import in cfg(test)
-        assert_eq!(
-            report.leaders(),
-            report.left_leaders + report.right_leaders
-        );
+        assert_eq!(report.leaders(), report.left_leaders + report.right_leaders);
     }
 }

@@ -81,8 +81,7 @@ mod tests {
     #[test]
     fn lower_bound_election_tracks_cg() {
         let mut rng = StdRng::seed_from_u64(2);
-        let lb =
-            CliqueOfCliques::build(CliqueOfCliquesParams::new(200, 0.3), &mut rng).unwrap();
+        let lb = CliqueOfCliques::build(CliqueOfCliquesParams::new(200, 0.3), &mut rng).unwrap();
         let cfg = ElectionConfig {
             sync: SyncMode::Adaptive,
             ..ElectionConfig::default()

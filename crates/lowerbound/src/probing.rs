@@ -48,9 +48,7 @@ pub fn probe_until_external<R: Rng + ?Sized>(
 ) -> ProbeOutcome {
     assert!(external_ports > 0, "need at least one external port");
     assert!(external_ports <= total_ports, "more externals than ports");
-    let mut ports: Vec<bool> = (0..total_ports)
-        .map(|i| i < external_ports)
-        .collect();
+    let mut ports: Vec<bool> = (0..total_ports).map(|i| i < external_ports).collect();
     // Random placement of the external ports (the construction shuffles).
     ports.shuffle(rng);
     let messages = match strategy {

@@ -38,10 +38,10 @@ mod trails;
 pub mod distributed;
 pub mod sampling;
 
+pub use distributed::{run_walk_fleet, FleetMsg, WalkFleetNode, SIGNAL_REPORT};
 pub use mixing::{
     endpoint_distribution, lazy_step, linf_distance, mixing_time, mixing_time_from,
     mixing_time_spectral_estimate, MixingOptions, StartPolicy,
 };
-pub use distributed::{run_walk_fleet, FleetMsg, WalkFleetNode, SIGNAL_REPORT};
 pub use token::{split_lazy, with_port_counts};
 pub use trails::{Hop, ReverseRoute, Trail};

@@ -234,10 +234,7 @@ mod tests {
                 t <= 16.0 / (phi * phi),
                 "t_mix {t} above O(1/φ²) for φ={phi}"
             );
-            assert!(
-                t >= 0.05 / phi,
-                "t_mix {t} below Ω(1/φ) for φ={phi}"
-            );
+            assert!(t >= 0.05 / phi, "t_mix {t} below Ω(1/φ) for φ={phi}");
         }
     }
 

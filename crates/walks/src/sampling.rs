@@ -13,12 +13,7 @@ use welle_graph::{Graph, NodeId};
 ///
 /// Panics if the walk reaches an isolated node (impossible on connected
 /// graphs).
-pub fn walk_endpoint<R: Rng + ?Sized>(
-    g: &Graph,
-    start: NodeId,
-    steps: u32,
-    rng: &mut R,
-) -> NodeId {
+pub fn walk_endpoint<R: Rng + ?Sized>(g: &Graph, start: NodeId, steps: u32, rng: &mut R) -> NodeId {
     let mut at = start;
     for _ in 0..steps {
         let d = g.degree(at);
@@ -51,11 +46,7 @@ pub fn empirical_endpoints<R: Rng + ?Sized>(
 
 /// Total-variation distance `½‖a − b‖₁` between two distributions.
 pub fn total_variation(a: &[f64], b: &[f64]) -> f64 {
-    0.5 * a
-        .iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).abs())
-        .sum::<f64>()
+    0.5 * a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum::<f64>()
 }
 
 #[cfg(test)]
@@ -97,7 +88,10 @@ mod tests {
     fn zero_step_walk_stays_home() {
         let g = gen::ring(5).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(walk_endpoint(&g, NodeId::new(3), 0, &mut rng), NodeId::new(3));
+        assert_eq!(
+            walk_endpoint(&g, NodeId::new(3), 0, &mut rng),
+            NodeId::new(3)
+        );
     }
 
     #[test]

@@ -21,8 +21,7 @@ fn main() {
         .iter()
         .map(|&n| {
             let mut rng = StdRng::seed_from_u64(n as u64);
-            let graph =
-                Arc::new(gen::random_regular(n, 4, &mut rng).expect("generation succeeds"));
+            let graph = Arc::new(gen::random_regular(n, 4, &mut rng).expect("generation succeeds"));
             (
                 format!("expander-{n}"),
                 graph,

@@ -31,6 +31,9 @@ fn main() {
             e.set_threads(threads);
             e.run(100_000);
         }
-        println!("threaded{threads}  {:8} ns", t0.elapsed().as_nanos() / iters);
+        println!(
+            "threaded{threads}  {:8} ns",
+            t0.elapsed().as_nanos() / iters
+        );
     }
 }

@@ -37,7 +37,10 @@ fn main() {
     println!("\n— Lemma 16: conductance = Θ(α) —");
     let alpha = lb.alpha();
     let phi = analysis::conductance_sweep(lb.graph(), 3000);
-    println!("α = n^(-2ε) = {alpha:.3e}, spectral-sweep φ = {phi:.3e} (ratio {:.2})", phi / alpha);
+    println!(
+        "α = n^(-2ε) = {alpha:.3e}, spectral-sweep φ = {phi:.3e} (ratio {:.2})",
+        phi / alpha
+    );
 
     println!("\n— Lemma 18: the price of leaving a clique —");
     println!(

@@ -135,7 +135,9 @@ fn parse_latency(spec: &str) -> Result<LatencyModel, String> {
         return Ok(LatencyModel::zero());
     }
     let (kind, rest) = spec.split_once(':').ok_or_else(|| {
-        format!("bad latency spec {spec} (want zero | fixed:X | uniform:LO,HI | lognormal:MU,SIGMA)")
+        format!(
+            "bad latency spec {spec} (want zero | fixed:X | uniform:LO,HI | lognormal:MU,SIGMA)"
+        )
     })?;
     let nums = |k: usize| -> Result<Vec<f64>, String> {
         let v = rest
@@ -299,8 +301,7 @@ fn parse() -> Result<Args, String> {
     }
     if args.latency.is_some() && args.threads.is_some() {
         return Err(
-            "--latency picks the async executor; it cannot be combined with --threads"
-                .to_string(),
+            "--latency picks the async executor; it cannot be combined with --threads".to_string(),
         );
     }
     if args.latency.is_some() && args.explicit {
@@ -648,7 +649,11 @@ fn main() -> ExitCode {
             }
         }
         if let Some(path) = &args.round_log {
-            match outcome.trials.first().and_then(|t| t.report.telemetry.as_ref()) {
+            match outcome
+                .trials
+                .first()
+                .and_then(|t| t.report.telemetry.as_ref())
+            {
                 Some(telemetry) => {
                     let jsonl = path.extension().is_some_and(|e| e == "jsonl");
                     let written = std::fs::File::create(path).and_then(|f| {

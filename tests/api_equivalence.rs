@@ -34,7 +34,10 @@ fn assert_identical(a: &ElectionReport, b: &ElectionReport, what: &str) {
     assert_eq!(a.final_walk_len, b.final_walk_len, "{what}: final_walk_len");
     assert_eq!(a.epochs_used, b.epochs_used, "{what}: epochs_used");
     assert_eq!(a.gave_up, b.gave_up, "{what}: gave_up");
-    assert_eq!(a.dropped_messages, b.dropped_messages, "{what}: dropped_messages");
+    assert_eq!(
+        a.dropped_messages, b.dropped_messages,
+        "{what}: dropped_messages"
+    );
     assert_eq!(a.crashed, b.crashed, "{what}: crashed");
     assert_eq!(a.dropped_tokens, b.dropped_tokens, "{what}: dropped_tokens");
     assert_eq!(a.broken_routes, b.broken_routes, "{what}: broken_routes");
@@ -80,11 +83,7 @@ fn executors_are_bit_identical_across_sync_modes() {
             let serial = elect(&g, cfg, seed, Exec::Serial);
             for (exec_name, exec) in all_execs() {
                 let par = elect(&g, cfg, seed, exec);
-                assert_identical(
-                    &serial,
-                    &par,
-                    &format!("{name}/{exec_name}/seed {seed}"),
-                );
+                assert_identical(&serial, &par, &format!("{name}/{exec_name}/seed {seed}"));
             }
         }
     }
@@ -170,10 +169,18 @@ fn threaded_campaigns_match_individual_runs() {
         .run()
         .unwrap();
     assert_eq!(outcome.trials.len(), 5);
-    assert!(outcome.engines_built <= 3, "built {}", outcome.engines_built);
+    assert!(
+        outcome.engines_built <= 3,
+        "built {}",
+        outcome.engines_built
+    );
     for t in &outcome.trials {
         let solo = Election::on(&g).config(cfg).seed(t.seed).run().unwrap();
-        assert_identical(&solo, &t.report, &format!("pooled campaign seed {}", t.seed));
+        assert_identical(
+            &solo,
+            &t.report,
+            &format!("pooled campaign seed {}", t.seed),
+        );
     }
 }
 

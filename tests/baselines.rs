@@ -5,9 +5,7 @@
 use std::sync::Arc;
 
 use rand::{rngs::StdRng, SeedableRng};
-use welle::core::baselines::{
-    run_flood_max, run_hirschberg_sinclair, run_known_tmix_election,
-};
+use welle::core::baselines::{run_flood_max, run_hirschberg_sinclair, run_known_tmix_election};
 use welle::core::{Election, ElectionConfig};
 use welle::graph::gen;
 use welle::walks::{mixing_time, MixingOptions, StartPolicy};
@@ -90,5 +88,9 @@ fn flood_max_rounds_track_diameter() {
     assert!(b.is_success());
     let d = welle::graph::analysis::diameter_exact(&g).unwrap() as u64;
     assert!(b.rounds >= d, "needs at least diameter rounds");
-    assert!(b.rounds <= 6 * d + 10, "rounds {} vs diameter {d}", b.rounds);
+    assert!(
+        b.rounds <= 6 * d + 10,
+        "rounds {} vs diameter {d}",
+        b.rounds
+    );
 }

@@ -25,7 +25,15 @@ fn tmp(name: &str) -> PathBuf {
 #[test]
 fn csv_stdout_stays_machine_readable_even_with_a_baseline() {
     let out = welle(&[
-        "ring", "16", "--seeds", "2", "--cap", "32", "--csv", "--baseline", "flood",
+        "ring",
+        "16",
+        "--seeds",
+        "2",
+        "--cap",
+        "32",
+        "--csv",
+        "--baseline",
+        "flood",
     ]);
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8(out.stdout).unwrap();
@@ -90,7 +98,14 @@ fn bad_sweep_rates_and_unknown_baselines_fail_before_the_graph_is_built() {
 
 #[test]
 fn the_largest_seed_runs_and_a_range_past_it_is_rejected() {
-    let last = welle(&["ring", "16", "--seed", "18446744073709551615", "--cap", "32"]);
+    let last = welle(&[
+        "ring",
+        "16",
+        "--seed",
+        "18446744073709551615",
+        "--cap",
+        "32",
+    ]);
     assert!(last.status.success(), "{last:?}");
     let stdout = String::from_utf8(last.stdout).unwrap();
     assert!(stdout.contains("seed 18446744073709551615"), "{stdout}");
@@ -189,7 +204,15 @@ fn latency_flags_are_validated_and_zero_matches_the_sync_run() {
     let sync = welle(&["ring", "16", "--seeds", "2", "--cap", "32", "--csv"]);
     assert!(sync.status.success(), "{sync:?}");
     let zero = welle(&[
-        "ring", "16", "--seeds", "2", "--cap", "32", "--csv", "--latency", "zero",
+        "ring",
+        "16",
+        "--seeds",
+        "2",
+        "--cap",
+        "32",
+        "--csv",
+        "--latency",
+        "zero",
     ]);
     assert!(zero.status.success(), "{zero:?}");
     assert_eq!(
@@ -200,9 +223,18 @@ fn latency_flags_are_validated_and_zero_matches_the_sync_run() {
 
     // A sampled model runs to completion and stretches virtual time
     // into the human-readable report line.
-    let sampled = welle(&["ring", "16", "--cap", "32", "--latency", "lognormal:0.3,0.6"]);
+    let sampled = welle(&[
+        "ring",
+        "16",
+        "--cap",
+        "32",
+        "--latency",
+        "lognormal:0.3,0.6",
+    ]);
     assert!(sampled.status.success(), "{sampled:?}");
-    assert!(String::from_utf8(sampled.stdout).unwrap().contains("vtime="));
+    assert!(String::from_utf8(sampled.stdout)
+        .unwrap()
+        .contains("vtime="));
 }
 
 #[test]
@@ -257,6 +289,12 @@ fn interrupted_sweep_resumes_byte_identically_under_trial_threads() {
         .map(|l| csv::split_row(l).expect("valid row")[0].clone())
         .collect();
     assert_eq!(labels.len(), 6);
-    assert!(labels[..3].iter().all(|l| l == "p=0, expander"), "{labels:?}");
-    assert!(labels[3..].iter().all(|l| l == "p=0.3, expander"), "{labels:?}");
+    assert!(
+        labels[..3].iter().all(|l| l == "p=0, expander"),
+        "{labels:?}"
+    );
+    assert!(
+        labels[3..].iter().all(|l| l == "p=0.3, expander"),
+        "{labels:?}"
+    );
 }

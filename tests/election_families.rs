@@ -32,7 +32,10 @@ fn expander_unique_leader_across_seeds() {
             successes += 1;
         }
     }
-    assert!(successes >= 4, "at least 4/5 seeds succeed, got {successes}");
+    assert!(
+        successes >= 4,
+        "at least 4/5 seeds succeed, got {successes}"
+    );
 }
 
 #[test]
@@ -58,8 +61,8 @@ fn clique_unique_leader() {
 #[test]
 fn lower_bound_graph_unique_leader() {
     let mut rng = StdRng::seed_from_u64(4);
-    let lb = gen::CliqueOfCliques::build(gen::CliqueOfCliquesParams::new(200, 0.3), &mut rng)
-        .unwrap();
+    let lb =
+        gen::CliqueOfCliques::build(gen::CliqueOfCliquesParams::new(200, 0.3), &mut rng).unwrap();
     let g = Arc::new(lb.into_graph());
     let mut cfg = ElectionConfig::tuned_for_simulation(g.n());
     cfg.max_walk_len = Some(1024); // poor conductance: allow longer guesses

@@ -129,7 +129,10 @@ fn disconnected_graph_elects_per_component() {
     assert!(r.leaders.len() <= 2, "{:?}", r.leaders);
     if r.leaders.len() == 2 {
         let sides: Vec<bool> = r.leaders.iter().map(|&i| i < 64).collect();
-        assert_ne!(sides[0], sides[1], "leaders must be in different components");
+        assert_ne!(
+            sides[0], sides[1],
+            "leaders must be in different components"
+        );
     }
 }
 
@@ -147,8 +150,15 @@ fn crashing_every_contender_elects_nobody_and_reports_it() {
         .faults(FaultPlan::new(0).crash_fraction(1.0, 1))
         .run()
         .unwrap();
-    assert!(r.contenders > 0, "coin flips happen at round 0, before the crash");
-    assert!(r.leaders.is_empty(), "dead contenders cannot win: {:?}", r.leaders);
+    assert!(
+        r.contenders > 0,
+        "coin flips happen at round 0, before the crash"
+    );
+    assert!(
+        r.leaders.is_empty(),
+        "dead contenders cannot win: {:?}",
+        r.leaders
+    );
     assert!(!r.is_success());
     assert_eq!(r.crashed, 64, "the report must surface the crash schedule");
     assert!(!r.outcome.is_done(), "a crashed network never reports done");
@@ -199,7 +209,12 @@ fn cutting_the_dumbbell_bridges_splits_the_brain() {
         max_walk_len: Some(64),
         ..ElectionConfig::tuned_for_simulation(graph.n())
     };
-    let r = Election::on(&graph).config(cfg).seed(6).faults(plan).run().unwrap();
+    let r = Election::on(&graph)
+        .config(cfg)
+        .seed(6)
+        .faults(plan)
+        .run()
+        .unwrap();
     assert!(r.leaders.len() <= 2, "{:?}", r.leaders);
     if r.leaders.len() == 2 {
         let sides: Vec<bool> = r.leaders.iter().map(|&i| i < half).collect();

@@ -231,7 +231,10 @@ fn ring_10m_loads_in_compressed_csr() {
 }
 
 #[test]
-#[cfg_attr(debug_assertions, ignore = "needs the release profile (≈6 s optimized)")]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "needs the release profile (≈6 s optimized)"
+)]
 fn expander_100k_elects_within_round_budget() {
     let mut rng = StdRng::seed_from_u64(42);
     let g = Arc::new(gen::random_regular(N, 6, &mut rng).unwrap());
@@ -298,7 +301,10 @@ fn threaded_election_matches_serial_at_scale() {
 }
 
 #[test]
-#[cfg_attr(debug_assertions, ignore = "needs the release profile (≈200 trials × 3 runs)")]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "needs the release profile (≈200 trials × 3 runs)"
+)]
 fn drop_rate_sweep_of_200_trials_is_bit_identical_at_any_thread_count() {
     // The ISSUE acceptance sweep: 4 drop rates × 50 seeds = 200 trials,
     // run serially and on 2- and 4-worker trial pools. Every per-trial

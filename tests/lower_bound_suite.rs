@@ -4,9 +4,7 @@
 use rand::{rngs::StdRng, SeedableRng};
 use welle::core::ElectionConfig;
 use welle::graph::{analysis, gen};
-use welle::lowerbound::{
-    expected_first_contact, run_election_on_lower_bound, ProbeStrategy,
-};
+use welle::lowerbound::{expected_first_contact, run_election_on_lower_bound, ProbeStrategy};
 
 #[test]
 fn lb_graph_conductance_scales_with_alpha() {
@@ -14,11 +12,8 @@ fn lb_graph_conductance_scales_with_alpha() {
     // generous constant band of α across ε.
     let mut rng = StdRng::seed_from_u64(1);
     for eps in [0.25f64, 0.3, 0.35] {
-        let lb = gen::CliqueOfCliques::build(
-            gen::CliqueOfCliquesParams::new(600, eps),
-            &mut rng,
-        )
-        .unwrap();
+        let lb = gen::CliqueOfCliques::build(gen::CliqueOfCliquesParams::new(600, eps), &mut rng)
+            .unwrap();
         let alpha = lb.alpha();
         let phi = analysis::conductance_sweep(lb.graph(), 3000);
         assert!(
@@ -36,11 +31,8 @@ fn lb_graph_conductance_scales_with_alpha() {
 fn smaller_alpha_means_smaller_conductance() {
     let mut rng = StdRng::seed_from_u64(2);
     let phi_of = |eps: f64, rng: &mut StdRng| {
-        let lb = gen::CliqueOfCliques::build(
-            gen::CliqueOfCliquesParams::new(600, eps),
-            rng,
-        )
-        .unwrap();
+        let lb =
+            gen::CliqueOfCliques::build(gen::CliqueOfCliquesParams::new(600, eps), rng).unwrap();
         analysis::conductance_sweep(lb.graph(), 3000)
     };
     let loose = phi_of(0.2, &mut rng);
@@ -55,8 +47,7 @@ fn smaller_alpha_means_smaller_conductance() {
 fn election_on_lb_graph_produces_cg_statistics() {
     let mut rng = StdRng::seed_from_u64(3);
     let lb =
-        gen::CliqueOfCliques::build(gen::CliqueOfCliquesParams::new(250, 0.3), &mut rng)
-            .unwrap();
+        gen::CliqueOfCliques::build(gen::CliqueOfCliquesParams::new(250, 0.3), &mut rng).unwrap();
     let mut cfg = ElectionConfig::tuned_for_simulation(lb.graph().n());
     cfg.max_walk_len = Some(1024);
     let run = run_election_on_lower_bound(&lb, &cfg, 5);
@@ -85,11 +76,8 @@ fn probing_expectation_matches_lemma_18_scale() {
 fn degree_uniformity_across_epsilon() {
     let mut rng = StdRng::seed_from_u64(4);
     for eps in [0.25f64, 0.35] {
-        let lb = gen::CliqueOfCliques::build(
-            gen::CliqueOfCliquesParams::new(400, eps),
-            &mut rng,
-        )
-        .unwrap();
+        let lb = gen::CliqueOfCliques::build(gen::CliqueOfCliquesParams::new(400, eps), &mut rng)
+            .unwrap();
         let s = lb.clique_size();
         assert!(
             lb.graph().is_regular(s - 1),

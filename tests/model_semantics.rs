@@ -34,7 +34,11 @@ fn serial_and_threaded_engines_agree_on_expanders() {
         seed: 5,
         bandwidth_bits: None,
     };
-    let mk = || (0..64).map(|i| FloodMax::new((i * 13 % 64) as u64)).collect::<Vec<_>>();
+    let mk = || {
+        (0..64)
+            .map(|i| FloodMax::new((i * 13 % 64) as u64))
+            .collect::<Vec<_>>()
+    };
     let mut serial = Engine::new(Arc::clone(&g), mk(), cfg);
     let mut threaded = Engine::new(Arc::clone(&g), mk(), cfg);
     threaded.set_threads(4);
@@ -103,7 +107,10 @@ fn safety_holds_across_latency_models_and_drop_rates() {
         ("fixed", LatencyModel::fixed(2.0)),
         ("uniform", LatencyModel::uniform(0.0, 3.0)),
         ("lognormal", LatencyModel::log_normal(0.4, 0.7)),
-        ("congested", LatencyModel::uniform(0.5, 1.5).service_rate(0.5)),
+        (
+            "congested",
+            LatencyModel::uniform(0.5, 1.5).service_rate(0.5),
+        ),
     ];
     for (name, model) in models {
         for drop_rate in [0.0, 0.1, 0.3] {
