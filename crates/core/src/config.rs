@@ -7,9 +7,10 @@ use crate::error::ConfigError;
 /// Message-size regime (Lemma 12 analyses both).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum MsgSizeMode {
-    /// Standard CONGEST: `O(log n)` bits per message; id sets travel one
-    /// id per message ("each O(log n) sized message contains the
-    /// information of the id of a node and some additional O(1) bits").
+    /// Standard CONGEST: `O(log n)` bits per message ("each O(log n)
+    /// sized message contains the information of the id of a node and
+    /// some additional O(1) bits"); id sets travel four ids per message,
+    /// a constant, so every message stays within `O(log n)` bits.
     #[default]
     Congest,
     /// The paper's relaxed variant: `O(log³ n)`-bit messages, whole id
@@ -39,6 +40,17 @@ pub enum SyncMode {
     /// reported rounds are the rounds actually consumed. Use for large
     /// sweeps.
     Adaptive,
+}
+
+/// Ids per `I1` unit in CONGEST mode: the most a unit carries under
+/// [`congest_cap`] at every id width. A unit of `k` ids of `b` bits costs
+/// at most `3 + b + 7 + k·b` bits (tag, origin, an epoch below 64, the
+/// ids), so four ids fit whenever `b ≤ 86`, and ids have at most 64 bits.
+const CONGEST_FRAG: usize = 4;
+
+/// The CONGEST per-message bit cap for ids of `id_bits` bits.
+fn congest_cap(id_bits: usize) -> usize {
+    4 * id_bits + 96
 }
 
 /// User-facing tuning knobs of Algorithm 1 + 2.
@@ -217,7 +229,9 @@ pub struct Params {
     pub id_max: u64,
     /// Number of guess-and-double epochs before giving up.
     pub max_epochs: u32,
-    /// Ids per set-carrying message (1 in CONGEST, all in Large mode).
+    /// Ids per `I1` unit: four in CONGEST mode, the most the cap fits at
+    /// every id width; in Large mode, four times the expected contender
+    /// count.
     pub frag: usize,
     /// Engine-level per-message bit cap, if enforcement is on.
     pub bandwidth_bits: Option<usize>,
@@ -281,13 +295,13 @@ impl Params {
         // caps used in Large-mode sizing.
         let i1_cap = ((4.0 * cfg.c1 * ln_n).ceil() as usize).max(4);
         let frag = match cfg.msg_size {
-            MsgSizeMode::Congest => 1,
+            MsgSizeMode::Congest => CONGEST_FRAG,
             MsgSizeMode::Large => i1_cap,
         };
         let id_bits = bits_for(id_max);
         let bandwidth_bits = if cfg.enforce_bandwidth {
             Some(match cfg.msg_size {
-                MsgSizeMode::Congest => 4 * id_bits + 96,
+                MsgSizeMode::Congest => congest_cap(id_bits),
                 MsgSizeMode::Large => (i1_cap + 2) * id_bits + 96,
             })
         } else {
@@ -359,7 +373,10 @@ impl Params {
 
 #[cfg(test)]
 mod tests {
+    use welle_congest::Payload;
+
     use super::*;
+    use crate::msg::{ElectionMsg, RevItem};
 
     #[test]
     fn defaults_are_sane() {
@@ -374,7 +391,23 @@ mod tests {
             p.walks_per_contender as u64 / 2 + p.walks_per_contender as u64 % 2
         );
         assert_eq!(p.id_max, 1u64 << 40);
-        assert_eq!(p.frag, 1);
+        assert_eq!(p.frag, 4);
+    }
+
+    #[test]
+    fn packed_units_fit_the_cap_at_every_id_width() {
+        for id_bits in 1..=64 {
+            let widest = u64::MAX >> (64 - id_bits);
+            assert_eq!(bits_for(widest), id_bits);
+            let ids = [widest; CONGEST_FRAG];
+            let unit = ElectionMsg::rev(widest, 63, RevItem::KnownContenders { ids: &ids });
+            let cap = congest_cap(id_bits);
+            assert!(
+                unit.bit_size() <= cap,
+                "{id_bits}-bit ids: {} > {cap}",
+                unit.bit_size()
+            );
+        }
     }
 
     #[test]

@@ -17,12 +17,13 @@
 //!   walk count `K = ⌈c2·√n·ln n⌉` stays below `2²²` for every
 //!   `u32`-representable `n` at the default `c2`; both bounds are
 //!   asserted with descriptive panics at construction.
-//! * `I1` fragments inline a single id in `word`. In CONGEST mode
-//!   `frag == 1`, so *every* election message is heap-free. Longer
-//!   fragments (Large mode) intern the run in an `Arc`, shared by all
-//!   hops of a relay instead of re-cloned per hop. Rounds 2 and 3 carry
-//!   only a maximum id (the decision reads `I4` through its maximum),
-//!   always inline.
+//! * An `I1` fragment of one id inlines it in `word`. Longer fragments
+//!   intern the run in an `Arc`, shared by all hops of a relay instead
+//!   of re-cloned per hop: in CONGEST mode a fragment holds up to four
+//!   ids, so each `I1` unit of two to four ids interns one run, and
+//!   every other election message is heap-free. Rounds 2 and 3
+//!   carry only a maximum id (the decision reads `I4` through its
+//!   maximum), always inline.
 //!
 //! The packing is an in-memory concern only: [`Payload::bit_size`]
 //! still charges the analytical wire cost of the unpacked fields, so
@@ -138,7 +139,7 @@ pub enum RevItem<'a> {
     /// Round-1 set fragment: ids from the proxy's `I1` (other contenders
     /// it serves).
     KnownContenders {
-        /// Fragment of `I1` (one id in CONGEST mode).
+        /// Fragment of `I1` (up to four ids in CONGEST mode).
         ids: &'a [u64],
     },
     /// Round-3 unit: the largest id in the proxy's `I3`.

@@ -8,10 +8,11 @@
 //!    proxy records.
 //! 2. **R1** — proxies send each current-epoch origin its id, walk count
 //!    (the distinctness bit `d`), the set `I1` of other contenders they
-//!    serve, and any known winner — reverse-routed along the trails: every
-//!    node passes a unit on by its earliest recorded arrival of the
-//!    origin's walks, so the way home never revisits a node and is never
-//!    longer than the walk (see [`welle_walks::Trail`]).
+//!    serve, in units of [`Params::frag`] ids (four in CONGEST mode), and
+//!    any known winner — reverse-routed along the trails: every node
+//!    passes a unit on by its earliest recorded arrival of the origin's
+//!    walks, so the way home never revisits a node and is never longer
+//!    than the walk (see [`welle_walks::Trail`]).
 //! 3. **R2** — contenders send `max(I2 ∪ {u})` (`I2` is the union of the
 //!    received `I1`s) forward to their proxies: one unit per contender.
 //! 4. **R3** — proxies reverse-route `max(I3)` (`I3` is the union of the

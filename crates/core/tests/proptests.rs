@@ -90,10 +90,11 @@ proptest! {
         let p = Params::derive(n, ElectionConfig::default());
         let cap = p.bandwidth_bits.unwrap();
         let id = id % p.id_max + 1;
+        let ids = vec![p.id_max; p.frag];
         let msgs = [
             ElectionMsg::walk(id, epoch, remaining, p.walks_per_contender),
             ElectionMsg::rev(id, epoch, RevItem::ProxyInfo { proxy_id: id, count: 1_000 }),
-            ElectionMsg::rev(id, epoch, RevItem::KnownContenders { ids: &[p.id_max] }),
+            ElectionMsg::rev(id, epoch, RevItem::KnownContenders { ids: &ids }),
             ElectionMsg::rev(id, epoch, RevItem::Winner { id: p.id_max }),
             ElectionMsg::fwd(id, epoch, FwdItem::I2Max { id: p.id_max }),
             ElectionMsg::rev(id, epoch, RevItem::I3Max { id: p.id_max }),

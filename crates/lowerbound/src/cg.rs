@@ -29,8 +29,6 @@ pub struct CliqueCommObserver {
     first_contact_cost: Vec<Option<u64>>,
     /// Simple-graph CG edges seen (unordered clique pairs).
     cg_edges: std::collections::HashSet<(u32, u32)>,
-    /// Rounds at which each CG edge appeared.
-    edge_rounds: Vec<u64>,
     touched_cliques: std::collections::HashSet<u32>,
 }
 
@@ -48,7 +46,6 @@ impl CliqueCommObserver {
             msgs_by_clique: vec![0; num_cliques],
             first_contact_cost: vec![None; num_cliques],
             cg_edges: std::collections::HashSet::new(),
-            edge_rounds: Vec::new(),
             touched_cliques: std::collections::HashSet::new(),
         }
     }
@@ -58,25 +55,11 @@ impl CliqueCommObserver {
         self.cg_edges.len()
     }
 
-    /// Rounds at which CG edges appeared, in order.
-    pub fn edge_rounds(&self) -> &[u64] {
-        &self.edge_rounds
-    }
-
-    /// Messages clique `c` had sent when it first messaged another clique
-    /// (Lemma 18's `Msgs(C)`); `None` if it never did.
-    pub fn first_contact_cost(&self, c: usize) -> Option<u64> {
-        self.first_contact_cost[c]
-    }
-
-    /// All first-contact costs that materialized.
+    /// The messages each clique had sent when it first messaged another
+    /// clique (Lemma 18's `Msgs(C)`), in clique order, for the cliques
+    /// that did.
     pub fn first_contact_costs(&self) -> Vec<u64> {
         self.first_contact_cost.iter().flatten().copied().collect()
-    }
-
-    /// Total messages sent by nodes of clique `c`.
-    pub fn messages_by_clique(&self, c: usize) -> u64 {
-        self.msgs_by_clique[c]
     }
 
     /// Cliques that sent or received at least one inter-clique message.
@@ -104,10 +87,7 @@ impl TransmitObserver for CliqueCommObserver {
         }
         self.touched_cliques.insert(cf);
         self.touched_cliques.insert(ct);
-        let key = (cf.min(ct), cf.max(ct));
-        if self.cg_edges.insert(key) {
-            self.edge_rounds.push(ev.round);
-        }
+        self.cg_edges.insert((cf.min(ct), cf.max(ct)));
     }
 }
 
@@ -139,14 +119,12 @@ mod tests {
     fn intra_clique_traffic_creates_no_edges() {
         let lb = lb();
         let mut obs = CliqueCommObserver::new(&lb);
-        let s = lb.clique_size();
         for r in 0..10 {
-            obs.on_transmit(&event(0, 1, r)); // same clique (first s nodes)
+            obs.on_transmit(&event(0, 1, r)); // nodes 0 and 1 share clique 0
         }
-        let _ = s;
         assert_eq!(obs.cg_edge_count(), 0);
-        assert_eq!(obs.messages_by_clique(0), 10);
-        assert_eq!(obs.first_contact_cost(0), None);
+        assert!(obs.first_contact_costs().is_empty());
+        assert_eq!(obs.touched_cliques(), 0);
     }
 
     #[test]
@@ -159,7 +137,7 @@ mod tests {
             obs.on_transmit(&event(0, 1, r));
         }
         obs.on_transmit(&event(0, s, 7));
-        assert_eq!(obs.first_contact_cost(0), Some(8));
+        assert_eq!(obs.first_contact_costs(), [8]);
         assert_eq!(obs.cg_edge_count(), 1);
         assert_eq!(obs.touched_cliques(), 2);
     }
@@ -173,6 +151,7 @@ mod tests {
         obs.on_transmit(&event(s, 0, 2));
         obs.on_transmit(&event(0, s, 3));
         assert_eq!(obs.cg_edge_count(), 1);
-        assert_eq!(obs.edge_rounds(), &[1]);
+        // Both cliques made first contact with their first message.
+        assert_eq!(obs.first_contact_costs(), [1, 1]);
     }
 }
