@@ -163,9 +163,12 @@ pub enum FwdItem {
         id: u64,
     },
     /// The contender committed to this epoch as its final guess
-    /// (Fidelity note 5: proxies and trail nodes finalize their records).
+    /// (Fidelity note 5: the proxies and relays on its reply tree
+    /// finalize their records). The winner sends no stop mark: its own
+    /// [`FwdItem::Winner`] unit commits the same way.
     StopMark,
-    /// Winner announcement flowing to proxies.
+    /// Winner announcement flowing to proxies. The winner's own unit,
+    /// whose `id` is its origin, also does the winner's stop mark's job.
     Winner {
         /// The leader's id.
         id: u64,

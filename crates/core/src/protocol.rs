@@ -14,17 +14,25 @@
 //!    walks, so the way home never revisits a node and is never longer
 //!    than the walk (see [`welle_walks::Trail`]).
 //! 3. **R2** — contenders send `max(I2 ∪ {u})` (`I2` is the union of the
-//!    received `I1`s) forward to their proxies: one unit per contender.
+//!    received `I1`s) forward to their proxies: one unit per contender,
+//!    passed down the tree that the round-1 replies came by. Each node
+//!    records, as its reply children, the ports that reverse units of
+//!    the origin's epoch arrived over, and relays forward units over
+//!    those ports only. Every current-epoch proxy replies in round 1,
+//!    so the tree holds every proxy and every relay on its way home.
 //! 4. **R3** — proxies reverse-route `max(I3)` (`I3` is the union of the
 //!    received `I2`s) to their current-epoch contenders: one unit per
 //!    (proxy, contender). The decision below reads `I4` only through its
 //!    maximum, so the maxima decide exactly as the paper's full sets do,
 //!    with one id per message and one message per trail hop.
 //! 5. **Decide + wait (2T)** — contenders check the Intersection and
-//!    Distinctness properties; on success they stop, commit their trails
-//!    with a `StopMark` wave, and — if they hold the largest id in `I4`
-//!    and have heard no winner — declare leadership and flood a winner
-//!    wave (proxies reverse-route it to all their contenders).
+//!    Distinctness properties; on success they stop and commit their
+//!    trails with a `StopMark` wave down the reply tree. A contender
+//!    that holds the largest id in `I4` and has heard no winner declares
+//!    leadership instead, and its winner wave commits the trails as a
+//!    stop mark would, so it sends one wave, not two. Proxies
+//!    reverse-route a winner notice to all their contenders, which pass
+//!    it down their own reply trees.
 //!
 //! **Relay filter.** A node's reverse route towards an origin is fixed
 //! once the walks are done, so every unit it relays towards that origin
@@ -44,14 +52,20 @@
 //! filter, and decides the same.
 //!
 //! **Per-origin state.** A node keeps all it knows of one walk origin in
-//! one entry of a table sorted by origin: the trail, the proxy record,
-//! the relay filter and the forward-dedup record. A walk token, a
-//! reverse unit or a forward unit costs one binary search, and entries
-//! iterate in origin order, so sends go out in the same order at every
-//! run. Forward dedup ("filtering and forwarding") is exact: the entry
-//! lists the items it passed on since the epoch began — `I2` maxima and
-//! winner ids by value, and the stop mark. The list carries no epoch, so
-//! a stale unit that repeats an item is dropped too.
+//! one entry of a table sorted by origin: the trail with its reply
+//! children, the proxy record, the relay filter and the forward-dedup
+//! record. A walk token, a reverse unit or a forward unit costs one
+//! binary search, and entries iterate in origin order, so sends go out
+//! in the same order at every run. Forward dedup ("filtering and
+//! forwarding") is exact: the entry lists the items it handled since
+//! the epoch began — `I2` maxima and winner ids by value, and the stop
+//! mark — each with the epoch of the trail it was passed on along.
+//! Dedup reads the item alone, so a stale unit that repeats an item is
+//! dropped too. A child that registers after a wave has passed (its
+//! reply was lost, or the contender heard of a winner while its
+//! children were still arriving) is sent the items already passed on
+//! along that trail, with the trail's epoch, so what a wave reaches
+//! does not depend on arrival order.
 
 use std::sync::Arc;
 
@@ -334,15 +348,17 @@ impl ElectionNode {
                 Decision::NonLeader
             });
             self.decided_round = Some(ctx.round());
-            // Commit: proxies and trail nodes keep serving this epoch's
-            // records (Fidelity note 5).
-            let stop = ElectionMsg::fwd(self.id, epoch, FwdItem::StopMark);
-            self.process_forward(ctx, stop);
-            if wins {
+            // Commit: the proxies and relays on the reply tree keep
+            // serving this epoch's records (Fidelity note 5). The
+            // winner's own notice commits as the stop mark does, so the
+            // winner sends one wave, not two.
+            let item = if wins {
                 self.winner_heard = Some(self.id);
-                let win = ElectionMsg::fwd(self.id, epoch, FwdItem::Winner { id: self.id });
-                self.process_forward(ctx, win);
-            }
+                FwdItem::Winner { id: self.id }
+            } else {
+                FwdItem::StopMark
+            };
+            self.process_forward(ctx, ElectionMsg::fwd(self.id, epoch, item));
         }
         // Otherwise stay active; the next Walk segment doubles the guess.
     }
@@ -395,7 +411,6 @@ impl ElectionNode {
             }
             for (port, &cnt) in counts.iter().enumerate().filter(|&(_, &c)| c > 0) {
                 let port = Port::new(port);
-                trail.record_out(port);
                 ctx.send(port, ElectionMsg::walk(origin, epoch, remaining - 1, cnt));
             }
         });
@@ -412,13 +427,19 @@ impl ElectionNode {
         epoch: u32,
         item: RevItem<'_>,
     ) {
-        self.route_reverse(ctx, ElectionMsg::rev(origin, epoch, item));
+        self.route_reverse(ctx, None, ElectionMsg::rev(origin, epoch, item));
     }
 
     /// Routes a reverse unit one hop: deliver at the origin, relay it
     /// unchanged along the trail if the contender can still use it, or
-    /// drop.
-    fn route_reverse(&mut self, ctx: &mut Context<'_, ElectionMsg>, msg: ElectionMsg) {
+    /// drop. A unit that arrived over port `from` makes it a reply child
+    /// of the trail; a new child is sent the forward items it missed.
+    fn route_reverse(
+        &mut self,
+        ctx: &mut Context<'_, ElectionMsg>,
+        from: Option<Port>,
+        msg: ElectionMsg,
+    ) {
         let MsgView::Rev {
             origin,
             epoch,
@@ -432,6 +453,11 @@ impl ElectionNode {
             self.stats.broken_routes += 1;
             return;
         };
+        if let Some(child) = from {
+            for missed in entry.adopt_child(epoch, child) {
+                ctx.send(child, ElectionMsg::fwd(origin, epoch, missed));
+            }
+        }
         let route = entry
             .trail
             .as_ref()
@@ -518,7 +544,7 @@ impl ElectionNode {
         // Dedup before the trail lookup: a repeated unit with no trail
         // counts one broken route, not two.
         let entry = self.origins.entry(origin);
-        if !entry.first_forward(item) {
+        if !entry.first_forward(epoch, item) {
             return;
         }
         let Some(trail) = entry.trail.as_mut().filter(|t| t.epoch() == epoch) else {
@@ -527,16 +553,17 @@ impl ElectionNode {
         };
         let proxy = entry.proxy.as_mut().filter(|r| r.epoch == epoch);
         let is_proxy = proxy.is_some();
-        for &port in trail.distinct_out_ports() {
+        for &port in trail.children() {
             ctx.send(port, msg.clone());
         }
-        match item {
-            FwdItem::StopMark => {
-                trail.finalize(epoch);
-                if let Some(rec) = proxy {
-                    rec.finalized = true;
-                }
+        // The winner's own notice commits in place of its stop mark.
+        if item == FwdItem::StopMark || item == (FwdItem::Winner { id: origin }) {
+            trail.finalize(epoch);
+            if let Some(rec) = proxy {
+                rec.finalized = true;
             }
+        }
+        match item {
             FwdItem::I2Max { id } if is_proxy => {
                 self.i3_max = self.i3_max.max(Some(id));
             }
@@ -583,7 +610,7 @@ impl ElectionNode {
             return;
         }
         if msg.is_rev() {
-            self.route_reverse(ctx, msg);
+            self.route_reverse(ctx, Some(port), msg);
         } else {
             self.process_forward(ctx, msg);
         }
@@ -673,6 +700,63 @@ mod tests {
         assert!(!node.is_contender());
         assert!(node.decision().is_none());
         assert_eq!(node.stats(), NodeStats::default());
+    }
+
+    #[test]
+    fn the_winners_notice_commits_its_reply_tree() {
+        use rand::{rngs::StdRng, SeedableRng};
+        use welle_congest::{Engine, EngineConfig, RunOutcome};
+        use welle_graph::gen;
+
+        let mut rng = StdRng::seed_from_u64(3);
+        let g = Arc::new(gen::random_regular(64, 4, &mut rng).unwrap());
+        let params = Arc::new(Params::derive(64, ElectionConfig::tuned_for_simulation(64)));
+        let cfg = EngineConfig {
+            seed: 5,
+            bandwidth_bits: params.bandwidth_bits,
+        };
+        let mut engine = Engine::from_fn(g, cfg, |_| ElectionNode::new(Arc::clone(&params)));
+        // Driven as the runner drives an Adaptive election.
+        for _ in 0..params.total_segments() {
+            if !matches!(engine.run(u64::MAX / 4), RunOutcome::Quiescent { .. }) {
+                break;
+            }
+            engine.signal(SIGNAL_ADVANCE);
+        }
+        let nodes = engine.nodes();
+        let leaders: Vec<&ElectionNode> = nodes
+            .iter()
+            .filter(|v| v.decision() == Some(Decision::Leader))
+            .collect();
+        let [leader] = leaders[..] else {
+            panic!("{} leaders", leaders.len());
+        };
+        let epoch = leader.contender_state().unwrap().stopped_epoch.unwrap();
+        // The winner sends its notice and no stop mark; the notice alone
+        // must commit every node on its reply tree, and only those.
+        let mut proxies = 0;
+        for v in nodes {
+            let Some(entry) = v.origins.get(leader.id()) else {
+                continue;
+            };
+            let proxy = entry.proxy.filter(|r| r.epoch == epoch);
+            if let Some(rec) = proxy {
+                assert!(
+                    rec.finalized,
+                    "a proxy of the winner kept a tentative record"
+                );
+                proxies += 1;
+            }
+            let Some(trail) = entry.trail.as_ref().filter(|t| t.epoch() == epoch) else {
+                continue;
+            };
+            let on_tree = v.id() == leader.id() || proxy.is_some() || !trail.children().is_empty();
+            assert_eq!(trail.is_finalized(), on_tree, "node {:x}", v.id());
+        }
+        assert!(
+            proxies > 0,
+            "no proxy kept a record of the winner's final epoch"
+        );
     }
 
     // Full protocol behaviour is exercised through the runner tests in

@@ -4,6 +4,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use welle_graph::Port;
 use welle_walks::Trail;
 
 use crate::msg::{FwdItem, RevItem};
@@ -135,20 +136,89 @@ pub(crate) struct OriginEntry {
     /// What this node relayed towards the origin (reverse filter).
     pub(crate) relayed: Relayed,
     /// The origin's forward items this node has handled since the epoch
-    /// began ("filtering and forwarding"): exact `(origin, item)` keys,
-    /// with no epoch, so a stale unit that repeats an item is dropped.
-    forwarded: Vec<FwdItem>,
+    /// began ("filtering and forwarding"). Dedup is keyed by item alone,
+    /// so a stale unit that repeats an item is dropped.
+    forwarded: Vec<Handled>,
+}
+
+/// One forward item a node handled, with the unit's epoch and whether
+/// the item was passed on along a trail of that epoch. 16 bytes, the
+/// size of the [`FwdItem`] alone, where `(FwdItem, Option<u32>)` takes
+/// 24: at `n = 10⁶` nodes hold millions of these.
+#[derive(Clone, Copy, Debug)]
+struct Handled {
+    /// The item's id; zero for a stop mark.
+    id: u64,
+    epoch: u32,
+    kind: FwdKind,
+    passed_on: bool,
+}
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum FwdKind {
+    I2Max,
+    StopMark,
+    Winner,
+}
+
+impl Handled {
+    fn key(item: FwdItem) -> (FwdKind, u64) {
+        match item {
+            FwdItem::I2Max { id } => (FwdKind::I2Max, id),
+            FwdItem::StopMark => (FwdKind::StopMark, 0),
+            FwdItem::Winner { id } => (FwdKind::Winner, id),
+        }
+    }
+
+    fn item(self) -> FwdItem {
+        match self.kind {
+            FwdKind::I2Max => FwdItem::I2Max { id: self.id },
+            FwdKind::StopMark => FwdItem::StopMark,
+            FwdKind::Winner => FwdItem::Winner { id: self.id },
+        }
+    }
 }
 
 impl OriginEntry {
-    /// Records a forward `item`; `false` if it was handled before.
-    pub(crate) fn first_forward(&mut self, item: FwdItem) -> bool {
-        if self.forwarded.contains(&item) {
+    /// Records a forward `item` of `epoch`; `false` if it was handled
+    /// before. It is passed on only if the node holds a trail of
+    /// `epoch`, and only then can a late child be sent it.
+    pub(crate) fn first_forward(&mut self, epoch: u32, item: FwdItem) -> bool {
+        let key = Handled::key(item);
+        if self.forwarded.iter().any(|h| (h.kind, h.id) == key) {
             return false;
         }
+        let (kind, id) = key;
+        let passed_on = self.trail.as_ref().is_some_and(|t| t.epoch() == epoch);
         let end = self.forwarded.len();
-        insert_tight(&mut self.forwarded, end, item);
+        let handled = Handled {
+            id,
+            epoch,
+            kind,
+            passed_on,
+        };
+        insert_tight(&mut self.forwarded, end, handled);
         true
+    }
+
+    /// Makes `port` a reply child of the trail of `epoch`, if the node
+    /// holds that trail. A child seen for the first time missed the
+    /// forward items already passed on along the trail: they are
+    /// returned, for the caller to send it with that epoch.
+    pub(crate) fn adopt_child(
+        &mut self,
+        epoch: u32,
+        port: Port,
+    ) -> impl Iterator<Item = FwdItem> + '_ {
+        let new = self
+            .trail
+            .as_mut()
+            .filter(|t| t.epoch() == epoch)
+            .is_some_and(|t| t.record_child(port));
+        self.forwarded
+            .iter()
+            .filter(move |h| new && h.passed_on && h.epoch == epoch)
+            .map(|h| h.item())
     }
 }
 
@@ -334,9 +404,9 @@ mod tests {
         let e = t.entry(3);
         Trail::enter_epoch(&mut e.trail, 2);
         assert!(e.relayed.admit(2, &RevItem::Winner { id: 9 }));
-        assert!(e.first_forward(FwdItem::StopMark));
+        assert!(e.first_forward(2, FwdItem::StopMark));
         // Origin 4: forward record only.
-        assert!(t.entry(4).first_forward(FwdItem::StopMark));
+        assert!(t.entry(4).first_forward(2, FwdItem::StopMark));
 
         t.begin_epoch(2);
         let e = t.get_mut(1).unwrap();
@@ -348,29 +418,77 @@ mod tests {
             e.relayed.admit(2, &RevItem::Winner { id: 9 }),
             "relay filter cleared"
         );
-        assert!(e.first_forward(FwdItem::StopMark), "forward record cleared");
+        assert!(
+            e.first_forward(2, FwdItem::StopMark),
+            "forward record cleared"
+        );
     }
 
     #[test]
     fn forward_dedup_is_exact_per_item_without_epoch() {
         let mut t = Origins::default();
         let e = t.entry(5);
-        assert!(e.first_forward(FwdItem::I2Max { id: 7 }));
-        assert!(e.first_forward(FwdItem::I2Max { id: 8 }));
-        assert!(e.first_forward(FwdItem::Winner { id: 7 }));
-        assert!(e.first_forward(FwdItem::Winner { id: 8 }));
-        assert!(e.first_forward(FwdItem::StopMark));
+        assert!(e.first_forward(0, FwdItem::I2Max { id: 7 }));
+        assert!(e.first_forward(0, FwdItem::I2Max { id: 8 }));
+        assert!(e.first_forward(0, FwdItem::Winner { id: 7 }));
+        assert!(e.first_forward(0, FwdItem::Winner { id: 8 }));
+        assert!(e.first_forward(0, FwdItem::StopMark));
         for item in [
             FwdItem::I2Max { id: 7 },
             FwdItem::I2Max { id: 8 },
             FwdItem::Winner { id: 8 },
             FwdItem::StopMark,
         ] {
-            assert!(!e.first_forward(item), "{item:?} repeated");
+            assert!(!e.first_forward(0, item), "{item:?} repeated");
+            assert!(!e.first_forward(1, item), "{item:?} repeated, stale");
         }
         assert!(
-            t.entry(6).first_forward(FwdItem::StopMark),
+            t.entry(6).first_forward(0, FwdItem::StopMark),
             "keyed per origin"
+        );
+    }
+
+    #[test]
+    fn a_forward_record_is_as_small_as_its_item() {
+        assert_eq!(std::mem::size_of::<Handled>(), 16);
+        assert_eq!(std::mem::size_of::<FwdItem>(), 16);
+    }
+
+    #[test]
+    fn a_late_child_gets_what_was_passed_on_along_its_trail() {
+        let mut t = Origins::default();
+        let e = t.entry(5);
+        // Handled with no trail of its epoch: never passed on.
+        assert!(e.first_forward(1, FwdItem::Winner { id: 9 }));
+        Trail::enter_epoch(&mut e.trail, 1);
+        assert!(e.first_forward(1, FwdItem::I2Max { id: 3 }));
+        // A walk of epoch 2 replaces the trail of epoch 1.
+        Trail::enter_epoch(&mut e.trail, 2);
+        assert!(e.first_forward(2, FwdItem::I2Max { id: 7 }));
+        assert!(e.first_forward(1, FwdItem::Winner { id: 4 }), "stale");
+        assert!(e.first_forward(2, FwdItem::StopMark));
+        let missed: Vec<FwdItem> = e.adopt_child(2, Port::new(3)).collect();
+        assert_eq!(missed, [FwdItem::I2Max { id: 7 }, FwdItem::StopMark]);
+        assert_eq!(e.adopt_child(2, Port::new(3)).count(), 0, "adopted twice");
+        // A unit of another epoch adopts no child and is sent nothing.
+        assert_eq!(e.adopt_child(1, Port::new(4)).count(), 0);
+        assert_eq!(e.trail.as_ref().unwrap().children(), &[Port::new(3)]);
+        // A later item goes to the children directly; a second new
+        // child is sent everything passed on so far.
+        assert!(e.first_forward(2, FwdItem::Winner { id: 8 }));
+        let missed: Vec<FwdItem> = e.adopt_child(2, Port::new(1)).collect();
+        assert_eq!(
+            missed,
+            [
+                FwdItem::I2Max { id: 7 },
+                FwdItem::StopMark,
+                FwdItem::Winner { id: 8 }
+            ]
+        );
+        assert_eq!(
+            t.entry(6).adopt_child(2, Port::new(1)).count(),
+            0,
+            "no trail, no child"
         );
     }
 

@@ -129,7 +129,6 @@ impl WalkFleetNode {
             }
             for (port, &cnt) in counts.iter().enumerate().filter(|&(_, &c)| c > 0) {
                 let port = Port::new(port);
-                trail.record_out(port);
                 ctx.send(
                     port,
                     FleetMsg::Token {

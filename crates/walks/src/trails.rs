@@ -5,11 +5,13 @@
 //! (rounds 1 and 3, winner notices), contender broadcasts travel
 //! *forwards* to the proxies (round 2, winner messages, stop
 //! commitments). Each node therefore keeps, per `(origin, epoch)`, two
-//! facts about the walk tokens that passed it:
+//! facts:
 //!
-//! * the **earliest arrival**: the lowest step at which a token reached
-//!   the node, and the hop it came by (the first recorded on a tie);
-//! * the sorted set of **out-ports** over which tokens ever left.
+//! * the **earliest arrival**: the lowest step at which a walk token
+//!   reached the node, and the hop it came by (the first recorded on a
+//!   tie);
+//! * the sorted set of **reply children**: the ports over which reverse
+//!   units of that origin and epoch reached the node.
 //!
 //! **Backwards**, every unit leaves by the earliest arrival's in-port.
 //! A token is at node `v` at step `s` only if it was at the neighbour
@@ -21,13 +23,19 @@
 //! unit a node sends towards one origin takes the same path home, which
 //! is what lets relays drop repeats (see `welle-core`'s protocol).
 //!
-//! **Forwards**, a unit follows every recorded out-port, with per-wave
-//! dedup at each node (the paper's "filtering and forwarding"), and so
-//! reaches every proxy.
+//! **Forwards**, a unit follows every reply child, with per-wave dedup
+//! at each node (the paper's "filtering and forwarding"). The routes
+//! home of all proxies that replied form a tree rooted at the origin,
+//! and each node on it records the hops the replies came by, so a
+//! forward unit crosses each tree edge once and reaches every proxy
+//! that replied. A child's earliest arrival crossed the edge to its
+//! parent, so every tree edge is a walk step: forward units still
+//! follow the walk paths, only not all of them.
 //!
 //! Routes count hops along recorded trail edges, as the paper's bounds
 //! do; the earliest-arrival route is never longer than the walk.
-//! Memory per trail is one arrival plus at most one entry per port.
+//! Memory per trail is one arrival plus one entry per reply child, at
+//! most one per port.
 //!
 //! **Epochs.** A node keeps at most one trail per origin, in an
 //! `Option<Trail>` slot ([`Trail::enter_epoch`]). A walk of a newer epoch
@@ -60,8 +68,9 @@ pub struct Trail {
     /// The earliest recorded arrival `(step, hop)`: lowest step, first
     /// recorded on a tie.
     earliest: Option<(u32, Hop)>,
-    /// Distinct ports over which tokens left, sorted.
-    out_ports: Vec<Port>,
+    /// Reply children: distinct ports over which reverse units arrived,
+    /// sorted.
+    children: Vec<Port>,
 }
 
 impl Trail {
@@ -71,7 +80,7 @@ impl Trail {
             epoch,
             finalized: false,
             earliest: None,
-            out_ports: Vec::new(),
+            children: Vec::new(),
         }
     }
 
@@ -80,9 +89,9 @@ impl Trail {
         self.epoch
     }
 
-    /// Whether the trail has no recorded hops at all.
+    /// Whether the trail has recorded neither an arrival nor a child.
     pub fn is_empty(&self) -> bool {
-        self.earliest.is_none() && self.out_ports.is_empty()
+        self.earliest.is_none() && self.children.is_empty()
     }
 
     /// Whether the origin committed to this epoch as its final guess.
@@ -98,11 +107,14 @@ impl Trail {
         }
     }
 
-    /// Records that tokens left here over `port` (deduplicated).
-    pub fn record_out(&mut self, port: Port) {
-        if let Err(at) = self.out_ports.binary_search(&port) {
-            self.out_ports.insert(at, port);
-        }
+    /// Records that a reverse unit arrived over `port`, making it a reply
+    /// child; returns whether it was not one before.
+    pub fn record_child(&mut self, port: Port) -> bool {
+        let Err(at) = self.children.binary_search(&port) else {
+            return false;
+        };
+        self.children.insert(at, port);
+        true
     }
 
     /// The earliest recorded arrival `(step, hop)`, if any.
@@ -126,13 +138,12 @@ impl Trail {
         }
     }
 
-    /// Distinct ports over which tokens ever left this node, sorted.
-    /// Forward waves (round 2, stop marks, winner messages) are relayed
-    /// over exactly these ports once per item — the paper's "filtering
-    /// and forwarding": every path segment of the walk DAG is covered,
-    /// and per-node dedup keeps one copy per edge.
-    pub fn distinct_out_ports(&self) -> &[Port] {
-        &self.out_ports
+    /// The reply children, sorted. Forward waves (round 2, stop marks,
+    /// winner messages) are relayed over exactly these ports once per
+    /// item — the paper's "filtering and forwarding" along the tree the
+    /// replies came by (see the module docs).
+    pub fn children(&self) -> &[Port] {
+        &self.children
     }
 
     /// The trail in `slot` usable at `epoch`: creates it, or resets it if
@@ -192,10 +203,20 @@ mod tests {
         t.record_in(1, Hop::Via(Port::new(5)));
         t.record_in(2, Hop::Stay);
         assert_eq!(t.earliest(), Some((1, Hop::Via(Port::new(2)))));
-        t.record_out(Port::new(4));
-        t.record_out(Port::new(1));
-        t.record_out(Port::new(4));
-        assert_eq!(t.distinct_out_ports(), &[Port::new(1), Port::new(4)]);
+        // Children stay sorted and distinct; only a new one reports true.
+        assert!(t.record_child(Port::new(4)));
+        assert!(t.record_child(Port::new(1)));
+        assert!(!t.record_child(Port::new(4)));
+        assert!(t.record_child(Port::new(3)));
+        assert!(!t.record_child(Port::new(1)));
+        assert_eq!(t.children(), &[Port::new(1), Port::new(3), Port::new(4)]);
+    }
+
+    #[test]
+    fn trail_is_48_bytes() {
+        // A node holds one per origin whose walks passed it: about three
+        // per node at n = 10⁶.
+        assert_eq!(std::mem::size_of::<Trail>(), 48);
     }
 
     #[test]
@@ -203,7 +224,8 @@ mod tests {
         let mut slot = None;
         let t = Trail::enter_epoch(&mut slot, 20).unwrap();
         assert!(t.is_empty());
-        assert!(t.distinct_out_ports().is_empty());
+        assert!(t.children().is_empty());
+        assert_eq!(t.children.capacity(), 0);
     }
 
     #[test]

@@ -41,9 +41,6 @@ fn simulate_trails(
             }
             for (port, &moved) in moves.iter().enumerate().filter(|&(_, &c)| c > 0) {
                 let port = Port::new(port);
-                Trail::enter_epoch(&mut trails[u.index()], 0)
-                    .expect("one epoch")
-                    .record_out(port);
                 let v = g.neighbor(u, port);
                 record(&mut trails, v, step + 1, Hop::Via(g.reverse_port(u, port)));
                 *next.entry(v.index()).or_default() += moved;
@@ -90,7 +87,11 @@ proptest! {
 
     /// From every node the walks reached, reverse routing over the
     /// graph's ports reaches the origin within the walk length, the
-    /// earliest step falling at every hop and no node repeating.
+    /// earliest step falling at every hop and no node repeating. Every
+    /// hop makes its in-port a reply child of the node it reaches, as
+    /// the election's relays do, and the children then form a tree from
+    /// the origin over edges the walks crossed, holding every node the
+    /// walks reached exactly once.
     #[test]
     fn trail_reverse_route_terminates(
         seed in any::<u64>(),
@@ -101,7 +102,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = gen::gnp_connected(n, 0.3, &mut rng).unwrap();
         let origin = (seed % n as u64) as usize;
-        let trails = simulate_trails(&g, origin, walks, len, &mut rng);
+        let mut trails = simulate_trails(&g, origin, walks, len, &mut rng);
         for start in 0..n {
             let Some(trail) = &trails[start] else {
                 continue;
@@ -119,7 +120,12 @@ proptest! {
                         break;
                     }
                     ReverseRoute::Forward(port) => {
+                        let child = g.reverse_port(at, port);
                         at = g.neighbor(at, port);
+                        trails[at.index()]
+                            .as_mut()
+                            .expect("routes stay on the trail")
+                            .record_child(child);
                         hops += 1;
                         prop_assert!(hops <= len, "route from {} is longer than the walk", start);
                         prop_assert!(!seen[at.index()], "route from {} revisits {}", start, at.index());
@@ -136,6 +142,23 @@ proptest! {
                 }
             }
         }
+        let mut reached = vec![false; n];
+        reached[origin] = true;
+        let mut stack = vec![NodeId::new(origin)];
+        while let Some(u) = stack.pop() {
+            let trail = trails[u.index()].as_ref().expect("tree nodes hold trails");
+            for &port in trail.children() {
+                let v = g.neighbor(u, port);
+                let back = trails[v.index()].as_ref().map(Trail::reverse_route);
+                prop_assert_eq!(back, Some(ReverseRoute::Forward(g.reverse_port(u, port))),
+                    "child {} of {} was not reached over that edge", v.index(), u.index());
+                prop_assert!(!reached[v.index()], "node {} has two parents", v.index());
+                reached[v.index()] = true;
+                stack.push(v);
+            }
+        }
+        let held: Vec<bool> = trails.iter().map(Option::is_some).collect();
+        prop_assert_eq!(reached, held, "the tree must hold exactly the trail nodes");
     }
 
     #[test]
