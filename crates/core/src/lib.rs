@@ -91,6 +91,7 @@ mod runner;
 mod scheduler;
 mod sink;
 mod state;
+mod trails;
 
 pub mod baselines;
 pub mod broadcast;
@@ -107,7 +108,7 @@ pub use error::ConfigError;
 pub use msg::{ElectionMsg, FwdItem, MsgView, RevItem};
 pub use protocol::{ElectionNode, SIGNAL_ADVANCE};
 pub use runner::ElectionReport;
-pub use state::{ContenderState, Decision, EpochRecord, NodeStats, ProxyRecord};
+pub use state::{ContenderState, Decision, EpochRecord, NodeStats};
 pub use welle_congest::{
     FaultError, FaultPlan, LatencyDist, LatencyError, LatencyModel, PhaseTotals, Retention,
     RoundSample, SpanStage, SpanStats, TelemetryConfig, TelemetryReport,

@@ -4,15 +4,16 @@
 //!
 //! 1. **Walk** — active contenders launch `c2·√n·ln n` aggregated walk
 //!    tokens; every node forwards token batches one lazy step per round,
-//!    recording breadcrumb trails. Tokens with `remaining = 0` register
-//!    proxy records.
+//!    recording breadcrumb trails. Tokens with `remaining = 0` end on the
+//!    trail they reach, and a node where an origin's walks end is its
+//!    proxy.
 //! 2. **R1** — proxies send each current-epoch origin its id, walk count
 //!    (the distinctness bit `d`), the set `I1` of other contenders they
 //!    serve, in units of [`Params::frag`] ids (four in CONGEST mode), and
 //!    any known winner — reverse-routed along the trails: every node
 //!    passes a unit on by its earliest recorded arrival of the origin's
 //!    walks, so the way home never revisits a node and is never longer
-//!    than the walk (see [`welle_walks::Trail`]).
+//!    than the walk (see the `trails` module).
 //! 3. **R2** — contenders send `max(I2 ∪ {u})` (`I2` is the union of the
 //!    received `I1`s) forward to their proxies: one unit per contender,
 //!    passed down the tree that the round-1 replies came by. Each node
@@ -53,30 +54,33 @@
 //!
 //! **Per-origin state.** A node keeps all it knows of one walk origin in
 //! one entry of a table sorted by origin: the trail with its reply
-//! children, the proxy record, the relay filter and the forward-dedup
-//! record. A walk token, a reverse unit or a forward unit costs one
-//! binary search, and entries iterate in origin order, so sends go out
-//! in the same order at every run. Forward dedup ("filtering and
-//! forwarding") is exact: the entry lists the items it handled since
-//! the epoch began — `I2` maxima and winner ids by value, and the stop
-//! mark — each with the epoch of the trail it was passed on along.
-//! Dedup reads the item alone, so a stale unit that repeats an item is
-//! dropped too. A child that registers after a wave has passed (its
-//! reply was lost, or the contender heard of a winner while its
-//! children were still arriving) is sent the items already passed on
-//! along that trail, with the trail's epoch, so what a wave reaches
-//! does not depend on arrival order.
+//! children and the count of walks that ended on it, the relay filter and
+//! the forward-dedup record. The trail is the one record of an origin
+//! epoch: the node is the origin's proxy when walks ended on it, and the
+//! origin committed to that epoch when it is finalized. A walk token, a
+//! reverse unit or a forward unit costs one binary search, and entries
+//! iterate in origin order, so sends go out in the same order at every
+//! run. Forward dedup ("filtering and forwarding") is exact: the entry
+//! lists the items it handled since the epoch began — `I2` maxima and
+//! winner ids by value, and the stop mark — each with the epoch of the
+//! trail it was passed on along. Dedup reads the item alone, so a stale
+//! unit that repeats an item is dropped too. A child that registers after
+//! a wave has passed (its reply was lost, or the contender heard of a
+//! winner while its children were still arriving) is sent the items
+//! already passed on along that trail, with the trail's epoch, so what a
+//! wave reaches does not depend on arrival order.
 
 use std::sync::Arc;
 
 use rand::RngExt;
 use welle_congest::{Context, Protocol, Signal};
 use welle_graph::Port;
-use welle_walks::{split_lazy, with_port_counts, Hop, ReverseRoute, Trail};
+use welle_walks::{split_lazy, with_port_counts};
 
 use crate::config::{Params, Phase, SyncMode};
 use crate::msg::{ElectionMsg, FwdItem, MsgView, RevItem};
-use crate::state::{ContenderState, Decision, EpochRecord, NodeStats, Origins, ProxyRecord};
+use crate::state::{ContenderState, Decision, EpochRecord, NodeStats, Origins};
+use crate::trails::{Hop, ReverseRoute, Trail};
 
 /// The signal value the adaptive driver broadcasts to advance one segment.
 pub const SIGNAL_ADVANCE: Signal = 1;
@@ -90,7 +94,7 @@ pub struct ElectionNode {
     contender: Option<Box<ContenderState>>,
     decided: Option<Decision>,
     decided_round: Option<u64>,
-    /// Trail, proxy record, relay filter and forward dedup per origin.
+    /// Trail, relay filter and forward dedup per origin.
     origins: Origins,
     /// Lazy-step holdovers: `(origin, epoch, remaining, count)` to process
     /// next round. Released whenever a round leaves it empty, so a node
@@ -209,7 +213,7 @@ impl ElectionNode {
         }
         self.origins
             .proxies()
-            .any(|(_, r)| r.epoch == self.cur_epoch && !r.finalized)
+            .any(|(_, t)| t.epoch() == self.cur_epoch && !t.is_finalized())
     }
 
     fn fire_segment(&mut self, ctx: &mut Context<'_, ElectionMsg>, seg: u64) {
@@ -226,7 +230,7 @@ impl ElectionNode {
     }
 
     fn begin_epoch(&mut self, ctx: &mut Context<'_, ElectionMsg>, epoch: u32) {
-        // GC: tentative records of older epochs can never be used again.
+        // GC: tentative trails of older epochs can never be used again.
         self.origins.begin_epoch(epoch);
         self.i3_max = None;
 
@@ -251,8 +255,8 @@ impl ElectionNode {
         let emissions: Vec<(u64, u32)> = self
             .origins
             .proxies()
-            .filter(|(_, r)| r.epoch == epoch && !r.finalized)
-            .map(|(o, r)| (o, r.count))
+            .filter(|(_, t)| t.epoch() == epoch && !t.is_finalized())
+            .map(|(o, t)| (o, t.ended))
             .collect();
         for (origin, count) in emissions {
             self.send_reverse(
@@ -267,7 +271,7 @@ impl ElectionNode {
             let i1: Vec<u64> = self
                 .origins
                 .proxies()
-                .filter(|&(o2, r2)| o2 != origin && r2.valid_at(epoch))
+                .filter(|&(o2, t2)| o2 != origin && t2.valid_at(epoch))
                 .map(|(o2, _)| o2)
                 .collect();
             for chunk in i1.chunks(self.params.frag) {
@@ -299,7 +303,7 @@ impl ElectionNode {
         let origins: Vec<u64> = self
             .origins
             .proxies()
-            .filter(|(_, r)| r.epoch == epoch && !r.finalized)
+            .filter(|(_, t)| t.epoch() == epoch && !t.is_finalized())
             .map(|(o, _)| o)
             .collect();
         for origin in origins {
@@ -384,21 +388,7 @@ impl ElectionNode {
         };
         trail.record_in(step, via);
         if remaining == 0 {
-            let fresh = ProxyRecord {
-                epoch,
-                count: 0,
-                finalized: false,
-            };
-            let rec = entry.proxy.get_or_insert(fresh);
-            if rec.epoch != epoch {
-                if rec.finalized {
-                    // A stopped contender cannot generate new walks.
-                    self.stats.dropped_tokens += count as u64;
-                    return;
-                }
-                *rec = fresh;
-            }
-            rec.count += count;
+            trail.ended += count;
             return;
         }
         with_port_counts(ctx.degree(), |counts| {
@@ -551,17 +541,13 @@ impl ElectionNode {
             self.stats.broken_routes += 1;
             return;
         };
-        let proxy = entry.proxy.as_mut().filter(|r| r.epoch == epoch);
-        let is_proxy = proxy.is_some();
+        let is_proxy = trail.ended > 0;
         for &port in trail.children() {
             ctx.send(port, msg.clone());
         }
         // The winner's own notice commits in place of its stop mark.
         if item == FwdItem::StopMark || item == (FwdItem::Winner { id: origin }) {
             trail.finalize(epoch);
-            if let Some(rec) = proxy {
-                rec.finalized = true;
-            }
         }
         match item {
             FwdItem::I2Max { id } if is_proxy => {
@@ -587,8 +573,8 @@ impl ElectionNode {
         let targets: Vec<(u64, u32)> = self
             .origins
             .proxies()
-            .filter(|(_, r)| r.valid_at(self.cur_epoch))
-            .map(|(o, r)| (o, r.epoch))
+            .filter(|(_, t)| t.valid_at(self.cur_epoch))
+            .map(|(o, t)| (o, t.epoch()))
             .collect();
         for (origin, epoch) in targets {
             if origin == self.id {
@@ -682,6 +668,12 @@ impl Protocol for ElectionNode {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use rand::{rngs::StdRng, SeedableRng};
+    use welle_congest::{Engine, EngineConfig, RunOutcome};
+    use welle_graph::{analysis, gen, Graph, NodeId};
+
     use super::*;
     use crate::config::ElectionConfig;
 
@@ -702,27 +694,50 @@ mod tests {
         assert_eq!(node.stats(), NodeStats::default());
     }
 
-    #[test]
-    fn the_winners_notice_commits_its_reply_tree() {
-        use rand::{rngs::StdRng, SeedableRng};
-        use welle_congest::{Engine, EngineConfig, RunOutcome};
-        use welle_graph::gen;
-
-        let mut rng = StdRng::seed_from_u64(3);
-        let g = Arc::new(gen::random_regular(64, 4, &mut rng).unwrap());
-        let params = Arc::new(Params::derive(64, ElectionConfig::tuned_for_simulation(64)));
-        let cfg = EngineConfig {
-            seed: 5,
+    /// A serial engine running a fault-free Adaptive election on `g`.
+    fn adaptive_engine(g: &Arc<Graph>, seed: u64) -> (Engine<ElectionNode>, Arc<Params>) {
+        let cfg = ElectionConfig::tuned_for_simulation(g.n());
+        let params = Arc::new(Params::derive(g.n(), cfg));
+        let engine_cfg = EngineConfig {
+            seed,
             bandwidth_bits: params.bandwidth_bits,
         };
-        let mut engine = Engine::from_fn(g, cfg, |_| ElectionNode::new(Arc::clone(&params)));
-        // Driven as the runner drives an Adaptive election.
-        for _ in 0..params.total_segments() {
+        let engine = Engine::from_fn(Arc::clone(g), engine_cfg, |_| {
+            ElectionNode::new(Arc::clone(&params))
+        });
+        (engine, params)
+    }
+
+    /// Drives `engine` as the runner drives an Adaptive election: to
+    /// quiescence, then an advance signal, until every segment has
+    /// fired. `drained` sees the nodes once the traffic of segment `seg`
+    /// has drained, before the next segment fires.
+    fn drive_adaptive(
+        engine: &mut Engine<ElectionNode>,
+        params: &Params,
+        mut drained: impl FnMut(u64, &[ElectionNode]),
+    ) {
+        for seg in 0..params.total_segments() {
             if !matches!(engine.run(u64::MAX / 4), RunOutcome::Quiescent { .. }) {
                 break;
             }
+            drained(seg, engine.nodes());
             engine.signal(SIGNAL_ADVANCE);
         }
+    }
+
+    /// The trail `node` holds of `origin`'s walks in `epoch`, if any.
+    fn trail_of(node: &ElectionNode, origin: u64, epoch: u32) -> Option<&Trail> {
+        let trail = node.origins.get(origin)?.trail.as_ref()?;
+        (trail.epoch() == epoch).then_some(trail)
+    }
+
+    #[test]
+    fn the_winners_notice_commits_its_reply_tree() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let g = Arc::new(gen::random_regular(64, 4, &mut rng).unwrap());
+        let (mut engine, params) = adaptive_engine(&g, 5);
+        drive_adaptive(&mut engine, &params, |_, _| {});
         let nodes = engine.nodes();
         let leaders: Vec<&ElectionNode> = nodes
             .iter()
@@ -736,27 +751,105 @@ mod tests {
         // must commit every node on its reply tree, and only those.
         let mut proxies = 0;
         for v in nodes {
-            let Some(entry) = v.origins.get(leader.id()) else {
+            let Some(trail) = trail_of(v, leader.id(), epoch) else {
                 continue;
             };
-            let proxy = entry.proxy.filter(|r| r.epoch == epoch);
-            if let Some(rec) = proxy {
+            let proxy = trail.ended > 0;
+            if proxy {
                 assert!(
-                    rec.finalized,
-                    "a proxy of the winner kept a tentative record"
+                    trail.is_finalized(),
+                    "a proxy of the winner kept a tentative trail"
                 );
                 proxies += 1;
             }
-            let Some(trail) = entry.trail.as_ref().filter(|t| t.epoch() == epoch) else {
-                continue;
-            };
-            let on_tree = v.id() == leader.id() || proxy.is_some() || !trail.children().is_empty();
+            let on_tree = v.id() == leader.id() || proxy || !trail.children().is_empty();
             assert_eq!(trail.is_finalized(), on_tree, "node {:x}", v.id());
         }
-        assert!(
-            proxies > 0,
-            "no proxy kept a record of the winner's final epoch"
-        );
+        assert!(proxies > 0, "no proxy of the winner's final epoch");
+    }
+
+    /// Proxy records checked end to end on fault-free Adaptive elections.
+    /// Once a walk segment drains, every walk of every active contender
+    /// has ended exactly once, within its walk length of the contender.
+    /// At the end, every contender's epoch record counts exactly the
+    /// proxies and single-walk proxies its walks ended at, so every
+    /// proxy's reply reached it, and no node counted a dropped token or
+    /// a broken route. FixedT is left out: its walk segment can end on
+    /// the clock before its walks do.
+    #[test]
+    fn proxy_records_account_for_every_walk_and_reply() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let graphs = [
+            gen::random_regular(128, 4, &mut rng).unwrap(),
+            gen::hypercube(6).unwrap(),
+            gen::torus2d(8, 8).unwrap(),
+            gen::clique(24).unwrap(),
+        ];
+        let mut checked = 0;
+        for g in graphs.map(Arc::new) {
+            for seed in 1..=5 {
+                let (mut engine, params) = adaptive_engine(&g, seed);
+                // (contender index, epoch) → (proxies, single-walk proxies).
+                let mut walked: BTreeMap<(usize, u32), (usize, usize)> = BTreeMap::new();
+                drive_adaptive(&mut engine, &params, |seg, nodes| {
+                    if Phase::of_segment(seg) != Phase::Walk {
+                        return;
+                    }
+                    let epoch = (seg / 5) as u32;
+                    let len = params.walk_len(epoch);
+                    for (u, contender) in nodes.iter().enumerate() {
+                        if !contender.contender_state().is_some_and(|c| c.active) {
+                            continue;
+                        }
+                        let dist = analysis::bfs(&g, NodeId::new(u));
+                        let (mut ended, mut proxies, mut singles) = (0, 0, 0);
+                        for (v, node) in nodes.iter().enumerate() {
+                            let Some(trail) =
+                                trail_of(node, contender.id(), epoch).filter(|t| t.ended > 0)
+                            else {
+                                continue;
+                            };
+                            assert!(
+                                dist[v] <= len,
+                                "seed {seed}: proxy {v} of {u} is {} hops away, walks {len}",
+                                dist[v]
+                            );
+                            ended += trail.ended;
+                            proxies += 1;
+                            singles += usize::from(trail.ended == 1);
+                        }
+                        assert_eq!(
+                            ended, params.walks_per_contender,
+                            "seed {seed}: walks of {u} in epoch {epoch}"
+                        );
+                        walked.insert((u, epoch), (proxies, singles));
+                    }
+                });
+                let mut records = 0;
+                for (u, node) in engine.nodes().iter().enumerate() {
+                    assert_eq!(node.stats(), NodeStats::default(), "seed {seed}: node {u}");
+                    let Some(c) = node.contender_state() else {
+                        continue;
+                    };
+                    for r in &c.history {
+                        assert_eq!(
+                            walked.get(&(u, r.epoch)),
+                            Some(&(r.proxy_replies, r.distinct_proxies)),
+                            "seed {seed}: replies to {u} in epoch {}",
+                            r.epoch
+                        );
+                        records += 1;
+                    }
+                }
+                assert_eq!(
+                    records,
+                    walked.len(),
+                    "seed {seed}: an epoch left no record"
+                );
+                checked += records;
+            }
+        }
+        assert!(checked > 1_000, "{checked} contender-epochs checked");
     }
 
     // Full protocol behaviour is exercised through the runner tests in

@@ -1,13 +1,12 @@
-//! Per-node protocol state: roles, proxy records, per-epoch bookkeeping,
-//! and the per-origin table ([`Origins`]) every handled message searches
-//! once.
+//! Per-node protocol state: roles, per-epoch bookkeeping, and the
+//! per-origin table ([`Origins`]) every handled message searches once.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use welle_graph::Port;
-use welle_walks::Trail;
 
 use crate::msg::{FwdItem, RevItem};
+use crate::trails::Trail;
 
 /// Final verdict of a node (Algorithm 1 line 4 / Algorithm 2 lines 5+9).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -16,30 +15,6 @@ pub enum Decision {
     Leader,
     /// The node declared itself non-leader.
     NonLeader,
-}
-
-/// A node's record of serving as proxy for one contender.
-///
-/// "We define proxies of node `u` as the nodes where the random walks
-/// generated by `u` complete `t_u` steps, where `t_u` is either `u`'s
-/// current or final guess" — `finalized` distinguishes the two.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ProxyRecord {
-    /// Epoch of the walks that ended here.
-    pub epoch: u32,
-    /// How many of the origin's walks ended here (`count == 1` ⇔ this is
-    /// a *distinct* proxy in the Distinctness Property).
-    pub count: u32,
-    /// The origin committed to this epoch as its final guess.
-    pub finalized: bool,
-}
-
-impl ProxyRecord {
-    /// Whether this record participates in the current epoch's exchange:
-    /// final records always do; tentative ones only during their epoch.
-    pub fn valid_at(&self, current_epoch: u32) -> bool {
-        self.finalized || self.epoch == current_epoch
-    }
 }
 
 /// What a contender measured in one epoch (drives the E2/E3 experiment
@@ -129,10 +104,9 @@ fn insert_tight<T>(v: &mut Vec<T>, at: usize, x: T) {
 /// a reverse unit or a forward unit costs one search.
 #[derive(Debug)]
 pub(crate) struct OriginEntry {
-    /// The breadcrumb trail of the origin's walks through this node.
+    /// The breadcrumb trail of the origin's walks through this node,
+    /// with how many of them ended here.
     pub(crate) trail: Option<Trail>,
-    /// This node's record of serving as the origin's proxy.
-    pub(crate) proxy: Option<ProxyRecord>,
     /// What this node relayed towards the origin (reverse filter).
     pub(crate) relayed: Relayed,
     /// The origin's forward items this node has handled since the epoch
@@ -229,7 +203,7 @@ impl OriginEntry {
 #[derive(Debug, Default)]
 pub(crate) struct Origins {
     /// The ids apart from the entries, so a binary search reads
-    /// contiguous ids: probing the 136-byte entries themselves costs a
+    /// contiguous ids: probing the 120-byte entries themselves costs a
     /// cache line per probe, and a node holds a few dozen origins at
     /// `n = 2·10⁴`.
     keys: Vec<u64>,
@@ -258,7 +232,6 @@ impl Origins {
             Err(at) => {
                 let empty = OriginEntry {
                     trail: None,
-                    proxy: None,
                     relayed: Relayed::default(),
                     forwarded: Vec::new(),
                 };
@@ -270,27 +243,27 @@ impl Origins {
         &mut self.entries[i]
     }
 
-    /// `(origin, proxy record)` pairs in origin order.
-    pub(crate) fn proxies(&self) -> impl Iterator<Item = (u64, ProxyRecord)> + '_ {
+    /// `(origin, trail)` pairs in origin order, for the origins this
+    /// node is a proxy of: those with walks that ended here.
+    pub(crate) fn proxies(&self) -> impl Iterator<Item = (u64, &Trail)> + '_ {
         self.keys
             .iter()
             .zip(&self.entries)
-            .filter_map(|(&o, e)| Some((o, e.proxy?)))
+            .filter_map(|(&o, e)| Some((o, e.trail.as_ref().filter(|t| t.ended > 0)?)))
     }
 
-    /// The epoch-start rules, field by field: a trail or a proxy record
-    /// is kept if it is finalized or of an epoch `≥ epoch`; the relay
-    /// filter and the forward-dedup record are cleared for every origin.
-    /// An entry goes once both its trail and its proxy record have.
+    /// The epoch-start rules, field by field: a trail is kept if it is
+    /// finalized or of an epoch `≥ epoch`; the relay filter and the
+    /// forward-dedup record are cleared for every origin. An entry goes
+    /// with its trail.
     pub(crate) fn begin_epoch(&mut self, epoch: u32) {
         let mut kept = 0;
         for i in 0..self.entries.len() {
             let e = &mut self.entries[i];
             Trail::gc(&mut e.trail, epoch);
-            e.proxy.take_if(|r| !r.finalized && r.epoch < epoch);
             e.relayed = Relayed::default();
             e.forwarded = Vec::new();
-            if e.trail.is_some() || e.proxy.is_some() {
+            if e.trail.is_some() {
                 self.keys.swap(kept, i);
                 self.entries.swap(kept, i);
                 kept += 1;
@@ -355,51 +328,43 @@ mod tests {
 
     #[test]
     fn proxy_record_validity() {
-        let tentative = ProxyRecord {
-            epoch: 3,
-            count: 2,
-            finalized: false,
-        };
-        assert!(tentative.valid_at(3));
-        assert!(!tentative.valid_at(4));
-        let final_rec = ProxyRecord {
-            finalized: true,
-            ..tentative
-        };
-        assert!(final_rec.valid_at(7));
-    }
-
-    fn proxy(epoch: u32, finalized: bool) -> Option<ProxyRecord> {
-        Some(ProxyRecord {
-            epoch,
-            count: 1,
-            finalized,
-        })
+        // A proxy's record is its trail: valid during its epoch while
+        // tentative, and for good once its origin committed to it.
+        let mut slot = None;
+        let trail = Trail::enter_epoch(&mut slot, 3).unwrap();
+        trail.ended = 2;
+        assert!(trail.valid_at(3));
+        assert!(!trail.valid_at(4));
+        trail.finalize(3);
+        assert!(trail.valid_at(7));
     }
 
     #[test]
     fn origins_iterate_in_origin_order_and_grow_one_by_one() {
         let mut t = Origins::default();
+        for o in [30, 10, 20, 40] {
+            Trail::enter_epoch(&mut t.entry(o).trail, 0);
+        }
         for o in [30, 10, 20] {
-            t.entry(o).proxy = proxy(0, false);
+            t.get_mut(o).unwrap().trail.as_mut().unwrap().ended = 1;
         }
         let order: Vec<u64> = t.proxies().map(|(o, _)| o).collect();
-        assert_eq!(order, [10, 20, 30]);
-        assert_eq!((t.keys.capacity(), t.entries.capacity()), (3, 3));
+        assert_eq!(order, [10, 20, 30], "a trail no walk ended on is no proxy");
+        assert_eq!((t.keys.capacity(), t.entries.capacity()), (4, 4));
         assert!(t.get(20).is_some() && t.get(25).is_none());
     }
 
     #[test]
     fn begin_epoch_applies_each_rule_to_its_own_field() {
         let mut t = Origins::default();
-        // Origin 1: stale trail, finalized proxy record.
+        // Origin 1: stale finalized proxy trail.
         let e = t.entry(1);
-        Trail::enter_epoch(&mut e.trail, 0);
-        e.proxy = proxy(0, true);
-        // Origin 2: stale tentative trail and proxy record.
+        let trail = Trail::enter_epoch(&mut e.trail, 0).unwrap();
+        trail.ended = 1;
+        trail.finalize(0);
+        // Origin 2: stale tentative proxy trail.
         let e = t.entry(2);
-        Trail::enter_epoch(&mut e.trail, 1);
-        e.proxy = proxy(1, false);
+        Trail::enter_epoch(&mut e.trail, 1).unwrap().ended = 1;
         // Origin 3: current trail, relay and forward records.
         let e = t.entry(3);
         Trail::enter_epoch(&mut e.trail, 2);
@@ -410,7 +375,7 @@ mod tests {
 
         t.begin_epoch(2);
         let e = t.get_mut(1).unwrap();
-        assert!(e.trail.is_none() && e.proxy.is_some());
+        assert!(e.trail.as_ref().is_some_and(|t| t.ended == 1));
         assert!(t.get(2).is_none() && t.get(4).is_none());
         let e = t.get_mut(3).unwrap();
         assert!(e.trail.is_some());
@@ -452,6 +417,13 @@ mod tests {
     fn a_forward_record_is_as_small_as_its_item() {
         assert_eq!(std::mem::size_of::<Handled>(), 16);
         assert_eq!(std::mem::size_of::<FwdItem>(), 16);
+    }
+
+    #[test]
+    fn an_origin_entry_is_120_bytes() {
+        // Trail with its walk count (48), relay filter (48) and forward
+        // record (24): a node at n = 10⁶ holds about three.
+        assert_eq!(std::mem::size_of::<OriginEntry>(), 120);
     }
 
     #[test]

@@ -4,12 +4,17 @@
 //! they complete: proxy replies travel *backwards* to the contender
 //! (rounds 1 and 3, winner notices), contender broadcasts travel
 //! *forwards* to the proxies (round 2, winner messages, stop
-//! commitments). Each node therefore keeps, per `(origin, epoch)`, two
+//! commitments). Each node therefore keeps, per `(origin, epoch)`, three
 //! facts:
 //!
 //! * the **earliest arrival**: the lowest step at which a walk token
 //!   reached the node, and the hop it came by (the first recorded on a
 //!   tie);
+//! * how many of the walks **ended** at the node. The paper's proxies of
+//!   an origin are "the nodes where the random walks generated by `u`
+//!   complete `t_u` steps", so the node is a proxy of the trail's epoch
+//!   exactly when this count is positive, and a *distinct* proxy (the
+//!   Distinctness Property) when it is one;
 //! * the sorted set of **reply children**: the ports over which reverse
 //!   units of that origin and epoch reached the node.
 //!
@@ -21,7 +26,7 @@
 //! earliest arrival is step 0, the origin. The earliest arrival is never
 //! a lazy stay, since a stay at step `s` needs a visit at `s − 1`. Every
 //! unit a node sends towards one origin takes the same path home, which
-//! is what lets relays drop repeats (see `welle-core`'s protocol).
+//! is what lets relays drop repeats (see the protocol's module docs).
 //!
 //! **Forwards**, a unit follows every reply child, with per-wave dedup
 //! at each node (the paper's "filtering and forwarding"). The routes
@@ -34,23 +39,25 @@
 //!
 //! Routes count hops along recorded trail edges, as the paper's bounds
 //! do; the earliest-arrival route is never longer than the walk.
-//! Memory per trail is one arrival plus one entry per reply child, at
-//! most one per port.
+//! Memory per trail is one arrival, one count, and one entry per reply
+//! child, at most one per port.
 //!
 //! **Epochs.** A node keeps at most one trail per origin, in an
 //! `Option<Trail>` slot ([`Trail::enter_epoch`]). A walk of a newer epoch
 //! replaces a trail that is not finalized; a token of an older epoch
 //! than the stored trail is stale and dropped. A finalized trail belongs
-//! to an origin that stopped at that epoch: it keeps serving that
-//! epoch's traffic for the rest of the execution and refuses every other
-//! epoch. At the start of epoch `e`, [`Trail::gc`] drops a trail that is
-//! neither finalized nor of an epoch `≥ e`, since its origin has moved on.
+//! to an origin that stopped at that epoch (its proxies hold the
+//! origin's *final* guess, the rest a *current* one): it keeps serving
+//! that epoch's traffic for the rest of the execution and refuses every
+//! other epoch. At the start of epoch `e`, [`Trail::gc`] drops a trail
+//! that is neither finalized nor of an epoch `≥ e`, since its origin has
+//! moved on.
 
 use welle_graph::Port;
 
 /// One hop of a walk trail as seen from a node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Hop {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Hop {
     /// The walk started here (only at step 0 on the origin itself).
     Origin,
     /// The walk stayed here for a lazy step.
@@ -62,9 +69,12 @@ pub enum Hop {
 /// The recorded passage of one origin's walks through one node during one
 /// epoch.
 #[derive(Clone, Debug)]
-pub struct Trail {
+pub(crate) struct Trail {
     epoch: u32,
     finalized: bool,
+    /// How many of the epoch's walks ended here: the node is the
+    /// origin's proxy exactly when this is positive.
+    pub(crate) ended: u32,
     /// The earliest recorded arrival `(step, hop)`: lowest step, first
     /// recorded on a tie.
     earliest: Option<(u32, Hop)>,
@@ -75,33 +85,36 @@ pub struct Trail {
 
 impl Trail {
     /// An empty trail of `epoch`.
-    pub fn new(epoch: u32) -> Self {
+    fn new(epoch: u32) -> Self {
         Trail {
             epoch,
             finalized: false,
+            ended: 0,
             earliest: None,
             children: Vec::new(),
         }
     }
 
     /// Epoch this trail belongs to.
-    pub fn epoch(&self) -> u32 {
+    pub(crate) fn epoch(&self) -> u32 {
         self.epoch
     }
 
-    /// Whether the trail has recorded neither an arrival nor a child.
-    pub fn is_empty(&self) -> bool {
-        self.earliest.is_none() && self.children.is_empty()
+    /// Whether the origin committed to this epoch as its final guess.
+    pub(crate) fn is_finalized(&self) -> bool {
+        self.finalized
     }
 
-    /// Whether the origin committed to this epoch as its final guess.
-    pub fn is_finalized(&self) -> bool {
-        self.finalized
+    /// Whether this trail takes part in the exchange of `current_epoch`:
+    /// a finalized one always does, a tentative one only during its
+    /// epoch.
+    pub(crate) fn valid_at(&self, current_epoch: u32) -> bool {
+        self.finalized || self.epoch == current_epoch
     }
 
     /// Records that step-`step` tokens arrived here via `hop`; only an
     /// arrival earlier than every recorded one is kept.
-    pub fn record_in(&mut self, step: u32, hop: Hop) {
+    pub(crate) fn record_in(&mut self, step: u32, hop: Hop) {
         if self.earliest.is_none_or(|(s, _)| step < s) {
             self.earliest = Some((step, hop));
         }
@@ -109,7 +122,7 @@ impl Trail {
 
     /// Records that a reverse unit arrived over `port`, making it a reply
     /// child; returns whether it was not one before.
-    pub fn record_child(&mut self, port: Port) -> bool {
+    pub(crate) fn record_child(&mut self, port: Port) -> bool {
         let Err(at) = self.children.binary_search(&port) else {
             return false;
         };
@@ -117,15 +130,10 @@ impl Trail {
         true
     }
 
-    /// The earliest recorded arrival `(step, hop)`, if any.
-    pub fn earliest(&self) -> Option<(u32, Hop)> {
-        self.earliest
-    }
-
     /// The reverse-routing decision: leave by the earliest arrival's
     /// in-port (see the module docs for why this always reaches the
     /// origin without revisiting a node).
-    pub fn reverse_route(&self) -> ReverseRoute {
+    pub(crate) fn reverse_route(&self) -> ReverseRoute {
         match self.earliest {
             Some((_, Hop::Origin)) => ReverseRoute::AtOrigin,
             Some((step, Hop::Via(p))) => {
@@ -142,7 +150,7 @@ impl Trail {
     /// winner messages) are relayed over exactly these ports once per
     /// item — the paper's "filtering and forwarding" along the tree the
     /// replies came by (see the module docs).
-    pub fn children(&self) -> &[Port] {
+    pub(crate) fn children(&self) -> &[Port] {
         &self.children
     }
 
@@ -151,7 +159,7 @@ impl Trail {
     /// stored trail is finalized with a different epoch (walks of a
     /// stopped contender cannot restart) or newer than `epoch` (a stale
     /// token arriving late — dropped).
-    pub fn enter_epoch(slot: &mut Option<Trail>, epoch: u32) -> Option<&mut Trail> {
+    pub(crate) fn enter_epoch(slot: &mut Option<Trail>, epoch: u32) -> Option<&mut Trail> {
         match slot {
             Some(t) if t.finalized && t.epoch != epoch => return None,
             Some(t) if t.epoch > epoch => return None,
@@ -164,13 +172,13 @@ impl Trail {
     /// Empties `slot` at the start of `current_epoch` if its trail is not
     /// finalized and older (its origin moved on; the records can never
     /// be used again).
-    pub fn gc(slot: &mut Option<Trail>, current_epoch: u32) {
+    pub(crate) fn gc(slot: &mut Option<Trail>, current_epoch: u32) {
         slot.take_if(|t| !t.finalized && t.epoch < current_epoch);
     }
 
     /// Marks the trail as final (its origin stopped with this guess);
     /// ignored if the trail's epoch differs.
-    pub fn finalize(&mut self, epoch: u32) {
+    pub(crate) fn finalize(&mut self, epoch: u32) {
         if self.epoch == epoch {
             self.finalized = true;
         }
@@ -179,7 +187,7 @@ impl Trail {
 
 /// Outcome of a reverse-routing lookup.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReverseRoute {
+pub(crate) enum ReverseRoute {
     /// This node *is* the origin: deliver locally.
     AtOrigin,
     /// Send over the port; the receiver's earliest step is below this
@@ -192,6 +200,13 @@ pub enum ReverseRoute {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use proptest::prelude::*;
+    use rand::{rngs::StdRng, SeedableRng};
+    use welle_graph::{gen, Graph, NodeId};
+    use welle_walks::split_lazy;
+
     use super::*;
 
     #[test]
@@ -202,7 +217,7 @@ mod tests {
         // A tie keeps the first recorded hop; later steps never replace.
         t.record_in(1, Hop::Via(Port::new(5)));
         t.record_in(2, Hop::Stay);
-        assert_eq!(t.earliest(), Some((1, Hop::Via(Port::new(2)))));
+        assert_eq!(t.earliest, Some((1, Hop::Via(Port::new(2)))));
         // Children stay sorted and distinct; only a new one reports true.
         assert!(t.record_child(Port::new(4)));
         assert!(t.record_child(Port::new(1)));
@@ -223,7 +238,7 @@ mod tests {
     fn no_preallocation_for_long_walks() {
         let mut slot = None;
         let t = Trail::enter_epoch(&mut slot, 20).unwrap();
-        assert!(t.is_empty());
+        assert!(t.earliest.is_none() && t.ended == 0);
         assert!(t.children().is_empty());
         assert_eq!(t.children.capacity(), 0);
     }
@@ -260,17 +275,15 @@ mod tests {
     #[test]
     fn epoch_replacement_rules() {
         let mut slot = None;
-        Trail::enter_epoch(&mut slot, 0)
-            .unwrap()
-            .record_in(0, Hop::Origin);
+        let t = Trail::enter_epoch(&mut slot, 0).unwrap();
+        t.record_in(0, Hop::Origin);
+        t.ended = 2;
         // Same epoch: same trail.
-        assert_eq!(
-            Trail::enter_epoch(&mut slot, 0).unwrap().earliest(),
-            Some((0, Hop::Origin))
-        );
-        // Newer epoch replaces a non-finalized trail.
+        let t = Trail::enter_epoch(&mut slot, 0).unwrap();
+        assert_eq!((t.earliest, t.ended), (Some((0, Hop::Origin)), 2));
+        // Newer epoch replaces a non-finalized trail, count and all.
         let t = Trail::enter_epoch(&mut slot, 1).unwrap();
-        assert!(t.is_empty());
+        assert!(t.earliest.is_none() && t.ended == 0);
         assert_eq!(t.epoch(), 1);
         // Stale (older-epoch) token is rejected.
         assert!(Trail::enter_epoch(&mut slot, 0).is_none());
@@ -308,5 +321,126 @@ mod tests {
         let mut slot = None;
         Trail::enter_epoch(&mut slot, 1).unwrap().finalize(0);
         assert!(!slot.unwrap().is_finalized());
+    }
+
+    /// Walks `walks` lazy walks of `len` steps from `origin`, step by step,
+    /// recording every node's trail as the protocol does, and returns the
+    /// per-node trails.
+    fn simulate_trails(
+        g: &Graph,
+        origin: usize,
+        walks: u32,
+        len: u32,
+        rng: &mut StdRng,
+    ) -> Vec<Option<Trail>> {
+        let mut trails: Vec<Option<Trail>> = vec![None; g.n()];
+        let record = |trails: &mut [Option<Trail>], v: NodeId, step: u32, hop: Hop| {
+            Trail::enter_epoch(&mut trails[v.index()], 0)
+                .expect("one epoch")
+                .record_in(step, hop);
+        };
+        record(&mut trails, NodeId::new(origin), 0, Hop::Origin);
+        // Token bundles at the current step, by node in index order.
+        let mut at: BTreeMap<usize, u32> = BTreeMap::from([(origin, walks)]);
+        for step in 0..len {
+            let mut next: BTreeMap<usize, u32> = BTreeMap::new();
+            for (&u, &count) in &at {
+                let u = NodeId::new(u);
+                let mut moves = vec![0; g.degree(u)];
+                let stay = split_lazy(count, rng, &mut moves);
+                if stay > 0 {
+                    record(&mut trails, u, step + 1, Hop::Stay);
+                    *next.entry(u.index()).or_default() += stay;
+                }
+                for (port, &moved) in moves.iter().enumerate().filter(|&(_, &c)| c > 0) {
+                    let port = Port::new(port);
+                    let v = g.neighbor(u, port);
+                    record(&mut trails, v, step + 1, Hop::Via(g.reverse_port(u, port)));
+                    *next.entry(v.index()).or_default() += moved;
+                }
+            }
+            at = next;
+        }
+        trails
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// From every node the walks reached, reverse routing over the
+        /// graph's ports reaches the origin within the walk length, the
+        /// earliest step falling at every hop and no node repeating. Every
+        /// hop makes its in-port a reply child of the node it reaches, as
+        /// the election's relays do, and the children then form a tree from
+        /// the origin over edges the walks crossed, holding every node the
+        /// walks reached exactly once.
+        #[test]
+        fn trail_reverse_route_terminates(
+            seed in any::<u64>(),
+            n in 4usize..24,
+            walks in 1u32..64,
+            len in 1u32..16,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g = gen::gnp_connected(n, 0.3, &mut rng).unwrap();
+            let origin = (seed % n as u64) as usize;
+            let mut trails = simulate_trails(&g, origin, walks, len, &mut rng);
+            for start in 0..n {
+                let Some(trail) = &trails[start] else {
+                    continue;
+                };
+                let (mut step, _) = trail.earliest.expect("a trail holds an arrival");
+                let mut at = NodeId::new(start);
+                let mut seen = vec![false; n];
+                seen[start] = true;
+                let mut hops = 0u32;
+                loop {
+                    let here = trails[at.index()].as_ref().expect("routes stay on the trail");
+                    match here.reverse_route() {
+                        ReverseRoute::AtOrigin => {
+                            prop_assert_eq!(at.index(), origin, "only the origin answers AtOrigin");
+                            break;
+                        }
+                        ReverseRoute::Forward(port) => {
+                            let child = g.reverse_port(at, port);
+                            at = g.neighbor(at, port);
+                            trails[at.index()]
+                                .as_mut()
+                                .expect("routes stay on the trail")
+                                .record_child(child);
+                            hops += 1;
+                            prop_assert!(hops <= len, "route from {} is longer than the walk", start);
+                            prop_assert!(!seen[at.index()], "route from {} revisits {}", start, at.index());
+                            seen[at.index()] = true;
+                            let next = trails[at.index()]
+                                .as_ref()
+                                .and_then(|t| t.earliest)
+                                .map(|(s, _)| s);
+                            prop_assert!(next.is_some_and(|s| s < step),
+                                "earliest step did not fall: {} then {:?}", step, next);
+                            step = next.unwrap_or(0);
+                        }
+                        ReverseRoute::Broken => prop_assert!(false, "broken route from {}", start),
+                    }
+                }
+            }
+            let mut reached = vec![false; n];
+            reached[origin] = true;
+            let mut stack = vec![NodeId::new(origin)];
+            while let Some(u) = stack.pop() {
+                let trail = trails[u.index()].as_ref().expect("tree nodes hold trails");
+                for &port in trail.children() {
+                    let v = g.neighbor(u, port);
+                    let back = trails[v.index()].as_ref().map(Trail::reverse_route);
+                    prop_assert_eq!(back, Some(ReverseRoute::Forward(g.reverse_port(u, port))),
+                        "child {} of {} was not reached over that edge", v.index(), u.index());
+                    prop_assert!(!reached[v.index()], "node {} has two parents", v.index());
+                    reached[v.index()] = true;
+                    stack.push(v);
+                }
+            }
+            let held: Vec<bool> = trails.iter().map(Option::is_some).collect();
+            prop_assert_eq!(reached, held, "the tree must hold exactly the trail nodes");
+        }
     }
 }

@@ -7,8 +7,11 @@
 //! invariant the swap exists to protect — full-report identity across
 //! repeated runs and executors on random graphs and seeds.
 
+mod barrier;
+
 use std::sync::Arc;
 
+use barrier::{through_barrier, Counts};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use welle_core::{Election, ElectionConfig, ElectionReport, Exec};
@@ -31,16 +34,23 @@ fn random_connected(n: usize, extra: usize, seed: u64) -> Arc<welle_graph::Graph
     Arc::new(b.build().unwrap())
 }
 
-fn run_row(g: &Arc<welle_graph::Graph>, seed: u64, exec: Exec) -> String {
-    let mut cfg = ElectionConfig::tuned_for_simulation(g.n());
+fn config(n: usize) -> ElectionConfig {
+    let mut cfg = ElectionConfig::tuned_for_simulation(n);
     cfg.max_walk_len = Some(64);
+    cfg
+}
+
+fn run(g: &Arc<welle_graph::Graph>, seed: u64, exec: Exec) -> ElectionReport {
     Election::on(g)
-        .config(cfg)
+        .config(config(g.n()))
         .seed(seed)
         .executor(exec)
         .run()
         .unwrap()
-        .csv_row()
+}
+
+fn run_row(g: &Arc<welle_graph::Graph>, seed: u64, exec: Exec) -> String {
+    run(g, seed, exec).csv_row()
 }
 
 /// The columns that message volume drives; every other column is a
@@ -157,14 +167,18 @@ proptest! {
 
     /// The contract the ordered containers protect: the full report is a
     /// pure function of (graph, seed), byte-identical across repeated
-    /// runs and across executors.
+    /// runs and across executors, and the same through the worker
+    /// barrier.
     #[test]
     fn full_report_identity(n in 24usize..56, extra in 8usize..64, seed in any::<u64>()) {
         let g = random_connected(n, extra, seed);
-        let first = run_row(&g, seed ^ 0xF00D, Exec::Serial);
+        let report = run(&g, seed ^ 0xF00D, Exec::Serial);
+        let first = report.csv_row();
         let again = run_row(&g, seed ^ 0xF00D, Exec::Serial);
         prop_assert_eq!(&again, &first, "same-executor replay diverged");
         let threaded = run_row(&g, seed ^ 0xF00D, Exec::Threaded(2));
         prop_assert_eq!(&threaded, &first, "cross-executor replay diverged");
+        let (barrier, _) = through_barrier(&g, config(n), seed ^ 0xF00D, 2, None, None);
+        prop_assert_eq!(barrier, Counts::of(&report), "barrier replay diverged");
     }
 }

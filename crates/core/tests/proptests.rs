@@ -2,7 +2,11 @@
 //! random connected graphs, parameter-derivation invariants, and message
 //! size budgets.
 
+mod barrier;
+
 use std::sync::Arc;
+
+use barrier::{through_barrier, Counts};
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
@@ -125,23 +129,27 @@ proptest! {
     ) {
         // A FaultPlan with drop rate 0, no crashes, zero delay, and no
         // cuts must be indistinguishable from the fault-free engine —
-        // on the serial executor and on any thread count.
+        // on the serial executor and on any thread count, with every
+        // round through the worker barrier too.
         let g = random_connected(n, extra, seed);
         let mut cfg = ElectionConfig::tuned_for_simulation(n);
         cfg.max_walk_len = Some(64);
+        let plan = FaultPlan::new(plan_seed);
         let baseline = Election::on(&g).config(cfg).seed(seed ^ 0xF00).run().unwrap();
         for exec in [Exec::Serial, Exec::Threaded(threads)] {
             let faulted = Election::on(&g)
                 .config(cfg)
                 .seed(seed ^ 0xF00)
                 .executor(exec)
-                .faults(FaultPlan::new(plan_seed))
+                .faults(plan.clone())
                 .run()
                 .unwrap();
             prop_assert!(reports_identical(&baseline, &faulted), "{exec:?}");
             prop_assert_eq!(faulted.dropped_messages, 0);
             prop_assert_eq!(faulted.crashed, 0);
         }
+        let (barrier, _) = through_barrier(&g, cfg, seed ^ 0xF00, threads, Some(&plan), None);
+        prop_assert_eq!(barrier, Counts::of(&baseline));
     }
 
     #[test]
@@ -153,7 +161,8 @@ proptest! {
         drop_pm in 0u32..300,
     ) {
         // Under real faults: still deterministic, still bit-identical
-        // across executors, and still never more than one leader.
+        // across executors, through the worker barrier too, and still
+        // never more than one leader.
         let g = random_connected(n, extra, seed);
         let mut cfg = ElectionConfig::tuned_for_simulation(n);
         cfg.max_walk_len = Some(64);
@@ -172,10 +181,12 @@ proptest! {
             .config(cfg)
             .seed(seed ^ 0xF01)
             .executor(Exec::Threaded(threads))
-            .faults(plan)
+            .faults(plan.clone())
             .run()
             .unwrap();
         prop_assert!(reports_identical(&serial, &par));
+        let (barrier, _) = through_barrier(&g, cfg, seed ^ 0xF01, threads, Some(&plan), None);
+        prop_assert_eq!(barrier, Counts::of(&serial));
     }
 
     #[test]

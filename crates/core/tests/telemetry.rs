@@ -2,8 +2,11 @@
 //! byte-identical across executors and trial-thread counts, survives a
 //! campaign resume, and costs nothing when off.
 
+mod barrier;
+
 use std::sync::Arc;
 
+use barrier::{through_barrier, Counts};
 use proptest::prelude::*;
 use welle_core::export::{phase_table, write_round_log};
 use welle_core::{
@@ -55,6 +58,17 @@ fn phase_tables_and_round_logs_identical_across_executors() {
             "{exec:?}: round log must be byte-identical"
         );
     }
+    // Every round through the worker barrier: the same counts, phase
+    // totals and round log.
+    let (counts, telemetry) =
+        through_barrier(&graph(), cfg(), 7, 3, None, Some(TelemetryConfig::full()));
+    assert_eq!(counts, Counts::of(&serial), "barrier");
+    let telemetry = telemetry.unwrap();
+    let serial_telemetry = serial.telemetry.as_ref().unwrap();
+    assert_eq!(telemetry.phases, serial_telemetry.phases, "barrier");
+    let mut log = Vec::new();
+    write_round_log(&telemetry, &mut log).unwrap();
+    assert_eq!(log, serial_log, "barrier: round log must be byte-identical");
 }
 
 #[test]
@@ -213,17 +227,20 @@ proptest! {
         } else {
             TelemetryConfig::full()
         };
+        let ecfg = ElectionConfig {
+            max_walk_len: Some(64),
+            ..cfg()
+        };
+        let plan =
+            (drop_pct > 0).then(|| FaultPlan::new(seed).drop_rate(f64::from(drop_pct) / 100.0));
         let run = |exec: Exec| {
             let mut e = Election::on(&g)
-                .config(ElectionConfig {
-                    max_walk_len: Some(64),
-                    ..cfg()
-                })
+                .config(ecfg)
                 .seed(seed)
                 .executor(exec)
                 .telemetry(tcfg);
-            if drop_pct > 0 {
-                e = e.faults(FaultPlan::new(seed).drop_rate(f64::from(drop_pct) / 100.0));
+            if let Some(p) = &plan {
+                e = e.faults(p.clone());
             }
             e.run().unwrap()
         };
@@ -231,10 +248,15 @@ proptest! {
         let threaded = run(Exec::Threaded(2));
         prop_assert_eq!(serial.phase_rounds, threaded.phase_rounds);
         prop_assert_eq!(serial.phase_messages, threaded.phase_messages);
-        let (st, tt) = (serial.telemetry.unwrap(), threaded.telemetry.unwrap());
+        let (barrier, bt) = through_barrier(&g, ecfg, seed, 2, plan.as_ref(), Some(tcfg));
+        prop_assert_eq!(barrier, Counts::of(&serial));
+        let (st, tt, bt) = (serial.telemetry.unwrap(), threaded.telemetry.unwrap(), bt.unwrap());
         prop_assert_eq!(&st.samples, &tt.samples);
         prop_assert_eq!(st.total_samples, tt.total_samples);
         prop_assert_eq!(&st.phases, &tt.phases);
+        prop_assert_eq!(&st.samples, &bt.samples, "barrier");
+        prop_assert_eq!(st.total_samples, bt.total_samples, "barrier");
+        prop_assert_eq!(&st.phases, &bt.phases, "barrier");
         if let Retention::Ring(k) = tcfg.retention {
             prop_assert!(st.samples.len() <= k);
         }

@@ -141,24 +141,6 @@ pub fn mixing_time(g: &Graph, opts: MixingOptions) -> Option<u32> {
     Some(worst)
 }
 
-/// Spectral upper estimate of `t_mix` from the lazy spectral gap `γ`:
-/// `t ≈ ln(2n / π_min) / γ` (the standard relaxation-time bound for
-/// reversible chains, with the paper's `1/2n` accuracy target).
-///
-/// This is an *estimate*, not a certificate — use [`mixing_time`] when
-/// exactness matters; use this to cross-check `Θ(1/φ) ≤ t_mix ≤ Θ(1/φ²)`
-/// (Eq. 1) on graphs too large for full evolution.
-pub fn mixing_time_spectral_estimate(g: &Graph) -> Option<f64> {
-    let gap = analysis::lazy_spectral_gap(g, analysis::SpectralOptions::default())?;
-    if gap <= 0.0 {
-        return None;
-    }
-    let pi = analysis::stationary_distribution(g)?;
-    let pi_min = pi.iter().copied().fold(f64::INFINITY, f64::min);
-    let n = g.n() as f64;
-    Some(((2.0 * n / pi_min).ln() / gap).max(1.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,17 +242,6 @@ mod tests {
     fn disconnected_returns_none() {
         let g = welle_graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
         assert_eq!(mixing_time_from(&g, NodeId::new(0), 100), None);
-    }
-
-    #[test]
-    fn spectral_estimate_brackets_exact_loosely() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let g = gen::random_regular(128, 4, &mut rng).unwrap();
-        let exact = mixing_time(&g, MixingOptions::default()).unwrap() as f64;
-        let est = mixing_time_spectral_estimate(&g).unwrap();
-        // The relaxation bound overshoots but should stay within ~20x.
-        assert!(est >= exact * 0.5, "est {est} vs exact {exact}");
-        assert!(est <= exact * 30.0, "est {est} vs exact {exact}");
     }
 
     #[test]

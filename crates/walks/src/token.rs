@@ -3,9 +3,8 @@
 //! Instead of sending `count` separate `⟨u, t_u⟩` tokens along the same
 //! edge, a node sends one token carrying the count — "we send only one
 //! token and the count of tokens that need to be sent", as the paper
-//! puts it. On the wire that token is welle-core's `ElectionMsg::walk`
-//! (and [`FleetMsg`](crate::FleetMsg) in the standalone walk fleet). At
-//! each step a node's walks are split *lazily* (each walk stays with
+//! puts it. On the wire that token is welle-core's `ElectionMsg::walk`.
+//! At each step a node's walks are split *lazily* (each walk stays with
 //! probability ½) and the movers are assigned to ports uniformly.
 
 use rand::{Rng, RngExt};
@@ -49,8 +48,10 @@ pub fn with_port_counts<T>(degree: usize, f: impl FnOnce(&mut [u32]) -> T) -> T 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mixing::endpoint_distribution;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use welle_graph::{gen, NodeId, Port};
 
     #[test]
     fn split_conserves_count() {
@@ -89,6 +90,37 @@ mod tests {
                 "port got {c}, expected ≈{expect}"
             );
         }
+    }
+
+    #[test]
+    fn repeated_splits_follow_the_exact_walk_distribution() {
+        // Aggregated walks split one lazy step at a time, as the
+        // election's nodes split them, end where single lazy walks do.
+        let g = gen::clique(16).unwrap();
+        let (walks, len) = (40_000u32, 4);
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut at = vec![0u32; g.n()];
+        at[0] = walks;
+        for _ in 0..len {
+            let mut next = vec![0u32; g.n()];
+            for u in g.nodes() {
+                with_port_counts(g.degree(u), |counts| {
+                    next[u.index()] += split_lazy(at[u.index()], &mut rng, counts);
+                    for (p, &moved) in counts.iter().enumerate() {
+                        next[g.neighbor(u, Port::new(p)).index()] += moved;
+                    }
+                });
+            }
+            at = next;
+        }
+        let exact = endpoint_distribution(&g, NodeId::new(0), len);
+        let tv: f64 = at
+            .iter()
+            .zip(&exact)
+            .map(|(&c, &p)| (f64::from(c) / f64::from(walks) - p).abs())
+            .sum::<f64>()
+            / 2.0;
+        assert!(tv < 0.02, "total variation {tv} too large");
     }
 
     #[test]

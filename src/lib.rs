@@ -8,7 +8,7 @@
 //!   conductance/spectral analysis,
 //! * [`congest`] — the synchronous CONGEST simulator (with opt-in
 //!   deterministic fault injection: drops, crashes, delays, cuts),
-//! * [`walks`] — lazy random walks, mixing times, walk-trail routing,
+//! * [`walks`] — lazy random walks, mixing times, lazy token splits,
 //! * [`core`] — the election algorithm, explicit election, baselines,
 //! * [`lowerbound`] — the §4/§5 lower-bound experiment machinery.
 //!
