@@ -3,6 +3,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::atomic::AtomicU32;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -542,6 +543,7 @@ impl<P: Protocol> Engine<P> {
             graph: &self.graph,
             budget: self.cfg.bandwidth_bits,
             faults: self.wire.faults.as_deref(),
+            backlog: self.wire.queues.backlog(),
         };
         self.shard.run_phase(&env, self.round, kind);
         self.shard
@@ -608,13 +610,14 @@ pub(crate) enum CallKind {
     Signal(Signal),
 }
 
-/// The round-invariant environment of a protocol phase, shared by
-/// every callback: the network, the CONGEST budget and the compiled
-/// fault schedule (if any).
+/// The environment of a protocol phase, shared by every callback: the
+/// network, the CONGEST budget, the compiled fault schedule (if any) and
+/// the per-edge queue lengths, which the phase only reads.
 pub(crate) struct PhaseEnv<'a> {
     pub(crate) graph: &'a Graph,
     pub(crate) budget: Option<usize>,
     pub(crate) faults: Option<&'a CompiledFaults>,
+    pub(crate) backlog: &'a [AtomicU32],
 }
 
 /// The nodes `base..base + nodes.len()` and everything a protocol phase
@@ -792,6 +795,7 @@ impl<P: Protocol> Shard<P> {
             dir_base: crate::idx32(env.graph.directed_base(u)),
             budget: env.budget,
             sent: 0,
+            backlog: env.backlog,
             rng: &mut self.rngs[local],
             sends: &mut self.outbox,
             wake: &mut wake,
@@ -927,7 +931,7 @@ impl<P: Protocol> Shard<P> {
 #[derive(Debug)]
 pub(crate) struct Wire<M> {
     /// Backlogged messages, one FIFO per directed edge.
-    queues: EdgeQueues<M>,
+    pub(crate) queues: EdgeQueues<M>,
     /// Round at which each directed edge last carried a message; the
     /// CONGEST one-per-round discipline without per-edge clearing.
     last_carried: Vec<u64>,

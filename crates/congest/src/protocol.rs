@@ -1,5 +1,7 @@
 //! The node-side protocol interface and its execution context.
 
+use std::sync::atomic::{AtomicU32, Ordering};
+
 use rand::rngs::StdRng;
 use welle_graph::Port;
 
@@ -88,8 +90,8 @@ pub trait Protocol: Send {
 ///
 /// Provides the model-visible environment: the global round clock, the
 /// network size `n` (the paper assumes nodes know `n`), the node's degree
-/// (its port count), a private source of randomness, and the send/wake-up
-/// effects.
+/// (its port count), its own output buffer ([`Context::queued`]), a
+/// private source of randomness, and the send/wake-up effects.
 #[derive(Debug)]
 pub struct Context<'a, M> {
     pub(crate) round: u64,
@@ -103,6 +105,9 @@ pub struct Context<'a, M> {
     /// Messages sent through this context (read back by the engine for
     /// per-node accounting).
     pub(crate) sent: u32,
+    /// Messages queued per directed edge from earlier rounds, by
+    /// directed index.
+    pub(crate) backlog: &'a [AtomicU32],
     pub(crate) rng: &'a mut StdRng,
     /// The engine's transmission buffer (struct-of-arrays
     /// `(directed_index, message)` entries).
@@ -144,6 +149,31 @@ impl<M> Context<'_, M> {
 }
 
 impl<M: Payload> Context<'_, M> {
+    /// How many of this node's messages wait to cross `port`'s edge:
+    /// those queued from earlier rounds plus those sent over `port`
+    /// earlier in this callback. In CONGEST a node knows its own output
+    /// buffer. One message crosses per round, so when this is `k`, a
+    /// message sent over `port` now crosses `k` rounds from now — as
+    /// does one sent at round `round() + k`, when the edge has drained.
+    /// (Sends of a signal callback still awaiting their first round are
+    /// not counted.)
+    ///
+    /// # Panics
+    ///
+    /// Panics if `port >= degree`.
+    pub fn queued(&self, port: Port) -> usize {
+        assert!(
+            port.index() < self.degree,
+            "queue of port {port} but node has degree {}",
+            self.degree
+        );
+        let dir = self.dir_base + port.raw();
+        let waiting = self.backlog[dir as usize].load(Ordering::Relaxed);
+        let first = self.sends.len() - self.sent as usize;
+        let fresh = self.sends.dirs_from(first).iter();
+        waiting as usize + fresh.filter(|&&d| d == dir).count()
+    }
+
     /// Queues `msg` for transmission through `port`.
     ///
     /// Transmission respects the CONGEST discipline: one message per
@@ -178,9 +208,15 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
+    /// Queue lengths of directed edges `0..104`, none queued.
+    fn no_backlog() -> Vec<AtomicU32> {
+        (0..104).map(|_| AtomicU32::new(0)).collect()
+    }
+
     fn test_ctx<'a>(
         degree: usize,
         budget: Option<usize>,
+        backlog: &'a [AtomicU32],
         rng: &'a mut StdRng,
         sends: &'a mut DirBatch<u64>,
         wake: &'a mut Option<u64>,
@@ -192,6 +228,7 @@ mod tests {
             dir_base: 100,
             budget,
             sent: 0,
+            backlog,
             rng,
             sends,
             wake,
@@ -203,7 +240,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut sends: DirBatch<u64> = DirBatch::new();
         let mut wake = None;
-        let mut ctx = test_ctx(2, None, &mut rng, &mut sends, &mut wake);
+        let backlog = no_backlog();
+        let mut ctx = test_ctx(2, None, &backlog, &mut rng, &mut sends, &mut wake);
         assert_eq!(ctx.round(), 3);
         assert_eq!(ctx.n(), 10);
         assert_eq!(ctx.degree(), 2);
@@ -217,12 +255,32 @@ mod tests {
     }
 
     #[test]
+    fn queued_counts_the_backlog_and_this_callbacks_sends() {
+        let mut rng = StdRng::seed_from_u64(1);
+        // Another node's sends earlier in the round share the batch.
+        let mut sends: DirBatch<u64> = DirBatch::new();
+        sends.push(101, 7);
+        let mut wake = None;
+        let backlog = no_backlog();
+        backlog[102].store(3, Ordering::Relaxed);
+        let mut ctx = test_ctx(3, None, &backlog, &mut rng, &mut sends, &mut wake);
+        assert_eq!(ctx.queued(Port::new(1)), 0, "another node's send");
+        assert_eq!(ctx.queued(Port::new(2)), 3);
+        ctx.send(Port::new(2), 1);
+        ctx.send(Port::new(0), 2);
+        ctx.send(Port::new(2), 3);
+        assert_eq!(ctx.queued(Port::new(2)), 5);
+        assert_eq!(ctx.queued(Port::new(0)), 1);
+    }
+
+    #[test]
     #[should_panic(expected = "degree")]
     fn sending_on_bad_port_panics() {
         let mut rng = StdRng::seed_from_u64(1);
         let mut sends: DirBatch<u64> = DirBatch::new();
         let mut wake = None;
-        let mut ctx = test_ctx(1, None, &mut rng, &mut sends, &mut wake);
+        let backlog = no_backlog();
+        let mut ctx = test_ctx(1, None, &backlog, &mut rng, &mut sends, &mut wake);
         ctx.send(Port::new(1), 5);
     }
 
@@ -232,7 +290,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut sends: DirBatch<u64> = DirBatch::new();
         let mut wake = None;
-        let mut ctx = test_ctx(1, Some(32), &mut rng, &mut sends, &mut wake);
+        let backlog = no_backlog();
+        let mut ctx = test_ctx(1, Some(32), &backlog, &mut rng, &mut sends, &mut wake);
         ctx.send(Port::new(0), 5); // u64 payload claims 64 bits
     }
 }

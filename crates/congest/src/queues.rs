@@ -27,6 +27,9 @@
 //!
 //! [`Payload`]: crate::message::Payload
 
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
+
 /// Sentinel for "no slot" in the intrusive lists.
 const NIL: u32 = u32::MAX;
 
@@ -62,6 +65,11 @@ impl<M> DirBatch<M> {
 
     pub(crate) fn is_empty(&self) -> bool {
         self.dirs.is_empty()
+    }
+
+    /// The directed indices of the entries from `start` on.
+    pub(crate) fn dirs_from(&self, start: usize) -> &[u32] {
+        &self.dirs[start..]
     }
 
     /// Entries the batch can hold without re-allocating (arena budget
@@ -114,7 +122,11 @@ pub(crate) struct EdgeQueues<M> {
     /// Directed edges with at least one queued message, by index.
     active: Vec<u32>,
     total_queued: u64,
-    backlog: Vec<u32>,
+    /// Queue length per directed edge. Shared, so that a run on several
+    /// threads can hand it to the protocol phase (see
+    /// [`EdgeQueues::backlog`]); only the transmission phase writes it,
+    /// while no callback runs, so relaxed loads and stores suffice.
+    backlog: Arc<[AtomicU32]>,
 }
 
 impl<M: Default> EdgeQueues<M> {
@@ -127,7 +139,7 @@ impl<M: Default> EdgeQueues<M> {
             free: NIL,
             active: Vec::new(),
             total_queued: 0,
-            backlog: vec![0; directed_edges],
+            backlog: zeroed(directed_edges),
         }
     }
 
@@ -158,17 +170,24 @@ impl<M: Default> EdgeQueues<M> {
             "in-flight message counter at capacity"
         );
         self.total_queued += 1;
-        debug_assert!(
-            self.backlog[dir] < u32::MAX,
-            "per-edge backlog counter at capacity"
-        );
-        self.backlog[dir] += 1;
-        u64::from(self.backlog[dir])
+        let backlog = &self.backlog[dir];
+        let len = backlog.load(Ordering::Relaxed);
+        debug_assert!(len < u32::MAX, "per-edge backlog counter at capacity");
+        backlog.store(len + 1, Ordering::Relaxed);
+        u64::from(len + 1)
     }
 
     /// Number of messages currently queued across all edges.
     pub(crate) fn in_flight(&self) -> u64 {
         self.total_queued
+    }
+
+    /// Messages queued on each directed edge, by index: what a sender
+    /// still has in its output buffer (see
+    /// [`Context::queued`](crate::Context::queued)). A handle, so a run on
+    /// several threads can share it with its workers.
+    pub(crate) fn backlog(&self) -> &Arc<[AtomicU32]> {
+        &self.backlog
     }
 
     /// Restores the empty state for a (possibly different) edge set while
@@ -191,8 +210,13 @@ impl<M: Default> EdgeQueues<M> {
         }
         self.active.clear();
         self.total_queued = 0;
-        self.backlog.clear();
-        self.backlog.resize(directed_edges, 0);
+        if self.backlog.len() == directed_edges {
+            for b in self.backlog.iter() {
+                b.store(0, Ordering::Relaxed);
+            }
+        } else {
+            self.backlog = zeroed(directed_edges);
+        }
     }
 
     /// Releases the slot arena when it is oversized for the target edge
@@ -248,11 +272,17 @@ impl<M: Default> EdgeQueues<M> {
             self.next[slot as usize] = self.free;
             self.free = slot;
             self.total_queued -= 1;
-            self.backlog[d] -= 1;
+            let backlog = &self.backlog[d];
+            backlog.store(backlog.load(Ordering::Relaxed) - 1, Ordering::Relaxed);
             f(dir, msg);
         }
         self.active.truncate(kept);
     }
+}
+
+/// A backlog of `directed_edges` empty queues.
+fn zeroed(directed_edges: usize) -> Arc<[AtomicU32]> {
+    (0..directed_edges).map(|_| AtomicU32::new(0)).collect()
 }
 
 /// Reset keeps an arena only while its capacity is at most this many

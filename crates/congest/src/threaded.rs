@@ -215,10 +215,14 @@ impl<P: Protocol> Engine<P> {
         let panicked: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
         let graph = Arc::clone(&self.graph);
         let compiled = self.compiled_faults();
+        // The coordinator's transmission phase updates the queue lengths
+        // between protocol phases, never during one.
+        let backlog = Arc::clone(self.wire.queues.backlog());
         let env = PhaseEnv {
             graph: &graph,
             budget: self.cfg.bandwidth_bits,
             faults: compiled.as_deref(),
+            backlog: &backlog,
         };
 
         std::thread::scope(|scope| {

@@ -46,7 +46,10 @@ pub enum SyncMode {
 /// [`congest_cap`] at every id width. A unit of `k` ids of `b` bits costs
 /// at most `3 + b + 7 + k·b` bits (tag, origin, an epoch below 64, the
 /// ids), so four ids fit whenever `b ≤ 86`, and ids have at most 64 bits.
-const CONGEST_FRAG: usize = 4;
+/// A relay's merged round-1 unit trades one id for a tally of two counts
+/// below `2²²`: at most `3 + b + 7 + 44 + 3·b = 4·b + 54` bits, which fits
+/// at every width too.
+pub(crate) const CONGEST_FRAG: usize = 4;
 
 /// The CONGEST per-message bit cap for ids of `id_bits` bits.
 fn congest_cap(id_bits: usize) -> usize {
@@ -400,13 +403,23 @@ mod tests {
             let widest = u64::MAX >> (64 - id_bits);
             assert_eq!(bits_for(widest), id_bits);
             let ids = [widest; CONGEST_FRAG];
-            let unit = ElectionMsg::rev(widest, 63, RevItem::KnownContenders { ids: &ids });
+            // A relay's merged round-1 unit: both counts at the packed
+            // budget, with one id fewer.
+            let tally = (1 << 22) - 1;
+            let merged = RevItem::Replies {
+                replies: tally,
+                singles: tally,
+                ids: &ids[1..],
+            };
             let cap = congest_cap(id_bits);
-            assert!(
-                unit.bit_size() <= cap,
-                "{id_bits}-bit ids: {} > {cap}",
-                unit.bit_size()
-            );
+            for item in [RevItem::KnownContenders { ids: &ids }, merged] {
+                let unit = ElectionMsg::rev(widest, 63, item);
+                assert!(
+                    unit.bit_size() <= cap,
+                    "{id_bits}-bit ids: {} > {cap} for {item:?}",
+                    unit.bit_size()
+                );
+            }
         }
     }
 

@@ -10,20 +10,23 @@
 //! layout is chosen to make the common case allocation-free:
 //!
 //! * `meta` packs `tag(4) | epoch(6) | aux(32) | cnt(22)`. `aux` is the
-//!   walk's `remaining` counter (zero on routed units, which find their
-//!   way from each relay's trail alone); `cnt` is the walk
-//!   multiplicity, the proxy count, or an id-set length.
+//!   walk's `remaining` counter, or a round-1 tally's reply count (zero
+//!   on other routed units, which find their way from each relay's trail
+//!   alone); `cnt` is the walk multiplicity, the tally's single-walk
+//!   count, or an id-set length.
 //!   `epoch ≤ 33` always (guess-and-double caps at `2^e ≥ 4n²`) and the
 //!   walk count `K = ⌈c2·√n·ln n⌉` stays below `2²²` for every
-//!   `u32`-representable `n` at the default `c2`; both bounds are
-//!   asserted with descriptive panics at construction.
+//!   `u32`-representable `n` at the default `c2`; a tally counts at most
+//!   `K` proxies. These bounds are asserted with descriptive panics at
+//!   construction.
 //! * An `I1` fragment of one id inlines it in `word`. Longer fragments
-//!   intern the run in an `Arc`, shared by all hops of a relay instead
-//!   of re-cloned per hop: in CONGEST mode a fragment holds up to four
-//!   ids, so each `I1` unit of two to four ids interns one run, and
-//!   every other election message is heap-free. Rounds 2 and 3
-//!   carry only a maximum id (the decision reads `I4` through its
-//!   maximum), always inline.
+//!   intern the run once, shared by all hops of a relay instead of
+//!   re-cloned per hop: in CONGEST mode a fragment holds up to four ids,
+//!   which the interned run holds in place, so each `I1` unit of two to
+//!   four ids costs one allocation, and every other election message is
+//!   heap-free. A tally carries its ids the same way, with a flag in
+//!   `aux` marking one inline id. Rounds 2 and 3 carry only a maximum
+//!   id (the decision reads `I4` through its maximum), always inline.
 //!
 //! The packing is an in-memory concern only: [`Payload::bit_size`]
 //! still charges the analytical wire cost of the unpacked fields, so
@@ -32,6 +35,8 @@
 use std::sync::Arc;
 
 use welle_congest::{bits_for, Payload};
+
+use crate::config::CONGEST_FRAG;
 
 /// Tag bits distinguishing message variants on the wire (the charged
 /// cost; the in-memory tag spends 4 bits of `meta` to leave room for a
@@ -43,9 +48,11 @@ const EPOCH_SHIFT: u32 = 54;
 const AUX_SHIFT: u32 = 22;
 const EPOCH_MAX: u64 = (1 << 6) - 1;
 const CNT_MAX: u64 = (1 << 22) - 1;
+/// Set in a tally's `aux` when its one id sits inline in `word`.
+const ONE_ID: u32 = 1 << 31;
 
 const TAG_WALK: u64 = 1;
-const TAG_REV_PROXY: u64 = 2;
+const TAG_REV_REPLIES: u64 = 2;
 const TAG_REV_KNOWN: u64 = 3;
 const TAG_REV_I3_MAX: u64 = 4;
 const TAG_REV_WINNER: u64 = 5;
@@ -84,8 +91,48 @@ pub struct ElectionMsg {
     word: u64,
     /// Packed header: `tag(4) | epoch(6) | aux(32) | cnt(22)`.
     meta: u64,
-    /// Interned id run for `I1` fragments longer than one id.
-    run: Option<Arc<Vec<u64>>>,
+    /// Interned id run for id sets longer than one id.
+    run: Option<Arc<Run>>,
+}
+
+/// An interned id run: one allocation for every CONGEST-mode run, and a
+/// thin pointer, so [`ElectionMsg`] stays four words.
+#[derive(Debug, PartialEq, Eq)]
+enum Run {
+    /// Two to [`CONGEST_FRAG`] ids, in place; the rest are zero.
+    Short { ids: [u64; CONGEST_FRAG], len: Len },
+    /// A longer run (Large mode).
+    Long(Box<[u64]>),
+}
+
+/// The length of a short run. An enum, so that [`Run`] keeps its tag in
+/// the values no length takes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Len {
+    Two = 2,
+    Three,
+    Four,
+}
+
+impl Run {
+    fn new(ids: &[u64]) -> Self {
+        let len = match ids.len() {
+            2 => Len::Two,
+            3 => Len::Three,
+            4 => Len::Four,
+            _ => return Run::Long(ids.into()),
+        };
+        let mut short = [0; CONGEST_FRAG];
+        short[..ids.len()].copy_from_slice(ids);
+        Run::Short { ids: short, len }
+    }
+
+    fn ids(&self) -> &[u64] {
+        match self {
+            Run::Short { ids, len } => &ids[..*len as usize],
+            Run::Long(ids) => ids,
+        }
+    }
 }
 
 /// Borrowed decode of an [`ElectionMsg`].
@@ -128,13 +175,20 @@ pub enum MsgView<'a> {
 /// Payloads travelling towards a contender.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RevItem<'a> {
-    /// Round-1 header: the proxy's id and how many of the origin's walks
-    /// ended there (`count == 1` ⇔ the proxy is *distinct*).
-    ProxyInfo {
-        /// The proxy's own random id.
-        proxy_id: u64,
-        /// Multiplicity of the origin's walks at this proxy.
-        count: u32,
+    /// Round-1 tally: how many proxies replied, and how many of them
+    /// hold a single walk of the origin (are *distinct*). A proxy sends
+    /// `(1, count == 1)` and no ids; a relay merges the tallies it
+    /// passes on and adds up to [`Params::frag`]` − 1` of the `I1` ids
+    /// it holds.
+    ///
+    /// [`Params::frag`]: crate::config::Params::frag
+    Replies {
+        /// Proxies counted.
+        replies: u32,
+        /// Those among them that hold one walk.
+        singles: u32,
+        /// Ids from the proxies' `I1` sets.
+        ids: &'a [u64],
     },
     /// Round-1 set fragment: ids from the proxy's `I1` (other contenders
     /// it serves).
@@ -188,14 +242,26 @@ impl ElectionMsg {
     }
 
     /// A reverse-routed unit.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a tally counts `2²²` replies or more.
     pub fn rev(origin: u64, epoch: u32, item: RevItem<'_>) -> Self {
         match item {
-            RevItem::ProxyInfo { proxy_id, count } => ElectionMsg {
-                origin,
-                word: proxy_id,
-                meta: pack(TAG_REV_PROXY, epoch, 0, u64::from(count)),
-                run: None,
-            },
+            RevItem::Replies {
+                replies,
+                singles,
+                ids,
+            } => {
+                assert!(
+                    u64::from(replies) <= CNT_MAX,
+                    "tally of {replies} replies exceeds the packed 22-bit budget (max {CNT_MAX})"
+                );
+                let mut m = Self::with_ids(TAG_REV_REPLIES, origin, epoch, ids);
+                let one = if ids.len() == 1 { ONE_ID } else { 0 };
+                m.meta = pack(TAG_REV_REPLIES, epoch, replies | one, u64::from(singles));
+                m
+            }
             RevItem::KnownContenders { ids } => Self::with_ids(TAG_REV_KNOWN, origin, epoch, ids),
             RevItem::I3Max { id } => Self::with_word(TAG_REV_I3_MAX, origin, epoch, id),
             RevItem::Winner { id } => Self::with_word(TAG_REV_WINNER, origin, epoch, id),
@@ -223,8 +289,8 @@ impl ElectionMsg {
 
     /// Canonical id-set encoding: empty sets carry nothing, single ids
     /// inline in `word`, longer runs intern once in an `Arc` (shared by
-    /// every relayed copy). Derived equality is therefore structural
-    /// *and* logical.
+    /// every relayed copy), in place up to [`CONGEST_FRAG`] ids. Derived
+    /// equality is therefore structural *and* logical.
     fn with_ids(tag: u64, origin: u64, epoch: u32, ids: &[u64]) -> Self {
         match ids {
             [] => ElectionMsg {
@@ -243,7 +309,7 @@ impl ElectionMsg {
                 origin,
                 word: 0,
                 meta: pack(tag, epoch, 0, many.len() as u64),
-                run: Some(Arc::new(many.to_vec())),
+                run: Some(Arc::new(Run::new(many))),
             },
         }
     }
@@ -265,7 +331,12 @@ impl ElectionMsg {
 
     /// Whether this is a reverse-routed unit.
     pub fn is_rev(&self) -> bool {
-        matches!(self.tag(), TAG_REV_PROXY..=TAG_REV_WINNER)
+        matches!(self.tag(), TAG_REV_REPLIES..=TAG_REV_WINNER)
+    }
+
+    /// Whether this is a round-1 unit: a tally or an `I1` fragment.
+    pub fn is_round1(&self) -> bool {
+        matches!(self.tag(), TAG_REV_REPLIES | TAG_REV_KNOWN)
     }
 
     fn tag(&self) -> u64 {
@@ -276,12 +347,17 @@ impl ElectionMsg {
         self.meta & CNT_MAX
     }
 
-    /// The id-set payload (valid for the `I1` fragment tag).
+    /// The id-set payload of an `I1` fragment, whose `cnt` is its length,
+    /// or of a tally, whose flag marks one inline id.
     fn ids(&self) -> &[u64] {
+        let one = match self.tag() {
+            TAG_REV_REPLIES => self.aux() & ONE_ID != 0,
+            _ => self.cnt() == 1,
+        };
         match &self.run {
-            Some(run) => run.as_slice(),
-            None if self.cnt() == 0 => &[],
-            None => std::slice::from_ref(&self.word),
+            Some(run) => run.ids(),
+            None if one => std::slice::from_ref(&self.word),
+            None => &[],
         }
     }
 
@@ -296,12 +372,13 @@ impl ElectionMsg {
                 remaining: self.aux(),
                 count: self.cnt() as u32,
             },
-            TAG_REV_PROXY => MsgView::Rev {
+            TAG_REV_REPLIES => MsgView::Rev {
                 origin,
                 epoch,
-                item: RevItem::ProxyInfo {
-                    proxy_id: self.word,
-                    count: self.cnt() as u32,
+                item: RevItem::Replies {
+                    replies: self.aux() & !ONE_ID,
+                    singles: self.cnt() as u32,
+                    ids: self.ids(),
                 },
             },
             TAG_REV_KNOWN => MsgView::Rev {
@@ -342,13 +419,19 @@ impl ElectionMsg {
 impl RevItem<'_> {
     fn payload_bits(&self) -> usize {
         match self {
-            RevItem::ProxyInfo { proxy_id, count } => {
-                bits_for(*proxy_id) + bits_for(u64::from(*count))
-            }
-            RevItem::KnownContenders { ids } => ids.iter().map(|&id| bits_for(id)).sum(),
+            RevItem::Replies {
+                replies,
+                singles,
+                ids,
+            } => bits_for(u64::from(*replies)) + bits_for(u64::from(*singles)) + ids_bits(ids),
+            RevItem::KnownContenders { ids } => ids_bits(ids),
             RevItem::I3Max { id } | RevItem::Winner { id } => bits_for(*id),
         }
     }
+}
+
+fn ids_bits(ids: &[u64]) -> usize {
+    ids.iter().map(|&id| bits_for(id)).sum()
 }
 
 impl FwdItem {
@@ -456,9 +539,10 @@ mod tests {
         let m = ElectionMsg::rev(
             0xDEAD_BEEF,
             33,
-            RevItem::ProxyInfo {
-                proxy_id: 42,
-                count: (CNT_MAX) as u32,
+            RevItem::Replies {
+                replies: CNT_MAX as u32,
+                singles: 42,
+                ids: &[],
             },
         );
         assert_eq!(m.origin(), 0xDEAD_BEEF);
@@ -479,11 +563,83 @@ mod tests {
         };
         assert_eq!(
             item,
-            RevItem::ProxyInfo {
-                proxy_id: 42,
-                count: CNT_MAX as u32
+            RevItem::Replies {
+                replies: CNT_MAX as u32,
+                singles: 42,
+                ids: &[]
             }
         );
+    }
+
+    #[test]
+    fn tallies_round_trip_with_their_ids() {
+        let widest = [u64::MAX; CONGEST_FRAG];
+        for ids in [&[][..], &[7], &[1, 2, 3], &widest[..3]] {
+            for (replies, singles) in [(1, 0), (1, 1), (5, 2), (CNT_MAX as u32, CNT_MAX as u32)] {
+                let item = RevItem::Replies {
+                    replies,
+                    singles,
+                    ids,
+                };
+                let m = ElectionMsg::rev(0xDEAD_BEEF, 63, item);
+                assert!(m.is_rev());
+                assert_eq!(
+                    m.view(),
+                    MsgView::Rev {
+                        origin: 0xDEAD_BEEF,
+                        epoch: 63,
+                        item
+                    }
+                );
+                assert_eq!(m.run.is_some(), ids.len() > 1, "{ids:?}");
+                // Tag, origin, epoch, the two counts and the ids.
+                let counts = bits_for(u64::from(replies)) + bits_for(u64::from(singles));
+                let head = 3 + 32 + bits_for(64);
+                assert_eq!(m.bit_size(), head + counts + ids_bits(ids));
+            }
+        }
+        // A proxy's own reply is two bits of payload.
+        let own = ElectionMsg::rev(
+            9,
+            0,
+            RevItem::Replies {
+                replies: 1,
+                singles: 1,
+                ids: &[],
+            },
+        );
+        assert_eq!(own.bit_size(), 3 + 4 + 1 + 2);
+    }
+
+    #[test]
+    fn a_run_is_one_allocation_in_congest_mode() {
+        let short = ElectionMsg::rev(1, 0, RevItem::KnownContenders { ids: &[5, 6] });
+        assert!(matches!(
+            short.run.as_deref(),
+            Some(Run::Short { len: Len::Two, .. })
+        ));
+        let ids: Vec<u64> = (1..=CONGEST_FRAG as u64 + 1).collect();
+        let long = ElectionMsg::rev(1, 0, RevItem::KnownContenders { ids: &ids });
+        assert!(matches!(long.run.as_deref(), Some(Run::Long(_))));
+        let MsgView::Rev {
+            item: RevItem::KnownContenders { ids: got },
+            ..
+        } = long.view()
+        else {
+            panic!("decoded as non-Rev");
+        };
+        assert_eq!(got, &ids[..]);
+    }
+
+    #[test]
+    #[should_panic(expected = "22-bit budget")]
+    fn oversized_tally_panics() {
+        let tally = RevItem::Replies {
+            replies: 1 << 22,
+            singles: 0,
+            ids: &[],
+        };
+        let _ = ElectionMsg::rev(1, 0, tally);
     }
 
     #[test]

@@ -7,13 +7,16 @@
 //!    recording breadcrumb trails. Tokens with `remaining = 0` end on the
 //!    trail they reach, and a node where an origin's walks end is its
 //!    proxy.
-//! 2. **R1** — proxies send each current-epoch origin its id, walk count
-//!    (the distinctness bit `d`), the set `I1` of other contenders they
-//!    serve, in units of [`Params::frag`] ids (four in CONGEST mode), and
-//!    any known winner — reverse-routed along the trails: every node
-//!    passes a unit on by its earliest recorded arrival of the origin's
-//!    walks, so the way home never revisits a node and is never longer
-//!    than the walk (see the `trails` module).
+//! 2. **R1** — proxies send each current-epoch origin a reply `(1, d)`
+//!    (one proxy, and the distinctness bit `d`: whether one walk ended
+//!    there), the set `I1` of other contenders they serve, in units of
+//!    [`Params::frag`] ids (four in CONGEST mode), and any known winner —
+//!    reverse-routed along the trails: every node passes a unit on by its
+//!    earliest recorded arrival of the origin's walks, so the way home
+//!    never revisits a node and is never longer than the walk (see the
+//!    `trails` module). The routes form a tree, and relays merge what
+//!    converges on it (see *Holding and release* below): the contender
+//!    adds up the reply tallies and unites the `I1` ids.
 //! 3. **R2** — contenders send `max(I2 ∪ {u})` (`I2` is the union of the
 //!    received `I1`s) forward to their proxies: one unit per contender,
 //!    passed down the tree that the round-1 replies came by. Each node
@@ -40,24 +43,48 @@
 //! follows the first one home. Relays therefore pass on only what the
 //! contender can still use, per `(origin, epoch)`:
 //!
-//! * an `I1` id once (a fragment of several ids goes on, unchanged,
-//!   while any of its ids is new) — the contender reads `I1` only as a
-//!   set, through `|I2|` and its maximum;
+//! * an `I1` id once — the contender reads `I1` only as a set, through
+//!   `|I2|` and its maximum;
 //! * an `I3` maximum only if it exceeds every one relayed before — the
 //!   contender reads `I4` only through its maximum;
 //! * the first winner notice — a contender acts on the first only;
-//! * every proxy's `(id, count)` reply.
+//! * every reply, added into a tally `(replies, singles)` — the
+//!   contender reads the replies only through how many proxies answered
+//!   and how many of them hold one walk.
 //!
 //! In a fault-free run whose traffic drains within each segment, the
-//! contender therefore receives the same sets and maxima as without the
-//! filter, and decides the same.
+//! contender therefore receives the same counts, sets and maxima as
+//! without the filter, and decides the same. (Two proxies that drew the
+//! same random id count twice; a map by proxy id counted them once.)
+//!
+//! **Holding and release.** A relay does not pass round-1 units on as
+//! they arrive: per `(origin, epoch)` it holds the reply tally and the
+//! `I1` ids it has not passed on yet, and passes them on merged — one
+//! unit with the tally and up to `frag − 1` ids, then units of `frag`
+//! ids — at the first moment that cannot delay them: when it has no
+//! message of its own queued on the route port
+//! ([`Context::queued`]), or just before it sends anything else over
+//! that port. A release step at the end of every callback passes on
+//! what is held for idle ports and asks for a wake-up at the round the
+//! first busy one drains, so nothing is held at quiescence. Held data
+//! therefore never crosses later than the units it replaces would have,
+//! and no traffic moves across a segment boundary. A unit that finds its
+//! port idle, nothing held for its origin and no other round-1 unit of
+//! its origin still in the inbox goes on as it came: holding could merge
+//! nothing into it. Held data is never dropped: an epoch start passes
+//! everything on first, and so does a walk of a newer epoch that
+//! replaces the trail the data follows. Units the node originates,
+//! `I3` maxima and winner notices are sent at once, after what is held
+//! for their port. The engine keeps the output queues, so a relay holds
+//! no per-port state of its own.
 //!
 //! **Per-origin state.** A node keeps all it knows of one walk origin in
 //! one entry of a table sorted by origin: the trail with its reply
-//! children and the count of walks that ended on it, the relay filter and
-//! the forward-dedup record. The trail is the one record of an origin
-//! epoch: the node is the origin's proxy when walks ended on it, and the
-//! origin committed to that epoch when it is finalized. A walk token, a
+//! children and the count of walks that ended on it, the relay filter
+//! with the round-1 data held, and the forward-dedup record. The trail
+//! is the one record of an origin epoch: the node is the origin's proxy
+//! when walks ended on it, and the origin committed to that epoch when
+//! it is finalized. A walk token, a
 //! reverse unit or a forward unit costs one binary search, and entries
 //! iterate in origin order, so sends go out in the same order at every
 //! run. Forward dedup ("filtering and forwarding") is exact: the entry
@@ -79,11 +106,24 @@ use welle_walks::{split_lazy, with_port_counts};
 
 use crate::config::{Params, Phase, SyncMode};
 use crate::msg::{ElectionMsg, FwdItem, MsgView, RevItem};
-use crate::state::{ContenderState, Decision, EpochRecord, NodeStats, Origins};
+use crate::state::{ContenderState, Decision, EpochRecord, NodeStats, OriginEntry, Origins};
 use crate::trails::{Hop, ReverseRoute, Trail};
 
 /// The signal value the adaptive driver broadcasts to advance one segment.
 pub const SIGNAL_ADVANCE: Signal = 1;
+
+/// Which held round-1 data a node passes on now.
+#[derive(Clone, Copy)]
+enum Release {
+    /// All of it.
+    All,
+    /// What goes over this port, before the node sends anything else
+    /// over it.
+    Port(Port),
+    /// The release step at the end of each callback: what goes over the
+    /// ports the node has no message queued on.
+    Idle,
+}
 
 /// One anonymous node running the election (Algorithm 1 + 2).
 #[derive(Debug)]
@@ -230,6 +270,8 @@ impl ElectionNode {
     }
 
     fn begin_epoch(&mut self, ctx: &mut Context<'_, ElectionMsg>, epoch: u32) {
+        // Held data goes on before the trails it follows are collected.
+        self.pass_on_held(ctx, Release::All);
         // GC: tentative trails of older epochs can never be used again.
         self.origins.begin_epoch(epoch);
         self.i3_max = None;
@@ -259,15 +301,12 @@ impl ElectionNode {
             .map(|(o, t)| (o, t.ended))
             .collect();
         for (origin, count) in emissions {
-            self.send_reverse(
-                ctx,
-                origin,
-                epoch,
-                RevItem::ProxyInfo {
-                    proxy_id: self.id,
-                    count,
-                },
-            );
+            let reply = RevItem::Replies {
+                replies: 1,
+                singles: u32::from(count == 1),
+                ids: &[],
+            };
+            self.send_reverse(ctx, origin, epoch, reply);
             let i1: Vec<u64> = self
                 .origins
                 .proxies()
@@ -329,7 +368,7 @@ impl ElectionNode {
         c.history.push(EpochRecord {
             epoch,
             walk_len: self.params.walk_len(epoch),
-            proxy_replies: c.proxy_counts.len(),
+            proxy_replies: c.replies,
             distinct_proxies: distinct,
             i2_len: inter,
             satisfied,
@@ -381,6 +420,16 @@ impl ElectionNode {
         via: Hop,
     ) {
         let step = self.params.walk_len(epoch).saturating_sub(remaining);
+        if self.origins.holds() {
+            // A walk of a newer epoch replaces the trail that round-1 data
+            // held for an older one follows: the data goes on first.
+            let held = self.origins.get(origin).and_then(OriginEntry::held_route);
+            if let Some((held_epoch, ReverseRoute::Forward(port))) = held {
+                if held_epoch < epoch {
+                    self.pass_on_held(ctx, Release::Port(port));
+                }
+            }
+        }
         let entry = self.origins.entry(origin);
         let Some(trail) = Trail::enter_epoch(&mut entry.trail, epoch) else {
             self.stats.dropped_tokens += count as u64;
@@ -401,6 +450,7 @@ impl ElectionNode {
             }
             for (port, &cnt) in counts.iter().enumerate().filter(|&(_, &c)| c > 0) {
                 let port = Port::new(port);
+                self.pass_on_held(ctx, Release::Port(port));
                 ctx.send(port, ElectionMsg::walk(origin, epoch, remaining - 1, cnt));
             }
         });
@@ -417,11 +467,12 @@ impl ElectionNode {
         epoch: u32,
         item: RevItem<'_>,
     ) {
-        self.route_reverse(ctx, None, ElectionMsg::rev(origin, epoch, item));
+        self.route_reverse(ctx, None, ElectionMsg::rev(origin, epoch, item), &[]);
     }
 
-    /// Routes a reverse unit one hop: deliver at the origin, relay it
-    /// unchanged along the trail if the contender can still use it, or
+    /// Routes a reverse unit one hop: deliver at the origin; hold a
+    /// relayed round-1 unit, to pass it on merged; relay any other unit
+    /// unchanged along the trail if the contender can still use it; or
     /// drop. A unit that arrived over port `from` makes it a reply child
     /// of the trail; a new child is sent the forward items it missed.
     fn route_reverse(
@@ -429,6 +480,7 @@ impl ElectionNode {
         ctx: &mut Context<'_, ElectionMsg>,
         from: Option<Port>,
         msg: ElectionMsg,
+        later: &[(Port, ElectionMsg)],
     ) {
         let MsgView::Rev {
             origin,
@@ -439,16 +491,21 @@ impl ElectionNode {
         else {
             return;
         };
-        let Some(entry) = self.origins.get_mut(origin) else {
+        let Some(at) = self.origins.position(origin) else {
             self.stats.broken_routes += 1;
             return;
         };
         if let Some(child) = from {
-            for missed in entry.adopt_child(epoch, child) {
+            if self.origins.holds() && self.origins.at(at).is_late_child(epoch, child) {
+                self.pass_on_held(ctx, Release::Port(child));
+            }
+            for missed in self.origins.at(at).adopt_child(epoch, child) {
                 ctx.send(child, ElectionMsg::fwd(origin, epoch, missed));
             }
         }
-        let route = entry
+        let route = self
+            .origins
+            .at(at)
             .trail
             .as_ref()
             .filter(|t| t.epoch() == epoch)
@@ -462,11 +519,74 @@ impl ElectionNode {
                 }
             }
             ReverseRoute::Forward(port) => {
-                if entry.relayed.admit(epoch, &item) {
+                // A relayed round-1 unit is held, to go on merged, unless
+                // holding could merge nothing into it: its port is idle,
+                // nothing is held for its origin, and no other round-1
+                // unit of its origin is still to come this round.
+                let merges = from.is_some()
+                    && msg.is_round1()
+                    && (self.origins.at(at).relayed.holds()
+                        || ctx.queued(port) > 0
+                        || later
+                            .iter()
+                            .any(|(_, m)| m.origin() == origin && m.is_round1()));
+                if merges {
+                    self.origins.hold(at, epoch, &item);
+                    return;
+                }
+                self.pass_on_held(ctx, Release::Port(port));
+                if self.origins.at(at).relayed.admit(epoch, &item) {
                     ctx.send(port, msg);
                 }
             }
             ReverseRoute::Broken => self.stats.broken_routes += 1,
+        }
+    }
+
+    /// Passes on the round-1 data this node holds, for the entries whose
+    /// route home leaves by a port that `which` picks (see the module
+    /// docs). The release step also asks for a wake-up at the round the
+    /// first busy port it leaves drains.
+    #[inline]
+    fn pass_on_held(&mut self, ctx: &mut Context<'_, ElectionMsg>, which: Release) {
+        if self.origins.holds() {
+            self.release(ctx, which);
+        }
+    }
+
+    fn release(&mut self, ctx: &mut Context<'_, ElectionMsg>, which: Release) {
+        let frag = self.params.frag;
+        let stats = &mut self.stats;
+        let mut drained: Option<u64> = None;
+        self.origins.visit_held(|origin, entry| {
+            let port = match entry.held_route() {
+                Some((_, ReverseRoute::Forward(port))) => port,
+                _ => {
+                    // The trail the data followed is gone: it has no way
+                    // home, as its units would have had none.
+                    entry.relayed.pass_on(origin, frag, drop);
+                    stats.broken_routes += 1;
+                    return;
+                }
+            };
+            let now = match which {
+                Release::All => true,
+                Release::Port(p) => p == port,
+                Release::Idle => match ctx.queued(port) {
+                    0 => true,
+                    busy => {
+                        let at = ctx.round() + busy as u64;
+                        drained = Some(drained.map_or(at, |d| d.min(at)));
+                        false
+                    }
+                },
+            };
+            if now {
+                entry.relayed.pass_on(origin, frag, |m| ctx.send(port, m));
+            }
+        });
+        if let Some(at) = drained {
+            ctx.wake_at(at);
         }
     }
 
@@ -477,10 +597,16 @@ impl ElectionNode {
         item: RevItem<'_>,
     ) {
         match item {
-            RevItem::ProxyInfo { proxy_id, count } => {
+            RevItem::Replies {
+                replies,
+                singles,
+                ids,
+            } => {
                 if let Some(c) = &mut self.contender {
                     if c.active && epoch == self.cur_epoch {
-                        c.proxy_counts.insert(proxy_id, count);
+                        c.replies += replies as usize;
+                        c.singles += singles as usize;
+                        c.i2.extend(ids.iter().copied());
                     }
                 }
             }
@@ -533,6 +659,7 @@ impl ElectionNode {
         };
         // Dedup before the trail lookup: a repeated unit with no trail
         // counts one broken route, not two.
+        let holding = self.origins.holds();
         let entry = self.origins.entry(origin);
         if !entry.first_forward(epoch, item) {
             return;
@@ -542,12 +669,20 @@ impl ElectionNode {
             return;
         };
         let is_proxy = trail.ended > 0;
-        for &port in trail.children() {
-            ctx.send(port, msg.clone());
-        }
         // The winner's own notice commits in place of its stop mark.
         if item == FwdItem::StopMark || item == (FwdItem::Winner { id: origin }) {
             trail.finalize(epoch);
+        }
+        if holding {
+            // What is held for a child's port goes before the unit.
+            for port in trail.children().to_vec() {
+                self.pass_on_held(ctx, Release::Port(port));
+                ctx.send(port, msg.clone());
+            }
+        } else {
+            for &port in trail.children() {
+                ctx.send(port, msg.clone());
+            }
         }
         match item {
             FwdItem::I2Max { id } if is_proxy => {
@@ -584,7 +719,15 @@ impl ElectionNode {
         }
     }
 
-    fn handle_message(&mut self, ctx: &mut Context<'_, ElectionMsg>, port: Port, msg: ElectionMsg) {
+    /// Handles `msg`, which arrived over `port`, with `later` the rest of
+    /// the round's inbox.
+    fn handle_message(
+        &mut self,
+        ctx: &mut Context<'_, ElectionMsg>,
+        port: Port,
+        msg: ElectionMsg,
+        later: &[(Port, ElectionMsg)],
+    ) {
         if let MsgView::Walk {
             origin,
             epoch,
@@ -596,7 +739,7 @@ impl ElectionNode {
             return;
         }
         if msg.is_rev() {
-            self.route_reverse(ctx, Some(port), msg);
+            self.route_reverse(ctx, Some(port), msg, later);
         } else {
             self.process_forward(ctx, msg);
         }
@@ -621,6 +764,7 @@ impl Protocol for ElectionNode {
         self.seg_idx = 1;
         self.fire_segment(ctx, 0);
         self.schedule_next_wake(ctx);
+        self.pass_on_held(ctx, Release::Idle);
     }
 
     fn on_round(
@@ -636,14 +780,17 @@ impl Protocol for ElectionNode {
             self.handle_walk_tokens(ctx, origin, epoch, remaining, count, Hop::Stay);
         }
         self.pending_stays.drain(..held);
-        for (port, msg) in inbox.drain(..) {
-            self.handle_message(ctx, port, msg);
+        let mut inbox = inbox.drain(..);
+        while let Some((port, msg)) = inbox.next() {
+            // A round-1 unit sees what is still to come.
+            self.handle_message(ctx, port, msg, inbox.as_slice());
         }
         if self.pending_stays.is_empty() {
             self.pending_stays = Vec::new();
         }
         self.fire_due_segments(ctx);
         self.schedule_next_wake(ctx);
+        self.pass_on_held(ctx, Release::Idle);
     }
 
     fn on_signal(&mut self, ctx: &mut Context<'_, ElectionMsg>, signal: Signal) {
@@ -655,6 +802,7 @@ impl Protocol for ElectionNode {
             self.seg_idx += 1;
             self.fire_segment(ctx, seg);
         }
+        self.pass_on_held(ctx, Release::Idle);
     }
 
     fn is_done(&self) -> bool {

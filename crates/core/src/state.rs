@@ -1,12 +1,12 @@
 //! Per-node protocol state: roles, per-epoch bookkeeping, and the
 //! per-origin table ([`Origins`]) every handled message searches once.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use welle_graph::Port;
 
-use crate::msg::{FwdItem, RevItem};
-use crate::trails::Trail;
+use crate::msg::{ElectionMsg, FwdItem, RevItem};
+use crate::trails::{ReverseRoute, Trail};
 
 /// Final verdict of a node (Algorithm 1 line 4 / Algorithm 2 lines 5+9).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -40,10 +40,10 @@ pub struct EpochRecord {
 pub struct ContenderState {
     /// Still guessing-and-doubling (has not stopped).
     pub active: bool,
-    /// Round-1 data of the current epoch: proxy id → walk count there.
-    /// Ordered container: `distinct_proxies` iterates it, and seeded-path
-    /// iteration order must be deterministic (`welle-lint: no-hash-iter`).
-    pub proxy_counts: BTreeMap<u64, u32>,
+    /// Round-1 tally of the current epoch: the proxies that replied.
+    pub replies: usize,
+    /// Those among them that hold a single walk (the *distinct* ones).
+    pub singles: usize,
     /// `I2`: union of received `I1` fragments (other contenders' ids).
     pub i2: BTreeSet<u64>,
     /// Round-3 data: the largest id received, i.e. `max(I4)`. The
@@ -68,14 +68,15 @@ impl ContenderState {
 
     /// Clears the per-epoch accumulators at an epoch start.
     pub fn begin_epoch(&mut self) {
-        self.proxy_counts.clear();
+        self.replies = 0;
+        self.singles = 0;
         self.i2.clear();
         self.i4_max = None;
     }
 
     /// Number of distinct proxies reported this epoch.
     pub fn distinct_proxies(&self) -> usize {
-        self.proxy_counts.values().filter(|&&c| c == 1).count()
+        self.singles
     }
 }
 
@@ -154,6 +155,30 @@ impl Handled {
 }
 
 impl OriginEntry {
+    /// The epoch and route of the round-1 data the entry holds, if it
+    /// holds any: the way home of the trail of that epoch.
+    pub(crate) fn held_route(&self) -> Option<(u32, ReverseRoute)> {
+        if !self.relayed.holds() {
+            return None;
+        }
+        let epoch = self.relayed.epoch;
+        let trail = self.trail.as_ref().filter(|t| t.epoch() == epoch);
+        Some((
+            epoch,
+            trail.map_or(ReverseRoute::Broken, Trail::reverse_route),
+        ))
+    }
+
+    /// Whether a reverse unit of `epoch` arriving over `port` makes it a
+    /// new reply child of the trail that [`OriginEntry::adopt_child`]
+    /// sends forward items it missed.
+    pub(crate) fn is_late_child(&self, epoch: u32, port: Port) -> bool {
+        let trail = self.trail.as_ref().filter(|t| t.epoch() == epoch);
+        let passed = |h: &Handled| h.passed_on && h.epoch == epoch;
+        self.forwarded.iter().any(passed)
+            && trail.is_some_and(|t| t.children().binary_search(&port).is_err())
+    }
+
     /// Records a forward `item` of `epoch`; `false` if it was handled
     /// before. It is passed on only if the node holds a trail of
     /// `epoch`, and only then can a late child be sent it.
@@ -208,6 +233,20 @@ pub(crate) struct Origins {
     /// `n = 2·10⁴`.
     keys: Vec<u64>,
     entries: Vec<OriginEntry>,
+    /// Which entries hold round-1 data: bit `i` for `entries[i]`, and
+    /// the top bit for every entry from index [`SPILL`] on. A release
+    /// visits these entries only: scanning every entry at each release
+    /// cost `expander-128` about 5% of its time.
+    held: u64,
+}
+
+/// The index from which one bit of [`Origins::held`] stands for all
+/// entries.
+const SPILL: u32 = 63;
+
+/// The bit of [`Origins::held`] that stands for `entries[i]`.
+fn held_bit(i: usize) -> u64 {
+    1 << i.min(SPILL as usize)
 }
 
 impl Origins {
@@ -221,8 +260,62 @@ impl Origins {
     }
 
     /// The entry of `origin`, if the node holds one.
+    #[cfg(test)]
     pub(crate) fn get_mut(&mut self, origin: u64) -> Option<&mut OriginEntry> {
         self.search(origin).ok().map(|i| &mut self.entries[i])
+    }
+
+    /// The index of `origin`'s entry, if the node holds one; it stays
+    /// valid until an entry is added or an epoch begins.
+    pub(crate) fn position(&self, origin: u64) -> Option<usize> {
+        self.search(origin).ok()
+    }
+
+    /// The entry at index `i` (see [`Origins::position`]).
+    pub(crate) fn at(&mut self, i: usize) -> &mut OriginEntry {
+        &mut self.entries[i]
+    }
+
+    /// Whether any entry holds round-1 data.
+    pub(crate) fn holds(&self) -> bool {
+        self.held != 0
+    }
+
+    /// Holds, in the entry at index `i`, a round-1 unit of `epoch` that
+    /// arrived to be relayed (see [`Relayed::hold`]).
+    pub(crate) fn hold(&mut self, i: usize, epoch: u32, item: &RevItem<'_>) {
+        let relayed = &mut self.entries[i].relayed;
+        relayed.hold(epoch, item);
+        if relayed.holds() {
+            self.held |= held_bit(i);
+        }
+    }
+
+    /// Calls `visit` on every entry that holds round-1 data, with its
+    /// origin, in origin order; `visit` may pass the data on.
+    pub(crate) fn visit_held(&mut self, mut visit: impl FnMut(u64, &mut OriginEntry)) {
+        let mut bits = self.held;
+        while bits != 0 {
+            let bit = bits.trailing_zeros();
+            bits &= bits - 1;
+            let first = bit as usize;
+            let end = if bit == SPILL {
+                self.entries.len()
+            } else {
+                first + 1
+            };
+            let mut still = false;
+            for i in first..end {
+                let e = &mut self.entries[i];
+                if e.relayed.holds() {
+                    visit(self.keys[i], e);
+                    still |= e.relayed.holds();
+                }
+            }
+            if !still {
+                self.held &= !(1 << bit);
+            }
+        }
     }
 
     /// The entry of `origin`, created empty if the node holds none.
@@ -237,6 +330,10 @@ impl Origins {
                 };
                 insert_tight(&mut self.keys, at, origin);
                 insert_tight(&mut self.entries, at, empty);
+                // The entries from `at` on moved up by one.
+                let below = held_bit(at) - 1;
+                let moved = self.held & !below;
+                self.held = (self.held & below) | (moved << 1) | (moved & held_bit(usize::MAX));
                 at
             }
         };
@@ -257,6 +354,7 @@ impl Origins {
     /// forward-dedup record are cleared for every origin. An entry goes
     /// with its trail.
     pub(crate) fn begin_epoch(&mut self, epoch: u32) {
+        debug_assert!(!self.holds(), "held data dropped at an epoch start");
         let mut kept = 0;
         for i in 0..self.entries.len() {
             let e = &mut self.entries[i];
@@ -274,46 +372,148 @@ impl Origins {
     }
 }
 
-/// What one relay already sent towards one origin in one epoch: the
-/// reverse-path twin of the forward-dedup record (see the protocol's
-/// module docs).
+/// What one relay passed on towards one origin in one epoch, and the
+/// round-1 data it holds to pass on merged: the reverse-path twin of the
+/// forward-dedup record (see the protocol's module docs). 48 bytes, so
+/// an [`OriginEntry`] stays at 120.
 #[derive(Debug, Default)]
 pub(crate) struct Relayed {
-    epoch: u32,
-    /// `I1` ids relayed, sorted.
+    /// `I1` ids of the epoch, each once: `i1[..sent]` were passed on and
+    /// are sorted, for a binary search; the rest are held, in arrival
+    /// order.
     i1: Vec<u64>,
-    /// Largest `I3` maximum relayed.
-    i3_max: Option<u64>,
+    /// Largest `I3` maximum relayed; 0 for none (ids are positive).
+    i3_max: u64,
+    /// Held reply tally: proxies counted, and those among them that hold
+    /// a single walk.
+    replies: u32,
+    singles: u32,
+    epoch: u32,
+    /// The watermark of `i1`.
+    sent: u16,
     /// Whether a winner notice was relayed.
     winner: bool,
 }
 
 impl Relayed {
-    /// Whether `item`, of `epoch`, can still change what the contender
-    /// computes; records it if so. A unit of another epoch starts over.
-    pub(crate) fn admit(&mut self, epoch: u32, item: &RevItem<'_>) -> bool {
+    /// Starts the record over for a unit of `epoch`, if it is of another.
+    /// Held data spans no epoch change: a relay passes it on before the
+    /// trail it follows is replaced or dropped.
+    fn enter(&mut self, epoch: u32) {
         if self.epoch != epoch {
+            debug_assert!(!self.holds(), "held data of epoch {} dropped", self.epoch);
             *self = Relayed {
                 epoch,
                 ..Relayed::default()
             };
         }
+    }
+
+    /// Whether round-1 data is held.
+    pub(crate) fn holds(&self) -> bool {
+        self.replies > 0 || usize::from(self.sent) < self.i1.len()
+    }
+
+    /// Records `id` unless it was passed on or held before; `true` if it
+    /// is new. A new id is held, or passed on when `passed_on`.
+    fn record_id(&mut self, id: u64, passed_on: bool) -> bool {
+        let sent = usize::from(self.sent);
+        let Err(at) = self.i1[..sent].binary_search(&id) else {
+            return false;
+        };
+        if self.i1[sent..].contains(&id) {
+            return false;
+        }
+        assert!(
+            self.i1.len() < usize::from(u16::MAX),
+            "more than {} contender ids relayed towards one origin",
+            u16::MAX
+        );
+        if passed_on {
+            self.i1.insert(at, id);
+            self.sent += 1;
+        } else {
+            self.i1.push(id);
+        }
+        true
+    }
+
+    /// Holds the tally and the new `I1` ids of a round-1 unit of `epoch`
+    /// that arrived to be relayed, for [`Relayed::pass_on`].
+    pub(crate) fn hold(&mut self, epoch: u32, item: &RevItem<'_>) {
+        self.enter(epoch);
+        let ids = match *item {
+            RevItem::Replies {
+                replies,
+                singles,
+                ids,
+            } => {
+                self.replies += replies;
+                self.singles += singles;
+                ids
+            }
+            RevItem::KnownContenders { ids } => ids,
+            RevItem::I3Max { .. } | RevItem::Winner { .. } => &[],
+        };
+        for &id in ids {
+            self.record_id(id, false);
+        }
+    }
+
+    /// Passes on everything held, through `send`, as units of `origin`
+    /// and the record's epoch: the tally with up to `frag − 1` ids, then
+    /// units of `frag` ids.
+    pub(crate) fn pass_on(&mut self, origin: u64, frag: usize, mut send: impl FnMut(ElectionMsg)) {
+        let mut ids = &self.i1[usize::from(self.sent)..];
+        if self.replies > 0 {
+            let (first, rest) = ids.split_at(ids.len().min(frag - 1));
+            let tally = RevItem::Replies {
+                replies: self.replies,
+                singles: self.singles,
+                ids: first,
+            };
+            send(ElectionMsg::rev(origin, self.epoch, tally));
+            ids = rest;
+        }
+        for chunk in ids.chunks(frag) {
+            let unit = RevItem::KnownContenders { ids: chunk };
+            send(ElectionMsg::rev(origin, self.epoch, unit));
+        }
+        self.replies = 0;
+        self.singles = 0;
+        // Into the sorted prefix, one by one: a release passes on few ids.
+        for held in usize::from(self.sent)..self.i1.len() {
+            let id = self.i1[held];
+            let at = self.i1[..held].partition_point(|&x| x < id);
+            self.i1[at..=held].rotate_right(1);
+        }
+        // `record_id` keeps the length within `u16`.
+        self.sent = u16::try_from(self.i1.len()).unwrap_or(u16::MAX);
+    }
+
+    /// Whether `item`, of `epoch`, sent at once rather than held, can
+    /// still change what the contender computes; records it as passed on
+    /// if so. A tally always can.
+    pub(crate) fn admit(&mut self, epoch: u32, item: &RevItem<'_>) -> bool {
+        self.enter(epoch);
         match *item {
-            RevItem::ProxyInfo { .. } => true,
+            RevItem::Replies { ids, .. } => {
+                for &id in ids {
+                    self.record_id(id, true);
+                }
+                true
+            }
             RevItem::KnownContenders { ids } => {
                 let mut fresh = false;
                 for &id in ids {
-                    if let Err(at) = self.i1.binary_search(&id) {
-                        self.i1.insert(at, id);
-                        fresh = true;
-                    }
+                    fresh |= self.record_id(id, true);
                 }
                 fresh
             }
             RevItem::I3Max { id } => {
-                let fresh = self.i3_max.is_none_or(|m| id > m);
+                let fresh = id > self.i3_max;
                 if fresh {
-                    self.i3_max = Some(id);
+                    self.i3_max = id;
                 }
                 fresh
             }
@@ -325,6 +525,7 @@ impl Relayed {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trails::Hop;
 
     #[test]
     fn proxy_record_validity() {
@@ -464,12 +665,166 @@ mod tests {
         );
     }
 
+    fn tally(replies: u32, singles: u32, ids: &[u64]) -> RevItem<'_> {
+        RevItem::Replies {
+            replies,
+            singles,
+            ids,
+        }
+    }
+
+    /// What `relayed` passes on towards origin 5 in units of four ids.
+    fn passed_on(relayed: &mut Relayed) -> Vec<ElectionMsg> {
+        let mut out = Vec::new();
+        relayed.pass_on(5, 4, |m| out.push(m));
+        out
+    }
+
+    #[test]
+    fn relayed_tallies_add_up() {
+        let mut r = Relayed::default();
+        assert!(!r.holds());
+        r.hold(2, &tally(1, 1, &[]));
+        r.hold(2, &tally(1, 0, &[]));
+        r.hold(2, &tally(3, 2, &[7]));
+        assert!(r.holds());
+        assert_eq!(
+            passed_on(&mut r),
+            [ElectionMsg::rev(5, 2, tally(5, 3, &[7]))]
+        );
+        assert!(!r.holds());
+        assert_eq!(passed_on(&mut r), [], "a tally goes on once");
+        // A tally takes up to three ids; the rest go on four at a time.
+        let ids = [11, 12, 13, 14, 15, 16, 17, 18];
+        r.hold(2, &RevItem::KnownContenders { ids: &ids[..4] });
+        r.hold(2, &tally(2, 1, &ids[4..]));
+        assert_eq!(
+            passed_on(&mut r),
+            [
+                ElectionMsg::rev(5, 2, tally(2, 1, &ids[..3])),
+                ElectionMsg::rev(5, 2, RevItem::KnownContenders { ids: &ids[3..7] }),
+                ElectionMsg::rev(5, 2, RevItem::KnownContenders { ids: &ids[7..] }),
+            ]
+        );
+    }
+
+    #[test]
+    fn relayed_ids_held_or_passed_on_once_are_never_held_again() {
+        let mut r = Relayed::default();
+        r.hold(0, &RevItem::KnownContenders { ids: &[9, 3] });
+        r.hold(0, &RevItem::KnownContenders { ids: &[3, 8] });
+        assert_eq!(r.i1, [9, 3, 8], "held once each, in arrival order");
+        // A unit the node sends itself goes on at once; its new ids are
+        // recorded as passed on, ahead of the held ones.
+        assert!(r.admit(0, &RevItem::KnownContenders { ids: &[8, 4] }));
+        assert!(!r.admit(0, &RevItem::KnownContenders { ids: &[4, 9] }));
+        assert_eq!((r.i1.as_slice(), r.sent), (&[4, 9, 3, 8][..], 1));
+        let ids = [9, 3, 8];
+        let unit = RevItem::KnownContenders { ids: &ids };
+        assert_eq!(passed_on(&mut r), [ElectionMsg::rev(5, 0, unit)]);
+        for ids in [&[3, 4][..], &[8, 9], &[4]] {
+            r.hold(0, &RevItem::KnownContenders { ids });
+            r.hold(0, &tally(1, 1, ids));
+        }
+        assert_eq!(
+            passed_on(&mut r),
+            [ElectionMsg::rev(5, 0, tally(3, 3, &[]))]
+        );
+    }
+
+    #[test]
+    fn relayed_data_of_an_older_epoch_is_passed_on_before_a_newer_one() {
+        let mut t = Origins::default();
+        let e = t.entry(5);
+        let trail = Trail::enter_epoch(&mut e.trail, 1).unwrap();
+        trail.record_in(1, Hop::Via(Port::new(2)));
+        let at = t.position(5).unwrap();
+        t.hold(at, 1, &tally(1, 1, &[7]));
+        // A walk of epoch 2 is about to replace the trail: the node reads
+        // where the held data goes and passes it on first.
+        let e = t.at(at);
+        let route = ReverseRoute::Forward(Port::new(2));
+        assert_eq!(e.held_route(), Some((1, route)));
+        let sent = passed_on(&mut e.relayed);
+        assert_eq!(sent, [ElectionMsg::rev(5, 1, tally(1, 1, &[7]))]);
+        Trail::enter_epoch(&mut e.trail, 2).unwrap();
+        assert_eq!(e.held_route(), None);
+        // The newer epoch's record starts over: id 7 is new to it.
+        e.relayed.hold(2, &tally(1, 0, &[7]));
+        assert_eq!(
+            passed_on(&mut e.relayed),
+            [ElectionMsg::rev(5, 2, tally(1, 0, &[7]))]
+        );
+    }
+
+    #[test]
+    fn relayed_watermark_survives_several_releases() {
+        let mut r = Relayed::default();
+        let mut all = Vec::new();
+        for (round, ids) in [&[40, 10][..], &[30, 10, 20], &[50], &[20, 60, 5]]
+            .iter()
+            .enumerate()
+        {
+            r.hold(3, &RevItem::KnownContenders { ids });
+            let fresh: Vec<u64> = ids.iter().copied().filter(|id| !all.contains(id)).collect();
+            let unit = RevItem::KnownContenders { ids: &fresh };
+            assert_eq!(
+                passed_on(&mut r),
+                [ElectionMsg::rev(5, 3, unit)],
+                "release {round}"
+            );
+            all.extend(fresh);
+            // Everything passed on stays below the watermark, sorted.
+            let mut sorted = all.clone();
+            sorted.sort_unstable();
+            assert_eq!(
+                (r.i1.as_slice(), usize::from(r.sent)),
+                (&sorted[..], all.len())
+            );
+        }
+        r.hold(3, &RevItem::KnownContenders { ids: &all });
+        assert!(!r.holds());
+    }
+
+    #[test]
+    fn relayed_entries_are_visited_only_when_they_hold() {
+        let mut t = Origins::default();
+        // Seventy origins, 10, 20, …: past the spill index, where one bit
+        // stands for many entries.
+        for o in 1..=70 {
+            Trail::enter_epoch(&mut t.entry(10 * o).trail, 0);
+        }
+        let held = [30, 410, 660, 700];
+        for o in held {
+            let at = t.position(o).unwrap();
+            t.hold(at, 0, &tally(1, 1, &[]));
+        }
+        // An entry added in front moves every bit up by one.
+        Trail::enter_epoch(&mut t.entry(5).trail, 0);
+        let mut seen = Vec::new();
+        t.visit_held(|o, _| seen.push(o));
+        assert_eq!(seen, held);
+        // Passing on clears the bits; an entry left holding is visited
+        // again.
+        t.visit_held(|o, e| {
+            if o != 660 {
+                e.relayed.pass_on(o, 4, drop);
+            }
+        });
+        seen.clear();
+        t.visit_held(|o, e| {
+            seen.push(o);
+            e.relayed.pass_on(o, 4, drop);
+        });
+        assert_eq!(seen, [660]);
+        assert!(!t.holds());
+    }
+
     #[test]
     fn distinct_proxy_counting() {
         let mut c = ContenderState::new();
-        c.proxy_counts.insert(10, 1);
-        c.proxy_counts.insert(11, 3);
-        c.proxy_counts.insert(12, 1);
+        c.replies = 3;
+        c.singles = 2;
         assert_eq!(c.distinct_proxies(), 2);
         c.begin_epoch();
         assert_eq!(c.distinct_proxies(), 0);

@@ -1,5 +1,6 @@
 //! Fence for the hash-state determinism fixes: replacing the seeded-path
-//! `HashMap`/`HashSet` protocol state (`fwd_seen`, `proxy_counts`, the
+//! `HashMap`/`HashSet` protocol state (`fwd_seen`, the per-proxy reply
+//! map `proxy_counts` that a reply tally has since replaced, the
 //! `TrailStore` map) with ordered containers must not change a single
 //! report byte. The pinned rows below were recorded *before* the swap
 //! (their count columns have since fallen with the message volume of
@@ -107,13 +108,15 @@ fn assert_golden(label: &str, got: &str, history: &[&str]) {
 /// in units of four ids instead of one gave the fifth. Sending forward
 /// units (round 2, stop marks, winner notices) along the tree the
 /// round-1 replies came by instead of every walk edge, with the
-/// winner's notice doing its stop mark's job, gave the sixth. Each step
+/// winner's notice doing its stop mark's job, gave the sixth. Relays
+/// merging the round-1 replies and `I1` ids they pass on into reply
+/// tallies while their own queue is busy gave the seventh. Each step
 /// moved only [`COUNT_COLUMNS`].
 #[test]
 fn pinned_reports_unchanged_by_hash_state_fix() {
     // The ten zero columns are the per-phase breakdown added with the
     // telemetry layer — all zero here because these runs record none.
-    let cases: [(usize, usize, u64, [&str; 6]); 3] = [
+    let cases: [(usize, usize, u64, [&str; 7]); 3] = [
         (
             48,
             40,
@@ -125,6 +128,7 @@ fn pinned_reports_unchanged_by_hash_state_fix() {
                 "48,84,12,1,4862562,11126,481892,256,277,16,5,0,0,0,277,0,0,0,0,0,0,0,0,0,0,true",
                 "48,84,12,1,4862562,9265,446033,207,228,16,5,0,0,0,228,0,0,0,0,0,0,0,0,0,0,true",
                 "48,84,12,1,4862562,7499,369972,201,217,16,5,0,0,0,217,0,0,0,0,0,0,0,0,0,0,true",
+                "48,84,12,1,4862562,6913,317138,181,197,16,5,0,0,0,197,0,0,0,0,0,0,0,0,0,0,true",
             ],
         ),
         (
@@ -138,6 +142,7 @@ fn pinned_reports_unchanged_by_hash_state_fix() {
                 "40,63,16,1,2304460,15427,629819,554,563,64,7,1,0,0,563,0,0,0,0,0,0,0,0,0,0,true",
                 "40,63,16,1,2304460,12364,573175,444,453,64,7,1,0,0,453,0,0,0,0,0,0,0,0,0,0,true",
                 "40,63,16,1,2304460,10053,477605,424,431,64,7,1,0,0,431,0,0,0,0,0,0,0,0,0,0,true",
+                "40,63,16,1,2304460,9342,414795,399,406,64,7,1,0,0,406,0,0,0,0,0,0,0,0,0,0,true",
             ],
         ),
         (
@@ -151,6 +156,7 @@ fn pinned_reports_unchanged_by_hash_state_fix() {
                 "56,113,19,1,9178418,21997,993928,470,478,32,6,0,0,0,478,0,0,0,0,0,0,0,0,0,0,true",
                 "56,113,19,1,9178418,16665,885511,363,371,32,6,0,0,0,371,0,0,0,0,0,0,0,0,0,0,true",
                 "56,113,19,1,9178418,13973,769946,358,367,32,6,0,0,0,367,0,0,0,0,0,0,0,0,0,0,true",
+                "56,113,19,1,9178418,12942,663626,313,322,32,6,0,0,0,322,0,0,0,0,0,0,0,0,0,0,true",
             ],
         ),
     ];

@@ -95,9 +95,14 @@ proptest! {
         let cap = p.bandwidth_bits.unwrap();
         let id = id % p.id_max + 1;
         let ids = vec![p.id_max; p.frag];
+        // A relay's merged round-1 unit: a tally at the packed budget
+        // with one id fewer than a full `I1` unit.
+        let tally = (1 << 22) - 1;
+        let merged = RevItem::Replies { replies: tally, singles: tally, ids: &ids[1..] };
         let msgs = [
             ElectionMsg::walk(id, epoch, remaining, p.walks_per_contender),
-            ElectionMsg::rev(id, epoch, RevItem::ProxyInfo { proxy_id: id, count: 1_000 }),
+            ElectionMsg::rev(id, epoch, RevItem::Replies { replies: 1, singles: 1, ids: &[] }),
+            ElectionMsg::rev(id, epoch, merged),
             ElectionMsg::rev(id, epoch, RevItem::KnownContenders { ids: &ids }),
             ElectionMsg::rev(id, epoch, RevItem::Winner { id: p.id_max }),
             ElectionMsg::fwd(id, epoch, FwdItem::I2Max { id: p.id_max }),
